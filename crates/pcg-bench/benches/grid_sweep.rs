@@ -204,7 +204,7 @@ fn mpi_world_seconds(ranks: usize) -> f64 {
 /// Oversubscription A/B: thread-per-rank vs the rank multiplexer at
 /// paper-scale world sizes. Thread-per-rank pays one OS thread spawn
 /// (2 MiB stack mmap) per rank per run; the multiplexer runs the same
-/// world on ~2x-cores fiber workers. Records are byte-identical either
+/// world on one fiber worker per core. Records are byte-identical either
 /// way (see `tests/mux_paths.rs`), so wall clock is the whole story.
 /// Writes `target/pcgbench/BENCH_mpiscale.json` and asserts the >=3x
 /// bar on the MPI-512 column from the multiplexer work.

@@ -2,8 +2,8 @@
 //!
 //! The harness attributes every second of an evaluation to one of these
 //! stages; the scheduler aggregates them into an `EvalStats` record so a
-//! grid sweep can report where the wall-clock went (queue wait vs.
-//! baseline measurement vs. candidate runs vs. validation).
+//! grid sweep can report where the wall-clock went (baseline
+//! measurement vs. candidate runs vs. validation).
 
 use serde::{Deserialize, Serialize};
 

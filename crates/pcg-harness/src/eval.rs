@@ -306,12 +306,8 @@ pub fn evaluate_cells_priors<S: CandidateSource + Sync + ?Sized>(
     );
     let wall_s = t0.elapsed().as_secs_f64();
 
-    let mut queue_wait_s = 0.0;
-    let mut max_queue_wait_s = 0.0f64;
     let mut cell_walls = Vec::with_capacity(results.len());
     for (local, cell) in results.into_iter().enumerate() {
-        queue_wait_s += cell.queue_wait.as_secs_f64();
-        max_queue_wait_s = max_queue_wait_s.max(cell.queue_wait.as_secs_f64());
         cell_walls.push(CellWall {
             cell: pending_cells[local].id.0,
             secs: cell.exec.as_secs_f64(),
@@ -347,8 +343,6 @@ pub fn evaluate_cells_priors<S: CandidateSource + Sync + ?Sized>(
         flaky: runner.flaky(),
         resumed_cells,
         quarantined: runner.quarantined(),
-        queue_wait_s,
-        max_queue_wait_s,
         baseline_s: runner.stage_seconds(Stage::Baseline),
         run_s: runner.stage_seconds(Stage::Run),
         validate_s: runner.stage_seconds(Stage::Validate),

@@ -93,10 +93,6 @@ pub struct EvalStats {
     /// Candidates that hard-failed every attempt they were given
     /// (deterministically sorted).
     pub quarantined: Vec<QuarantineEntry>,
-    /// Total seconds cells spent enqueued before pickup (summed).
-    pub queue_wait_s: f64,
-    /// Longest single cell queue wait in seconds.
-    pub max_queue_wait_s: f64,
     /// Seconds measuring sequential baselines (summed across workers).
     pub baseline_s: f64,
     /// Seconds building/running candidates (summed across workers).
@@ -285,5 +281,29 @@ mod tests {
         assert_eq!(back.models[0].tasks[0].task, task);
         assert_eq!(back.model("GPT-4").unwrap().tasks.len(), 1);
         assert!(back.model("nope").is_none());
+    }
+
+    #[test]
+    fn stats_sidecar_with_dropped_queue_wait_fields_still_loads() {
+        // A sidecar as written before `queue_wait_s`/`max_queue_wait_s`
+        // were dropped: merges and `project_records --stats` still read
+        // such files from earlier runs.
+        let old = r#"{"jobs":2,"cells":3,"executions":9,"cache_hits":4,"panics":0,
+            "timeouts":1,"cancelled":1,"abandoned":0,"retries":0,"flaky":0,
+            "resumed_cells":0,"quarantined":[],"queue_wait_s":67378.5,
+            "max_queue_wait_s":27.9,"baseline_s":0.5,"run_s":1.25,"validate_s":0.25,
+            "wall_s":2.0,"lease_hits":5,"lease_misses":2,"pools_poisoned":0,
+            "input_cache_hits":7,"pool_setup_s":0.125,"ranks_multiplexed":512,
+            "bytes_zero_copied":0,"journal_compactions":0,"journal_frames_rejected":0,
+            "deadlocks_detected":0,"stack_overflows_caught":0,"guard_faults":0,
+            "leak_budget_exhausted":false,"cells_stolen":0,"steal_conflicts":0,
+            "steal_scans":0,"cell_walls":[{"cell":7,"secs":0.75}],"shard_walls":[]}"#;
+        let stats: EvalStats = serde_json::from_str(old).expect("old sidecar loads");
+        assert_eq!((stats.jobs, stats.cells, stats.executions), (2, 3, 9));
+        assert_eq!(stats.wall_s, 2.0);
+        assert_eq!(stats.ranks_multiplexed, 512);
+        assert_eq!(stats.cell_walls, vec![CellWall { cell: 7, secs: 0.75 }]);
+        let again = serde_json::to_string(&stats).expect("stats serialize");
+        assert!(!again.contains("queue_wait"), "dropped fields are not written back");
     }
 }

@@ -117,11 +117,6 @@ pub fn stats_summary(stats: &crate::record::EvalStats) -> String {
         "[pcgbench]   stage seconds (summed over workers): baseline {:.2}, run {:.2}, validate {:.2}",
         stats.baseline_s, stats.run_s, stats.validate_s,
     );
-    let _ = writeln!(
-        s,
-        "[pcgbench]   queue wait: {:.2}s total, {:.2}s max per cell",
-        stats.queue_wait_s, stats.max_queue_wait_s,
-    );
     let checkouts = stats.lease_hits + stats.lease_misses;
     if checkouts > 0 {
         let _ = writeln!(

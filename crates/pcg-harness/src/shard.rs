@@ -213,19 +213,15 @@ pub fn steal_from_siblings(
 /// Fold the stats of one stolen-batch evaluation into the worker's
 /// running total. [`SharedRunner`] counters are **cumulative across
 /// calls** on one runner, so the latest snapshot replaces the total
-/// wholesale; the genuinely per-call fields (cells, queue waits,
-/// measured walls, resumed count) accumulate.
+/// wholesale; the genuinely per-call fields (cells, measured walls,
+/// resumed count) accumulate.
 fn absorb_steal_stats(total: &mut EvalStats, fill: EvalStats, stolen_cells: usize) {
     let cells = total.cells + stolen_cells;
-    let queue_wait_s = total.queue_wait_s + fill.queue_wait_s;
-    let max_queue_wait_s = total.max_queue_wait_s.max(fill.max_queue_wait_s);
     let resumed_cells = total.resumed_cells;
     let mut cell_walls = std::mem::take(&mut total.cell_walls);
     cell_walls.extend(fill.cell_walls.iter().copied());
     *total = fill;
     total.cells = cells;
-    total.queue_wait_s = queue_wait_s;
-    total.max_queue_wait_s = max_queue_wait_s;
     total.resumed_cells = resumed_cells;
     total.cell_walls = cell_walls;
 }
@@ -569,8 +565,6 @@ pub fn combine_stats(parts: &[EvalStats], cells: usize) -> EvalStats {
         flaky: sum(|p| p.flaky),
         resumed_cells: parts.iter().map(|p| p.resumed_cells).sum(),
         quarantined,
-        queue_wait_s: sum_f(|p| p.queue_wait_s),
-        max_queue_wait_s: max_f(|p| p.max_queue_wait_s),
         baseline_s: sum_f(|p| p.baseline_s),
         run_s: sum_f(|p| p.run_s),
         validate_s: sum_f(|p| p.validate_s),
@@ -650,8 +644,6 @@ mod tests {
             flaky: 0,
             resumed_cells: 0,
             quarantined: Vec::new(),
-            queue_wait_s: 0.0,
-            max_queue_wait_s: 0.0,
             baseline_s: 0.0,
             run_s: 0.0,
             validate_s: 0.0,

@@ -4,10 +4,17 @@
 //! which makes the paper's 512-rank sweep column cost 512 spawns plus a
 //! condvar storm per run on a machine with a few dozen cores. This
 //! module runs the same rank programs as **stackful fibers** multiplexed
-//! onto `W ≤ ~2×cores` worker threads: a rank that blocks in
+//! onto `W = cores` worker threads: a rank that blocks in
 //! `recv`/token acquisition parks its continuation (a saved stack) in a
 //! blocked-rank queue instead of parking an OS thread, and a worker
 //! resumes the next runnable rank.
+//!
+//! The worker count equals the world's compute-token count
+//! (`World::new` grants one token per core). A fiber holds a token from
+//! the moment it starts until it parks, so at most `cores` fibers can
+//! make progress at once; a further worker could only resume a fiber
+//! that fails `try_acquire` and yields straight back, paying a
+//! scheduler-lock round trip and a futex wake for nothing.
 //!
 //! Scheduling is *run-to-block*: fibers yield only at the exact points
 //! where the thread-per-rank path would block on a condvar (mailbox
@@ -85,8 +92,9 @@ pub fn supported() -> bool {
 }
 
 /// Number of multiplexer worker threads: `PCG_MPI_WORKERS` if set to a
-/// positive integer, else twice the available parallelism (min 2). Read
-/// once per process.
+/// positive integer, else the available parallelism — the compute-token
+/// count `World::new` grants, so no worker idles behind a token it can
+/// never get. Read once per process.
 pub fn workers() -> usize {
     static W: OnceLock<usize> = OnceLock::new();
     *W.get_or_init(|| {
@@ -97,8 +105,7 @@ pub fn workers() -> usize {
                 }
             }
         }
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        (2 * cores).max(2)
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
     })
 }
 
@@ -382,9 +389,16 @@ pcg_mpisim_fiber_trampoline:
         //! reused or unmapped: callees the fiber abandoned (a hybrid
         //! pool region in flight, a held lock's waiter list) may still
         //! reference its frames.
+        //!
+        //! Every clean mapping goes back to the pool, which is bounded
+        //! by the peak number of fibers live at once (the sum of
+        //! concurrent world sizes) rather than by a constant: under a
+        //! cap, every world larger than the cap would map, fault in and
+        //! unmap its excess stacks on every run. A steady stream of
+        //! worlds therefore makes no `mmap`/`mprotect`/`munmap` calls.
         use parking_lot::Mutex;
         use std::cell::{Cell, RefCell};
-        use std::sync::atomic::Ordering;
+        use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::OnceLock;
 
         /// Scratch stack for the overflow landing pad; it only needs a
@@ -394,9 +408,6 @@ pcg_mpisim_fiber_trampoline:
         /// frame-sized jump cannot clear it even without probes.
         const GUARD_SIZE: usize = 1 << 16;
         const TOTAL_SIZE: usize = RESCUE_SIZE + GUARD_SIZE + super::STACK_SIZE;
-        /// Parked reusable mappings kept across fibers (an mmap +
-        /// mprotect per fiber would dominate small-world mux runs).
-        const POOL_CAP: usize = 64;
         const ALT_STACK_SIZE: usize = 1 << 15;
 
         mod os {
@@ -494,8 +505,13 @@ pcg_mpisim_fiber_trampoline:
         // most one fiber at a time.
         unsafe impl Send for StackMem {}
 
+        /// Mappings created so far (monotonic; tests diff it to show
+        /// that a warm pool serves a world without new mappings).
+        static MAPPED: AtomicU64 = AtomicU64::new(0);
+
         impl StackMem {
             fn map() -> StackMem {
+                MAPPED.fetch_add(1, Ordering::Relaxed);
                 unsafe {
                     let base = os::mmap(
                         std::ptr::null_mut(),
@@ -543,11 +559,7 @@ pcg_mpisim_fiber_trampoline:
         }
 
         pub(super) fn release(stack: StackMem) {
-            let mut pool = POOL.lock();
-            if pool.len() < POOL_CAP {
-                pool.push(stack);
-            }
-            // Beyond the cap the drop unmaps it.
+            POOL.lock().push(stack);
         }
 
         /// Leak an overflowed mapping: abandoned callees may still hold
@@ -670,6 +682,51 @@ pcg_mpisim_fiber_trampoline:
                     }
                 }
             });
+        }
+
+        #[cfg(test)]
+        mod tests {
+            use super::MAPPED;
+            use crate::{CostModel, ReduceOp, World};
+            use std::sync::atomic::Ordering;
+
+            /// Set in the child process that runs the measured half.
+            const CHILD_ENV: &str = "PCG_MPISIM_STACK_POOL_CHILD";
+
+            fn world_512() {
+                let out = World::new(512)
+                    .with_cost_model(CostModel::deterministic())
+                    .multiplexed()
+                    .run(|comm| comm.allreduce_one(comm.rank() as i64, ReduceOp::Sum))
+                    .expect("512-rank world");
+                assert!(out.per_rank.iter().all(|&s| s == 511 * 512 / 2));
+            }
+
+            #[test]
+            fn repeat_world_maps_no_new_stacks() {
+                if std::env::var_os(CHILD_ENV).is_none() {
+                    // MAPPED is process-wide and sibling tests run worlds
+                    // concurrently, so the measurement re-runs this test
+                    // binary filtered down to this one test.
+                    let path = module_path!().split_once("::").expect("crate-qualified path").1;
+                    let name = format!("{path}::repeat_world_maps_no_new_stacks");
+                    let exe = std::env::current_exe().expect("test binary path");
+                    let out = std::process::Command::new(exe)
+                        .args(["--exact", &name, "--test-threads=1"])
+                        .env(CHILD_ENV, "1")
+                        .output()
+                        .expect("re-run the test binary");
+                    let stdout = String::from_utf8_lossy(&out.stdout);
+                    assert!(out.status.success(), "child run failed:\n{stdout}");
+                    assert!(stdout.contains("1 passed"), "child ran no test:\n{stdout}");
+                    return;
+                }
+                world_512();
+                let before = MAPPED.load(Ordering::Relaxed);
+                world_512();
+                let fresh = MAPPED.load(Ordering::Relaxed) - before;
+                assert_eq!(fresh, 0, "a repeat 512-rank world mapped {fresh} new fiber stacks");
+            }
         }
     }
 

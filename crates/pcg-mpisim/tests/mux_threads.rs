@@ -76,7 +76,7 @@ fn mpi512_runs_on_bounded_os_threads_with_identical_records() {
     let stats_after = sched::stats();
 
     // The monitor itself is one of the extra threads we tolerate; the
-    // simulator may use at most `workers()` (~2x cores) on top of baseline.
+    // simulator may use at most `workers()` (one per core) on top of baseline.
     let extra = peak.load(Ordering::Relaxed).saturating_sub(baseline);
     assert!(
         extra <= sched::workers() + 1,

@@ -94,7 +94,7 @@ impl LeaseKey {
                 threads.saturating_sub(1)
             }
             // Rank teams that the multiplexer would adopt park only the
-            // fiber worker pool (~2x cores), not one thread per rank —
+            // fiber worker pool (one per core), not one thread per rank —
             // which is what makes MPI-256/512 and hybrid 4x64 teams fit
             // the budget at all.
             LeaseKey::MpiTeam { ranks } => pcg_mpisim::sched::os_threads_for(ranks),
