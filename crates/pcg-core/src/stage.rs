@@ -10,8 +10,6 @@ use serde::{Deserialize, Serialize};
 /// One stage of evaluating a candidate cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Stage {
-    /// Time a grid cell spent enqueued before a worker picked it up.
-    Queue,
     /// Measuring (or re-measuring) the sequential baseline.
     Baseline,
     /// Building + running the candidate (including timing repetitions).
@@ -22,12 +20,11 @@ pub enum Stage {
 
 impl Stage {
     /// All stages, reporting order.
-    pub const ALL: [Stage; 4] = [Stage::Queue, Stage::Baseline, Stage::Run, Stage::Validate];
+    pub const ALL: [Stage; 3] = [Stage::Baseline, Stage::Run, Stage::Validate];
 
     /// Short stable label used in stats tables.
     pub fn label(self) -> &'static str {
         match self {
-            Stage::Queue => "queue",
             Stage::Baseline => "baseline",
             Stage::Run => "run",
             Stage::Validate => "validate",
@@ -51,7 +48,7 @@ mod tests {
         let mut dedup = labels.clone();
         dedup.dedup();
         assert_eq!(labels, dedup);
-        assert!(Stage::Queue < Stage::Run);
+        assert!(Stage::Baseline < Stage::Run);
     }
 
     #[test]

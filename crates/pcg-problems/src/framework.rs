@@ -14,7 +14,7 @@ use std::time::Instant;
 
 /// Resource configuration derived from an execution model and the
 /// paper's `n` axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Resources {
     /// Threads for OpenMP/Kokkos substrates.
     pub threads: usize,
@@ -150,12 +150,8 @@ impl<S: Spec> Problem for S {
         size: usize,
     ) -> Result<TimedRun, PcgError> {
         match kind {
-            CandidateKind::BuildFailure => {
-                Err(PcgError::BuildFailure("candidate does not compile".into()))
-            }
-            CandidateKind::Timeout => Err(PcgError::Timeout),
-            CandidateKind::RuntimeCrash => {
-                Err(PcgError::Runtime("candidate crashed at runtime".into()))
+            CandidateKind::BuildFailure | CandidateKind::Timeout | CandidateKind::RuntimeCrash => {
+                Err(fixed_verdict(kind).expect("a fixed-verdict kind"))
             }
             CandidateKind::WrongOutput(mode) => {
                 // Run the real parallel code path, then corrupt the
@@ -205,6 +201,24 @@ impl<S: Spec> Problem for S {
                 run_correct(self, model, quality, &input, &res)
             }
         }
+    }
+}
+
+/// The verdict of a kind whose artifact never runs: it fails to build,
+/// crashes at start-up, or is the virtual over-the-limit candidate.
+/// `None` for every kind that executes code. The harness answers these
+/// kinds from this function without running anything, so it and
+/// [`Problem::run_candidate`] cannot disagree.
+pub fn fixed_verdict(kind: CandidateKind) -> Option<PcgError> {
+    match kind {
+        CandidateKind::BuildFailure => {
+            Some(PcgError::BuildFailure("candidate does not compile".into()))
+        }
+        CandidateKind::Timeout => Some(PcgError::Timeout),
+        CandidateKind::RuntimeCrash => {
+            Some(PcgError::Runtime("candidate crashed at runtime".into()))
+        }
+        _ => None,
     }
 }
 
