@@ -82,8 +82,9 @@ enum Computation {
     /// The efficient parallel path at one resource shape.
     /// `Correct(Efficient)` validates its output as-is and each
     /// `WrongOutput(mode)` a corrupted copy. `n` is normalized through
-    /// [`Resources::for_model`], so GPU tasks, which ignore it, share one
-    /// run across every `n`.
+    /// [`Resources::for_model`], and GPU tasks, whose fixed-block
+    /// launches ignore it, all map to `n = 1`, so they share one run
+    /// across every `n`.
     Efficient(Resources),
     /// The serial path of `SequentialFallback`, which never reads `n`.
     Fallback,
@@ -98,6 +99,7 @@ impl Computation {
     fn of(task: TaskId, kind: CandidateKind, n: u32) -> Computation {
         match kind {
             CandidateKind::Correct(Quality::Efficient) | CandidateKind::WrongOutput(_) => {
+                let n = if task.model.is_gpu() { 1 } else { n };
                 Computation::Efficient(Resources::for_model(task.model, n))
             }
             CandidateKind::SequentialFallback => Computation::Fallback,
@@ -628,7 +630,9 @@ impl SharedRunner {
 
     /// Run `comp` at `task` once, with the requester's `n` (every `n`
     /// mapping to the computation runs the same thing), and validate
-    /// its output for every member kind. [`Verdicts::hard`] is set when
+    /// its output for every member kind. An efficient-path run does
+    /// `cfg.reps` repetitions inside one time limit, so its wrong-output
+    /// members share that limit too. [`Verdicts::hard`] is set when
     /// the run hard-failed at the harness level (worker panic or
     /// wall-clock timeout) — the signal for retry/quarantine — as opposed
     /// to a candidate that merely *reported* a failure (e.g. a

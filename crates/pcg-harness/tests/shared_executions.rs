@@ -105,9 +105,11 @@ fn gpu_kinds_run_once_across_n() {
         let runner = SharedRunner::new(EvalConfig::smoke());
         let t = task(model);
         let low = runner.outcome(t, EFFICIENT, 0);
-        let high = runner.outcome(t, EFFICIENT, 1);
-        assert!(low.correct && high.correct, "{model}");
-        assert_eq!(low.seconds, high.seconds, "{model}: n=1 reuses the n=0 run");
+        for n in [1, 4, 512] {
+            let out = runner.outcome(t, EFFICIENT, n);
+            assert!(low.correct && out.correct, "{model} at n={n}");
+            assert_eq!(low.seconds, out.seconds, "{model}: n={n} reuses the n=0 run");
+        }
         assert_eq!(runner.executions(), 1, "{model}");
     }
 }

@@ -63,7 +63,12 @@ fn warm_records_are_byte_identical_to_cold_at_any_jobs() {
     assert!(warm1_stats.input_cache_hits > 0, "repeat coordinates must reuse inputs");
     assert!(warm8_stats.lease_misses > 0);
     assert!(warm1_stats.pool_setup_s >= 0.0);
-    let (again, again_stats) = run(&cfg, &tasks, true, 1);
-    assert_eq!(cold, again, "a warm-cache pass must project byte-identical to cold");
-    assert!(again_stats.lease_hits > 0, "repeat executions must reuse substrates: {again_stats:?}");
+    for jobs in [1, 8] {
+        let (again, again_stats) = run(&cfg, &tasks, true, jobs);
+        assert_eq!(cold, again, "a warm-cache --jobs {jobs} pass must project byte-identical to cold");
+        assert!(
+            again_stats.lease_hits > 0,
+            "repeat executions at --jobs {jobs} must reuse substrates: {again_stats:?}"
+        );
+    }
 }
