@@ -1,8 +1,14 @@
 //! Write-ahead journal for crash-safe (and sharded) evaluation.
 //!
-//! The pipeline appends one entry per completed grid cell, fsync'd
-//! before the scheduler hands out more work from that point, so a
-//! killed run loses at most the cells that were in flight. On startup
+//! The pipeline appends one entry per completed grid cell from the
+//! scheduler's completion observer. Appends are group-committed: the
+//! frame is written at once and a background syncer's next
+//! `fdatasync` makes it durable, together with every other frame
+//! written before that sync started (see [`Journal`]). Workers never
+//! wait for the observer, so a killed run loses the cells in flight,
+//! plus the frames written since the last `fdatasync` started; a
+//! SIGKILL alone loses no written frame, since the page cache keeps
+//! it. On startup
 //! with `--resume`, a journal whose header matches the active config
 //! (and shard) is replayed: completed cells are skipped and only the
 //! remainder is scheduled.
@@ -73,7 +79,7 @@
 use crate::codec;
 use crate::config::EvalConfig;
 use crate::record::TaskRecord;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use pcg_core::frame::{self, FrameError, ByteReader, ByteWriter, FRAME_OVERHEAD, JOURNAL_MAGIC};
 use pcg_core::plan::{fnv1a, CellId, ShardSpec};
 use serde::{Deserialize, Serialize};
@@ -81,6 +87,8 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Journal format version; bump on any layout change.
 /// (v1 keyed entries by `(model, task)` with no cell address; v2 was
@@ -273,9 +281,141 @@ impl Loaded {
     }
 }
 
-/// Append handle for one run's journal.
+/// Append handle for one run's journal, with group commit.
+///
+/// [`Journal::append`] writes its frame under the state lock and
+/// returns without waiting for the disk. One syncer thread per journal,
+/// started by the first write, runs `fdatasync` outside the lock, and
+/// each sync covers every frame written before it started. Frames are
+/// therefore whole and ordered in the file (the lock serialises
+/// writes), visible at once to readers of the page cache, and durable
+/// once [`Journal::sync`] or `Drop` returns. A journal that is never
+/// written to (a resume with nothing left to evaluate) starts no
+/// thread, so a process that was single-threaded stays so.
+///
+/// Errors are sticky. After a failed write or `fdatasync`, every later
+/// [`Journal::append`], [`Journal::append_claims`] and [`Journal::sync`]
+/// returns that error. A failed `fdatasync` is never retried: Linux may
+/// already have dropped the dirty pages, so a retry could report success
+/// for frames that never reached the disk.
 pub struct Journal {
-    file: Mutex<File>,
+    shared: Arc<Shared>,
+}
+
+/// What [`Journal`] shares with its syncer thread.
+struct Shared {
+    /// Written only under `state`'s lock, so frames never interleave;
+    /// synced without it.
+    file: File,
+    state: Mutex<SyncState>,
+    /// Wakes the syncer: a frame was written, or the journal is closing.
+    work: Condvar,
+    /// Wakes [`Journal::sync`] and [`Journal::append_claims`] waiters:
+    /// `synced` advanced or `error` was set.
+    durable: Condvar,
+}
+
+#[derive(Default)]
+struct SyncState {
+    /// Writes made so far, each of one or more whole frames; the count
+    /// doubles as the last write's sequence number.
+    written: u64,
+    /// Every write up to this sequence number was made before an
+    /// `fdatasync` that succeeded, so its frames are durable.
+    synced: u64,
+    /// The first write or sync error; once set, never cleared.
+    error: Option<std::io::Error>,
+    /// Set by `Drop`: the syncer syncs what is left, then exits.
+    closing: bool,
+    /// The syncer thread, once the first write has started it.
+    syncer: Option<JoinHandle<()>>,
+}
+
+/// A copy of a sticky error for one more caller (`io::Error` is not
+/// `Clone`); an OS error keeps its errno, so its kind is unchanged.
+fn repeat_error(e: &std::io::Error) -> std::io::Error {
+    match e.raw_os_error() {
+        Some(code) => std::io::Error::from_raw_os_error(code),
+        None => std::io::Error::new(e.kind(), e.to_string()),
+    }
+}
+
+impl Shared {
+    /// Write one buffer of whole frames and wake the syncer, starting
+    /// it on the first write. Returns the sequence number that covers
+    /// the buffer.
+    fn write(self: &Arc<Self>, bytes: &[u8]) -> std::io::Result<u64> {
+        let seq = {
+            let mut st = self.state.lock();
+            if let Some(e) = &st.error {
+                return Err(repeat_error(e));
+            }
+            if st.syncer.is_none() {
+                // Nothing is written yet if this fails, so the error is
+                // not sticky: the next write tries again.
+                let shared = Arc::clone(self);
+                st.syncer = Some(
+                    std::thread::Builder::new()
+                        .name("pcg-journal-sync".into())
+                        .spawn(move || shared.run_syncer())?,
+                );
+            }
+            if let Err(e) = (&self.file).write_all(bytes) {
+                // A partly written frame makes every later frame
+                // unreplayable, so a write error is as final as a sync one.
+                let again = repeat_error(&e);
+                st.error = Some(e);
+                self.durable.notify_all();
+                return Err(again);
+            }
+            st.written += 1;
+            st.written
+        };
+        self.work.notify_one();
+        Ok(seq)
+    }
+
+    /// Block until frame `seq` is durable, or return the sticky error.
+    fn wait_durable(&self, seq: u64) -> std::io::Result<()> {
+        let mut st = self.state.lock();
+        loop {
+            if let Some(e) = &st.error {
+                return Err(repeat_error(e));
+            }
+            if st.synced >= seq {
+                return Ok(());
+            }
+            self.durable.wait(&mut st);
+        }
+    }
+
+    /// The syncer thread's loop: sync whenever frames are written past
+    /// the last sync, until the journal closes with nothing left. Exits
+    /// for good after a failed `fdatasync`.
+    fn run_syncer(&self) {
+        let mut st = self.state.lock();
+        loop {
+            while st.synced == st.written && !st.closing {
+                self.work.wait(&mut st);
+            }
+            if st.synced == st.written {
+                return;
+            }
+            let target = st.written;
+            drop(st);
+            let result = self.file.sync_data();
+            st = self.state.lock();
+            match result {
+                Ok(()) => st.synced = target,
+                Err(e) => {
+                    st.error.get_or_insert(e);
+                    self.durable.notify_all();
+                    return;
+                }
+            }
+            self.durable.notify_all();
+        }
+    }
 }
 
 impl Journal {
@@ -324,7 +464,7 @@ impl Journal {
         );
         file.write_all(&bytes)?;
         file.sync_data()?;
-        Ok(Journal { file: Mutex::new(file) })
+        Ok(Journal::wrap(file))
     }
 
     /// Continue appending to an existing v3 journal (resume). The
@@ -332,24 +472,35 @@ impl Journal {
     /// compacted first if the file [`Loaded::needs_compaction`] —
     /// appending binary frames to a v2 JSONL file would corrupt it.
     pub fn open_append(path: &Path) -> std::io::Result<Journal> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Journal { file: Mutex::new(file) })
+        Ok(Journal::wrap(OpenOptions::new().append(true).open(path)?))
     }
 
-    /// Durably append one completed cell: the frame is written,
-    /// flushed, and fsync'd before this returns, so a crash at any
-    /// later point cannot lose it.
+    fn wrap(file: File) -> Journal {
+        Journal {
+            shared: Arc::new(Shared {
+                file,
+                state: Mutex::new(SyncState::default()),
+                work: Condvar::new(),
+                durable: Condvar::new(),
+            }),
+        }
+    }
+
+    /// Append one completed cell. The frame is in the file (and the
+    /// page cache, so sibling peeks and same-process loads see it) when
+    /// this returns, but not yet durable: the syncer's next
+    /// `fdatasync` makes it so, and [`Journal::sync`] waits for that. A
+    /// crash loses at most the frames written since the last
+    /// `fdatasync` started.
     pub fn append(&self, cell: CellId, model: &str, record: &TaskRecord) -> std::io::Result<()> {
         let bytes = frame::encode_frame(cell.0, &codec::encode_entry(model, record));
-        let mut file = self.file.lock();
-        file.write_all(&bytes)?;
-        file.flush()?;
-        file.sync_data()
+        self.shared.write(&bytes).map(drop)
     }
 
     /// Durably append one work-stealing claim frame per cell, batched
-    /// into a single write + fsync. A thief MUST call this and see it
-    /// return `Ok` **before** evaluating the stolen cells
+    /// into a single write, and wait until the syncer has made them
+    /// durable. A thief MUST call this and see it return `Ok`
+    /// **before** evaluating the stolen cells
     /// (claim-before-evaluate): once the claims are on disk, siblings
     /// stop racing for these cells, and if the thief then crashes the
     /// claims are compacted away on its next resume (or ignored by
@@ -364,10 +515,33 @@ impl Journal {
         for cell in cells {
             frame::encode_frame_into(&mut bytes, cell.0, &payload);
         }
-        let mut file = self.file.lock();
-        file.write_all(&bytes)?;
-        file.flush()?;
-        file.sync_data()
+        let seq = self.shared.write(&bytes)?;
+        self.shared.wait_durable(seq)
+    }
+
+    /// Block until every frame written before this call is durable.
+    /// Returns the journal's sticky error if any write or `fdatasync`
+    /// has failed, so an `Ok` here is never a retried sync's success.
+    pub fn sync(&self) -> std::io::Result<()> {
+        let seq = self.shared.state.lock().written;
+        self.shared.wait_durable(seq)
+    }
+}
+
+impl Drop for Journal {
+    /// Stop the syncer after a final sync of every written frame.
+    /// Errors cannot be returned from here; call [`Journal::sync`]
+    /// first to see them.
+    fn drop(&mut self) {
+        let syncer = {
+            let mut st = self.shared.state.lock();
+            st.closing = true;
+            st.syncer.take()
+        };
+        self.shared.work.notify_one();
+        if let Some(syncer) = syncer {
+            let _ = syncer.join();
+        }
     }
 }
 
@@ -924,6 +1098,23 @@ mod tests {
         assert_eq!(got.record.low.ratio, vec![3.5, 0.0]);
         remove(&path);
         assert!(load(&path, &cfg, ShardSpec::WHOLE).is_empty());
+    }
+
+    #[test]
+    fn failed_sync_is_sticky_and_never_retried() {
+        // `fdatasync` on /dev/null fails with EINVAL while writes to it
+        // succeed: a real sync failure with no injection hook.
+        let cfg = EvalConfig::smoke();
+        let j = Journal::open_append(Path::new("/dev/null")).unwrap();
+        j.append(cell_of(&cfg, "GPT-4", &rec(0)), "GPT-4", &rec(0)).unwrap();
+        let err = j.sync().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        let again = j.sync().unwrap_err();
+        assert_eq!(again.kind(), err.kind(), "a failed sync is never retried into success");
+        let append = j.append(cell_of(&cfg, "GPT-4", &rec(1)), "GPT-4", &rec(1)).unwrap_err();
+        assert_eq!(append.kind(), err.kind());
+        let claims = j.append_claims(&[cell_of(&cfg, "GPT-4", &rec(2))], 0).unwrap_err();
+        assert_eq!(claims.kind(), err.kind());
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Disk-cached end-to-end evaluation used by the figure binaries.
 //!
 //! Crash safety: while a grid runs, every completed cell is appended to
-//! a cell-addressed write-ahead journal next to the cache file
-//! (fsync'd per line, keyed by the cell's globally stable
-//! [`pcg_core::plan::CellId`]). The final cache and stats sidecar are
-//! committed atomically (temp file + rename), so readers never observe
-//! a torn record; the journal is deleted only after the cache commit
-//! succeeds. A run killed at any point can be restarted with `--resume`
-//! and will re-evaluate only the cells the journal does not already
-//! hold — and, if the journal accumulated stale lines (torn tails,
-//! shadowed duplicate appends), resume first compacts it in place.
+//! a cell-addressed write-ahead journal next to the cache file (keyed
+//! by the cell's globally stable [`pcg_core::plan::CellId`], and
+//! group-committed: see [`crate::journal::Journal`]). The run waits on
+//! [`crate::journal::Journal::sync`] before it commits. The final cache
+//! and stats sidecar are committed atomically (temp file + rename), so
+//! readers never observe a torn record; the journal is deleted only
+//! after the cache commit succeeds. A run killed at any point can be
+//! restarted with `--resume` and will re-evaluate only the cells the
+//! journal does not already hold — and, if the journal accumulated
+//! stale lines (torn tails, shadowed duplicate appends), resume first
+//! compacts it in place.
 //!
 //! Multi-process mode: `--shard k/N` runs one deterministic slice of
 //! the grid into its own journal and exits; `--merge-shards N` stitches
@@ -55,7 +57,7 @@ pub struct RunOptions {
     /// run, evaluating only the missing cells (`--resume`).
     pub resume: bool,
     /// Keep a write-ahead journal while running (`--no-journal`
-    /// disables it, trading crash safety for fewer fsyncs).
+    /// disables it, giving up crash safety).
     pub journal: bool,
     /// Run only the cells of one shard (`--shard k/N`) into a shard
     /// journal, then exit — worker mode for multi-process evaluation.
@@ -482,6 +484,11 @@ pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions
             }
         },
     );
+    if let Some(j) = &wal {
+        if let Err(e) = j.sync() {
+            eprintln!("[pcgbench] warning: journal sync failed: {e}");
+        }
+    }
     stats.journal_compactions = resumed.compacted;
     stats.journal_frames_rejected = resumed.rejected;
     eprintln!("[pcgbench] evaluation finished in {:.1}s", stats.wall_s);

@@ -119,8 +119,11 @@ where
 /// [`run_grid`] with a completion observer: `observe(slot, &cell)` runs
 /// on the *calling* thread as each cell completes, in completion order
 /// (not slot order). This is the hook the write-ahead journal appends
-/// from — the observer is the single serialization point of the grid,
-/// so journal lines need no locking discipline beyond the file itself.
+/// from. Workers never wait for the observer: finished cells queue in
+/// the completion channel until it takes them, so a slow observer
+/// delays journaling, not evaluation, and a crash loses every queued
+/// cell. The journal therefore only writes here; its syncer thread
+/// makes the frames durable off this thread.
 pub fn run_grid_observed<T, R, F, O>(
     items: Vec<T>,
     jobs: usize,

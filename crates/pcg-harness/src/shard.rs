@@ -367,6 +367,9 @@ pub fn run_shard(
             },
         );
     }
+    if let Err(e) = wal.sync() {
+        eprintln!("[pcgbench] warning: journal sync failed: {e}");
+    }
     stats.cells_stolen = steal.stolen;
     stats.steal_conflicts = steal.conflicts;
     stats.steal_scans = steal.scans + scans_before;
