@@ -6,9 +6,8 @@ durably journaled "enough" cells before SIGKILLing it. With the v3
 binary format that is no longer a line count: this walks the
 length-prefixed frames (structurally, no CRC check — a torn tail
 simply stops the walk, exactly like replay's accounting) and prints
-the number of entry frames after the header. Falls back to counting
-non-empty lines after the header line for legacy v2 JSONL journals.
-Prints 0 for a missing or unrecognisable file.
+the number of entry frames after the header. Prints 0 for a missing
+or unrecognisable file.
 """
 
 import struct
@@ -24,20 +23,18 @@ def entries(path: str) -> int:
             data = f.read()
     except OSError:
         return 0
-    if data[: len(MAGIC)] == MAGIC:
-        count = -1  # frame 0 is the header, not an entry
-        offset = len(MAGIC)
-        while len(data) - offset >= FRAME_OVERHEAD:
-            (length,) = struct.unpack_from("<I", data, offset)
-            end = offset + FRAME_OVERHEAD + length
-            if end > len(data):
-                break  # torn tail
-            count += 1
-            offset = end
-        return max(count, 0)
-    # v2 JSONL: header line, then one entry per line.
-    lines = [line for line in data.split(b"\n") if line]
-    return max(len(lines) - 1, 0)
+    if data[: len(MAGIC)] != MAGIC:
+        return 0
+    count = -1  # frame 0 is the header, not an entry
+    offset = len(MAGIC)
+    while len(data) - offset >= FRAME_OVERHEAD:
+        (length,) = struct.unpack_from("<I", data, offset)
+        end = offset + FRAME_OVERHEAD + length
+        if end > len(data):
+            break  # torn tail
+        count += 1
+        offset = end
+    return max(count, 0)
 
 
 if __name__ == "__main__":

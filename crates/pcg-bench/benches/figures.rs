@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pcg_bench::bench_record;
 use pcg_core::{CandidateKind, ExecutionModel, ProblemId, ProblemType, Quality};
-use pcg_harness::{report, runner::Runner, EvalConfig};
+use pcg_harness::{report, EvalConfig, SharedRunner};
 use std::hint::black_box;
 
 fn bench_tables(c: &mut Criterion) {
@@ -55,8 +55,8 @@ fn bench_pipeline_unit(c: &mut Criterion) {
         g.bench_function(label, |b| {
             let task = ProblemId::new(ProblemType::Transform, 0).task(model);
             b.iter_batched(
-                || Runner::new(EvalConfig::smoke()),
-                |mut runner| {
+                || SharedRunner::new(EvalConfig::smoke()),
+                |runner| {
                     black_box(runner.outcome(
                         task,
                         CandidateKind::Correct(Quality::Efficient),

@@ -89,7 +89,10 @@ fn bench_compute_grid(c: &mut Criterion) {
     g.sample_size(5);
     for jobs in [1usize, 8] {
         g.bench_function(format!("jobs{jobs}"), |b| {
-            b.iter(|| black_box(eval::evaluate_jobs(&cfg, &model, Some(tasks), jobs)));
+            b.iter(|| {
+                let runner = SharedRunner::new(cfg.clone());
+                black_box(eval::evaluate_with(&cfg, &model, Some(tasks), jobs, &runner).0)
+            });
         });
     }
     g.finish();

@@ -1,12 +1,14 @@
-//! Journal replay A/B: v2 JSONL vs v3 binary frames.
+//! Journal replay A/B: a JSONL baseline vs v3 binary frames.
 //!
-//! The v3 rewrite's entire reason to exist is the resume/merge hot
+//! The binary journal's entire reason to exist is the resume/merge hot
 //! path: `--resume`, `--merge-shards`, and compaction all start by
-//! replaying every completed cell from disk, and in v2 that meant one
-//! `serde_json` parse per line. This bench builds the same full-grid
-//! replay in both formats — every zoo model × the paper's task grid,
-//! with paper-shaped samples (20 low, 200 high, Figure-5 sweeps) —
-//! and times [`pcg_harness::journal::load_counting`] on each.
+//! replaying every completed cell from disk. The baseline is what a
+//! JSON journal costs: one `serde_json` line per cell, parsed back with
+//! the same cell-id self-check and map insert replay does. Both are
+//! built from the same full-grid replay — every zoo model × the
+//! paper's task grid, with paper-shaped samples (20 low, 200 high,
+//! Figure-5 sweeps) — and the JSONL reader below is timed against
+//! [`pcg_harness::journal::load_counting_sourced`].
 //!
 //! Writes `target/pcgbench/BENCH_journal.json` and asserts the >=3x
 //! floor from the journal-v3 work. `-- --quick` shrinks the grid for
@@ -20,6 +22,7 @@ use pcg_harness::journal::{self, config_hash, Replay, ReplayCell};
 use pcg_harness::record::TaskRecord;
 use pcg_harness::EvalConfig;
 use pcg_metrics::TaskSamples;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -57,16 +60,47 @@ fn bench_path(name: &str) -> PathBuf {
     dir.join(format!("{name}-{}.journal", std::process::id()))
 }
 
-/// Best-of-`reps` wall seconds to fully replay the journal at `path`,
-/// verifying each pass recovers every cell cleanly.
-fn replay_seconds(path: &Path, cfg: &EvalConfig, expected: usize, reps: usize) -> f64 {
+/// One line of the JSONL baseline.
+#[derive(Serialize, Deserialize)]
+struct JsonlEntry {
+    cell: u64,
+    model: String,
+    record: TaskRecord,
+}
+
+fn write_jsonl(path: &Path, entries: &[(CellId, String, TaskRecord)]) {
+    let mut out = String::new();
+    for (cell, model, record) in entries {
+        let entry = JsonlEntry { cell: cell.0, model: model.clone(), record: record.clone() };
+        out.push_str(&serde_json::to_string(&entry).expect("serialize entry"));
+        out.push('\n');
+    }
+    std::fs::write(path, out).expect("write JSONL baseline");
+}
+
+/// Replay the JSONL baseline: one parse per line, then the cell-id
+/// self-check and map insert binary replay performs per frame.
+fn load_jsonl(path: &Path, chash: u64) -> Replay {
+    let text = std::fs::read_to_string(path).expect("read JSONL baseline");
+    let mut replay = Replay::new();
+    for line in text.lines() {
+        let entry: JsonlEntry = serde_json::from_str(line).expect("parse JSONL entry");
+        let id = CellId::new(chash, &entry.model, entry.record.task);
+        assert_eq!(id.0, entry.cell, "cell self-check");
+        replay.insert(id, ReplayCell { model: entry.model, record: entry.record });
+    }
+    replay
+}
+
+/// Best-of-`reps` wall seconds for `load` to fully replay a journal,
+/// verifying each pass recovers every cell.
+fn replay_seconds(load: impl Fn() -> Replay, expected: usize, reps: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let loaded = journal::load_counting(path, cfg, ShardSpec::WHOLE);
+        let replay = load();
         let dt = t0.elapsed().as_secs_f64();
-        assert_eq!(loaded.replay.len(), expected, "replay must recover every cell");
-        assert!(loaded.rejects.is_empty(), "a clean journal must replay without rejects");
+        assert_eq!(replay.len(), expected, "replay must recover every cell");
         best = best.min(dt);
     }
     best
@@ -97,25 +131,33 @@ fn main() {
         .collect();
 
     // Materialise the identical replay in both formats.
-    let v2_path = bench_path("v2");
+    let jsonl_path = bench_path("jsonl");
     let v3_path = bench_path("v3");
-    journal::write_v2_journal(&v2_path, &cfg, ShardSpec::WHOLE, &entries)
-        .expect("write v2 baseline");
+    write_jsonl(&jsonl_path, &entries);
     journal::compact(&v3_path, &cfg, ShardSpec::WHOLE, &replay).expect("write v3 journal");
-    let v2_bytes = std::fs::metadata(&v2_path).expect("v2 size").len();
+    let jsonl_bytes = std::fs::metadata(&jsonl_path).expect("JSONL size").len();
     let v3_bytes = std::fs::metadata(&v3_path).expect("v3 size").len();
 
-    let v2_s = replay_seconds(&v2_path, &cfg, entries.len(), reps);
-    let v3_s = replay_seconds(&v3_path, &cfg, entries.len(), reps);
-    let speedup = v2_s / v3_s;
+    let jsonl_s = replay_seconds(|| load_jsonl(&jsonl_path, chash), entries.len(), reps);
+    let v3_s = replay_seconds(
+        || {
+            let loaded = journal::load_counting_sourced(&v3_path, &cfg, &[], ShardSpec::WHOLE, 0);
+            assert!(loaded.rejects.is_empty(), "a clean journal must replay without rejects");
+            loaded.replay
+        },
+        entries.len(),
+        reps,
+    );
+    let speedup = jsonl_s / v3_s;
 
-    let _ = std::fs::remove_file(&v2_path);
+    let _ = std::fs::remove_file(&jsonl_path);
     let _ = std::fs::remove_file(&v3_path);
 
+    // The `v2_*` keys name the JSONL baseline: the schema predates it.
     let json = format!(
         concat!(
             "{{\"workload\":\"full-grid journal replay: {} cells ({} models x {} tasks, ",
-            "paper-shaped samples), v2 JSONL parse vs v3 binary frames, best of {}\",",
+            "paper-shaped samples), JSONL parse vs v3 binary frames, best of {}\",",
             "\"cells\":{},\"v2_bytes\":{},\"v3_bytes\":{},",
             "\"v2_replay_s\":{:.6},\"v3_replay_s\":{:.6},\"speedup\":{:.3}}}"
         ),
@@ -124,9 +166,9 @@ fn main() {
         tasks.len(),
         reps,
         entries.len(),
-        v2_bytes,
+        jsonl_bytes,
         v3_bytes,
-        v2_s,
+        jsonl_s,
         v3_s,
         speedup,
     );
@@ -134,10 +176,10 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("create target/pcgbench");
     std::fs::write(dir.join("BENCH_journal.json"), &json).expect("write BENCH_journal.json");
     println!(
-        "journal_replay: {} cells: v2 {:.1} MB in {v2_s:.4}s, v3 {:.1} MB in {v3_s:.4}s, \
+        "journal_replay: {} cells: JSONL {:.1} MB in {jsonl_s:.4}s, v3 {:.1} MB in {v3_s:.4}s, \
          speedup {speedup:.1}x",
         entries.len(),
-        v2_bytes as f64 / 1e6,
+        jsonl_bytes as f64 / 1e6,
         v3_bytes as f64 / 1e6,
     );
     assert!(

@@ -100,7 +100,7 @@ fn run_role(cache: &Path, spec: ShardSpec, steal: bool) {
     let cfg = EvalConfig::quick();
     let plan = bench_plan();
     let jpath = journal::shard_journal_path(cache, spec);
-    let wal = Journal::create_with_priors(&jpath, &cfg, spec, 0).expect("create shard journal");
+    let wal = Journal::create_sourced(&jpath, &cfg, &[], spec, 0).expect("create shard journal");
     if spec.index == 0 {
         // The unpredicted straggler: header on disk (so siblings can
         // gate their peeks), then dead to the world.
@@ -150,8 +150,8 @@ fn merge_gate_seconds(cache: &Path, mode: &str) -> f64 {
     let mut union: HashSet<u64> = HashSet::new();
     for k in 0..3 {
         let spec = ShardSpec::new(k, 3);
-        let loaded =
-            journal::load_counting_with_priors(&journal::shard_journal_path(cache, spec), &cfg, spec, 0);
+        let jpath = journal::shard_journal_path(cache, spec);
+        let loaded = journal::load_counting_sourced(&jpath, &cfg, &[], spec, 0);
         assert!(loaded.rejects.is_empty(), "shard {spec}: corrupt frames in a clean bench run");
         union.extend(loaded.replay.keys().map(|id| id.0));
     }

@@ -7,7 +7,7 @@
 //! reference implementations per execution model.
 
 use pcg_core::{CandidateKind, ExecutionModel, ProblemId, ProblemType, Quality};
-use pcg_harness::{runner::Runner, EvalConfig};
+use pcg_harness::{EvalConfig, SharedRunner};
 
 fn main() {
     let problems = [
@@ -35,7 +35,7 @@ fn main() {
                 let mut cfg = EvalConfig::quick();
                 cfg.size_divisor = div;
                 cfg.reps = 3;
-                let mut runner = Runner::new(cfg);
+                let runner = SharedRunner::new(cfg);
                 let task = pid.task(exec);
                 let r = runner.ratio(
                     task,

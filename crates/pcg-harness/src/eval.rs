@@ -3,11 +3,11 @@
 //! Evaluation is organized around the cell-addressed work model
 //! (`pcg_core::plan`): the (model × task) grid is enumerated into a
 //! [`WorkPlan`] whose cells carry globally stable [`CellId`]s, and the
-//! coordinator ([`evaluate_cells`]) executes **any subset** of that
-//! plan — the whole grid for a single-process run, one deterministic
-//! shard (`id % shard_count`) for a multi-process worker, or an
-//! arbitrary gap-fill list for `merge`. Cells are fanned over the
-//! work-stealing scheduler (`scheduler::run_grid`); every cell draws
+//! coordinator ([`evaluate_cells_priors`]) executes **any subset** of
+//! that plan — the whole grid for a single-process run, one
+//! deterministic shard (`id % shard_count`) for a multi-process worker,
+//! or an arbitrary gap-fill list for `merge`. Cells are fanned over the
+//! scheduler's shared queue (`scheduler::run_grid_prioritized`); every cell draws
 //! its sample stream from the model keyed by `(seed, task, model)` —
 //! never by worker identity — so the resulting records are
 //! byte-identical at any `--jobs` count *and* across any shard
@@ -27,9 +27,9 @@ use crate::journal::Replay;
 use crate::record::{CellWall, EvalRecord, EvalStats, ModelRecord, TaskRecord};
 use crate::runner::SharedRunner;
 use crate::scheduler;
-use pcg_core::plan::{CellId, PlanCell, ShardSpec, WorkPlan};
+use pcg_core::plan::{CellId, PlanCell, WorkPlan};
 use pcg_core::task::all_tasks;
-use pcg_core::{CandidateKind, CostPriors, ExecutionModel, Stage, TaskId};
+use pcg_core::{CostPriors, ExecutionModel, Stage, TaskId};
 use pcg_metrics::TaskSamples;
 use pcg_models::{CandidateSource, SampleSpec};
 use std::collections::BTreeMap;
@@ -69,30 +69,19 @@ pub struct SubsetRun {
 }
 
 /// Evaluate `source`'s rows over `tasks` (pass `None` for the full
-/// 420), serially. Identical results to [`evaluate_jobs`] at any
-/// worker count.
+/// 420), serially. [`evaluate_with`] returns the identical record at
+/// any worker count.
 pub fn evaluate<S: CandidateSource + Sync + ?Sized>(
     cfg: &EvalConfig,
     source: &S,
     tasks: Option<&[TaskId]>,
 ) -> EvalRecord {
-    evaluate_jobs(cfg, source, tasks, 1)
+    evaluate_with(cfg, source, tasks, 1, &SharedRunner::new(cfg.clone())).0
 }
 
-/// Evaluate `source`'s rows over `tasks` on `jobs` parallel workers.
-pub fn evaluate_jobs<S: CandidateSource + Sync + ?Sized>(
-    cfg: &EvalConfig,
-    source: &S,
-    tasks: Option<&[TaskId]>,
-    jobs: usize,
-) -> EvalRecord {
-    let runner = SharedRunner::new(cfg.clone());
-    evaluate_with(cfg, source, tasks, jobs, &runner).0
-}
-
-/// Evaluate against a caller-provided [`SharedRunner`] (so tests can
-/// share one execution cache across runs), returning the record plus
-/// scheduler statistics.
+/// Evaluate on `jobs` workers against a caller-provided
+/// [`SharedRunner`] (so tests can share one execution cache across
+/// runs), returning the record plus scheduler statistics.
 ///
 /// Panics if an evaluation cell itself panics (candidate panics are
 /// captured one layer down and become `error: Some("panic")`; a cell
@@ -105,38 +94,25 @@ pub fn evaluate_with<S: CandidateSource + Sync + ?Sized>(
     jobs: usize,
     runner: &SharedRunner,
 ) -> (EvalRecord, EvalStats) {
-    evaluate_resumable(cfg, source, tasks, jobs, runner, &Replay::new(), |_, _, _| {})
+    evaluate_resumable_priors(cfg, source, tasks, jobs, None, runner, &Replay::new(), |_, _, _| {})
 }
 
-/// [`evaluate_with`] plus crash-safety hooks: cells present in `replay`
-/// (keyed by [`CellId`], typically recovered from a write-ahead
-/// journal) are spliced into the record without being re-evaluated,
-/// and `on_cell` is invoked on the calling thread — in completion
-/// order, one cell at a time — for every cell that *was* evaluated, so
-/// the pipeline can journal it durably.
+/// [`evaluate_with`] plus crash-safety hooks and a scheduling cost
+/// table, over the whole grid.
 ///
-/// Because sample streams are keyed by grid coordinates (never by
-/// worker identity, time, or which cells ran before), the merged
-/// record is byte-identical to an uninterrupted run against the same
-/// runner: replayed cells contribute their journaled bytes verbatim
-/// (JSON round trips are lossless) and fresh cells recompute exactly
-/// what the interrupted run would have produced.
-pub fn evaluate_resumable<S: CandidateSource + Sync + ?Sized>(
-    cfg: &EvalConfig,
-    source: &S,
-    tasks: Option<&[TaskId]>,
-    jobs: usize,
-    runner: &SharedRunner,
-    replay: &Replay,
-    on_cell: impl FnMut(CellId, &str, &TaskRecord),
-) -> (EvalRecord, EvalStats) {
-    evaluate_resumable_priors(cfg, source, tasks, jobs, None, runner, replay, on_cell)
-}
-
-/// [`evaluate_resumable`] with a scheduling cost table: pending cells
-/// are dispatched longest-expected-first (LPT). Priors only reorder
-/// execution — the returned record is byte-identical with or without
-/// them, at any worker count.
+/// Cells present in `replay` (keyed by [`CellId`], typically recovered
+/// from a write-ahead journal) are spliced into the record without
+/// being re-evaluated, and `on_cell` runs for every cell that *was*
+/// evaluated, as [`evaluate_cells_priors`] describes, so the pipeline
+/// can journal it. Because sample streams are keyed by grid
+/// coordinates (never by worker identity, time, or which cells ran
+/// before), the merged record is byte-identical to an uninterrupted
+/// run against the same runner: replayed cells contribute their
+/// journaled bytes verbatim and fresh cells recompute exactly what the
+/// interrupted run would have produced.
+///
+/// `priors` only reorders execution (longest expected first); the
+/// record is byte-identical with or without them, at any worker count.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_resumable_priors<S: CandidateSource + Sync + ?Sized>(
     cfg: &EvalConfig,
@@ -149,11 +125,10 @@ pub fn evaluate_resumable_priors<S: CandidateSource + Sync + ?Sized>(
     on_cell: impl FnMut(CellId, &str, &TaskRecord),
 ) -> (EvalRecord, EvalStats) {
     let plan = plan_for(cfg, source, tasks);
-    let run = evaluate_plan_priors(
+    let run = evaluate_cells_priors(
         cfg,
         source,
-        &plan,
-        ShardSpec::WHOLE,
+        plan.cells().collect(),
         jobs,
         priors,
         runner,
@@ -165,79 +140,25 @@ pub fn evaluate_resumable_priors<S: CandidateSource + Sync + ?Sized>(
     (record, run.stats)
 }
 
-/// Evaluate the cells of `plan` that belong to `shard`. The whole-grid
-/// spec ([`ShardSpec::WHOLE`]) makes this the single-process
-/// coordinator; any other spec makes it a shard worker executing its
-/// deterministic `id % shard_count` slice.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_plan<S: CandidateSource + Sync + ?Sized>(
-    cfg: &EvalConfig,
-    source: &S,
-    plan: &WorkPlan,
-    shard: ShardSpec,
-    jobs: usize,
-    runner: &SharedRunner,
-    replay: &Replay,
-    on_cell: impl FnMut(CellId, &str, &TaskRecord),
-) -> SubsetRun {
-    evaluate_plan_priors(cfg, source, plan, shard, jobs, None, runner, replay, on_cell)
-}
-
-/// [`evaluate_plan`] with a scheduling cost table. The table changes
-/// **which** cells this shard owns (cost-weighted LPT bin-packing via
-/// [`WorkPlan::shard_with`] instead of `id % count`) and **when** they
-/// run (longest-expected-first dispatch) — never what any cell
-/// computes. Every cooperating worker must pass a table with the same
-/// hash stamp (or none at all); the journal header records the stamp so
-/// the merge can enforce it.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_plan_priors<S: CandidateSource + Sync + ?Sized>(
-    cfg: &EvalConfig,
-    source: &S,
-    plan: &WorkPlan,
-    shard: ShardSpec,
-    jobs: usize,
-    priors: Option<&CostPriors>,
-    runner: &SharedRunner,
-    replay: &Replay,
-    on_cell: impl FnMut(CellId, &str, &TaskRecord),
-) -> SubsetRun {
-    evaluate_cells_priors(
-        cfg,
-        source,
-        plan.shard_with(shard, priors),
-        jobs,
-        priors,
-        runner,
-        replay,
-        on_cell,
-    )
-}
-
-/// The core coordinator: evaluate an explicit subset of plan cells.
+/// The core coordinator: evaluate an explicit subset of plan cells —
+/// a whole plan (`plan.cells()`), one shard of it
+/// ([`WorkPlan::shard_with`]), or a gap-fill list.
 ///
 /// `source` must be the candidate source the plan was built from
 /// (cells index into its rows). Cells found in `replay` are spliced in
-/// without re-evaluation; the rest are fanned over the scheduler.
-/// Results come back in `owned` order regardless of completion order.
-pub fn evaluate_cells<S: CandidateSource + Sync + ?Sized>(
-    cfg: &EvalConfig,
-    source: &S,
-    owned: Vec<PlanCell>,
-    jobs: usize,
-    runner: &SharedRunner,
-    replay: &Replay,
-    on_cell: impl FnMut(CellId, &str, &TaskRecord),
-) -> SubsetRun {
-    evaluate_cells_priors(cfg, source, owned, jobs, None, runner, replay, on_cell)
-}
-
-/// [`evaluate_cells`] with longest-processing-time dispatch: when a
-/// priors table is given, pending cells are handed to workers in
-/// descending expected-cost order (ties broken by cell id), which is
-/// the classic LPT list-scheduling discipline. Results still come back
-/// in `owned` order and every cell computes exactly what it would have
-/// computed under any other dispatch order.
+/// without re-evaluation; the rest are fanned over the scheduler, and
+/// `on_cell` is invoked on the calling thread — in completion order,
+/// one cell at a time — for each of them. Results come back in `owned`
+/// order regardless of completion order.
+///
+/// With a priors table, pending cells are handed to workers in
+/// descending expected-cost order (ties broken by cell id): the classic
+/// LPT list-scheduling discipline. Every cell computes exactly what it
+/// would under any other dispatch order. Shard workers must also pass
+/// the table to [`WorkPlan::shard_with`], where it changes **which**
+/// cells a shard owns; every cooperating worker must use a table with
+/// the same hash stamp (or none at all), which the journal header
+/// records so the merge can enforce it.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_cells_priors<S: CandidateSource + Sync + ?Sized>(
     cfg: &EvalConfig,
@@ -458,18 +379,10 @@ pub fn smoke_tasks() -> Vec<TaskId> {
     all_tasks().filter(|t| t.problem.variant == 0).collect()
 }
 
-/// Pick a kind that exists in the sample stream (test helper).
-pub fn kinds_summary(kinds: &[CandidateKind]) -> BTreeMap<&'static str, usize> {
-    let mut m = BTreeMap::new();
-    for k in kinds {
-        *m.entry(k.code()).or_insert(0) += 1;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcg_core::plan::ShardSpec;
     use pcg_core::{ProblemId, ProblemType};
     use pcg_models::SyntheticModel;
 
@@ -570,8 +483,8 @@ mod tests {
         let mut map = std::collections::HashMap::new();
         for k in 0..3 {
             let spec = ShardSpec::new(k, 3);
-            let run = evaluate_plan(
-                &cfg, &models, &plan, spec, 1, &runner, &Replay::new(), |_, _, _| {},
+            let run = evaluate_cells_priors(
+                &cfg, &models, plan.shard(spec), 1, None, &runner, &Replay::new(), |_, _, _| {},
             );
             assert_eq!(run.stats.cells, plan.shard(spec).len());
             for (cell, rec) in run.cells {

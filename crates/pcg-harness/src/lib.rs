@@ -20,11 +20,11 @@
 //!   (the paper's super-linear-speedup footnote).
 //!
 //! Figure/table regenerators live in `src/bin/` — one binary per paper
-//! artifact — all driven by [`pipeline::load_or_run`] which caches the
-//! full evaluation record as JSON.
+//! artifact — all driven by [`pipeline::load_or_run_opts`] which caches
+//! the full evaluation record as JSON.
 //!
-//! Evaluation fans the (model × task) grid over a work-stealing worker
-//! pool ([`scheduler`]); `--jobs N` / `PCG_JOBS` picks the worker
+//! Evaluation fans the (model × task) grid over a worker pool fed by
+//! one shared queue ([`scheduler`]); `--jobs N` / `PCG_JOBS` picks the worker
 //! count, and records are byte-identical at any setting because every
 //! sample stream is keyed by grid coordinates, never worker identity.
 //!
@@ -51,4 +51,4 @@ pub mod shard;
 
 pub use config::EvalConfig;
 pub use record::{EvalRecord, EvalStats, ModelRecord, TaskRecord};
-pub use runner::{Baseline, Outcome, Runner, SharedRunner};
+pub use runner::{Baseline, Outcome, SharedRunner};

@@ -68,8 +68,8 @@ pub struct RunOptions {
     /// Cost-priors source for adaptive scheduling (`--priors <path>` /
     /// `PCG_PRIORS`): a records cache or `.cols` sidecar whose measured
     /// cell walls become the scheduling cost table, or the literal
-    /// `default` for the committed analytic profile. `None` schedules
-    /// round-robin and shards by `id % count`, exactly as before.
+    /// `default` for the committed analytic profile. `None` dispatches
+    /// cells in plan order and shards by `id % count`.
     pub priors: Option<String>,
     /// Let shard workers steal whole cells from lagging siblings after
     /// draining their own partition (`--steal` / `--no-steal`, env
@@ -137,12 +137,6 @@ impl RunOptions {
         self
     }
 
-    /// The options with a replay-pool directory swapped in
-    /// (builder-style, for tests and benches).
-    pub fn with_replay_pool(mut self, dir: impl Into<String>) -> RunOptions {
-        self.replay_pool = Some(dir.into());
-        self
-    }
 }
 
 /// The candidate source a pipeline run scores: the synthetic zoo
@@ -379,17 +373,6 @@ fn flag_value(flag: &str) -> Option<String> {
     None
 }
 
-/// [`load_or_run_jobs`] at the default worker count (`PCG_JOBS` env var
-/// if set, else the machine's available parallelism).
-pub fn load_or_run(path: Option<&Path>, cfg: &EvalConfig) -> EvalRecord {
-    load_or_run_jobs(path, cfg, scheduler::default_jobs())
-}
-
-/// [`load_or_run_opts`] with journaling on and resume off.
-pub fn load_or_run_jobs(path: Option<&Path>, cfg: &EvalConfig, jobs: usize) -> EvalRecord {
-    load_or_run_opts(path, cfg, &RunOptions::new(jobs))
-}
-
 /// Load a cached evaluation record if it matches `cfg`, else run the
 /// full evaluation (all 7 models, all 420 tasks) and cache it. The
 /// cache is jobs-agnostic: records are byte-identical at any worker
@@ -553,10 +536,10 @@ pub(crate) struct ResumedJournal {
     /// Corrupt frames refused during replay (the
     /// `journal_frames_rejected` stat).
     pub rejected: u64,
-    /// When true the on-disk file could not be brought to clean v3
-    /// (compaction/migration failed) and MUST be recreated rather than
-    /// appended to — appending frames to a stale or v2 file would
-    /// corrupt it. The replay above is still valid in memory.
+    /// When true the on-disk file could not be compacted and MUST be
+    /// recreated rather than appended to — frames appended after a
+    /// stale tail would never replay. The replay above is still valid
+    /// in memory.
     pub recreate: bool,
 }
 
@@ -568,8 +551,9 @@ impl ResumedJournal {
 
 /// Load a journal for resume: report every rejected frame with its
 /// byte offset / frame index / cell id, then compact when the file
-/// carries stale frames **or** is a legacy v2 JSONL journal (the
-/// migration commit — replay v2, rewrite v3).
+/// carries stale frames. A journal that replays nothing (missing, not
+/// v3, or written for another config, shard or priors) is left for the
+/// caller to recreate.
 pub(crate) fn resume_journal(
     path: &Path,
     cfg: &EvalConfig,
@@ -587,19 +571,11 @@ pub(crate) fn resume_journal(
     }
     match journal::compact_sourced(path, cfg, salt, shard, priors_hash, &loaded.replay) {
         Ok(_) => {
-            if loaded.format == Some(journal::JournalFormat::V2Jsonl) {
-                eprintln!(
-                    "[pcgbench] migrated v2 JSONL journal to v3 binary frames: {}",
-                    path.display(),
-                );
-            }
-            if loaded.stale_frames > 0 {
-                eprintln!(
-                    "[pcgbench] compacted journal: {} stale frame{} folded away",
-                    loaded.stale_frames,
-                    if loaded.stale_frames == 1 { "" } else { "s" },
-                );
-            }
+            eprintln!(
+                "[pcgbench] compacted journal: {} stale frame{} folded away",
+                loaded.stale_frames,
+                if loaded.stale_frames == 1 { "" } else { "s" },
+            );
             ResumedJournal {
                 replay: loaded.replay,
                 compacted: loaded.stale_frames as u64,

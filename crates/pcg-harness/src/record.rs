@@ -32,13 +32,6 @@ pub struct ModelRecord {
     pub tasks: Vec<TaskRecord>,
 }
 
-impl ModelRecord {
-    /// Records matching a predicate on the task id.
-    pub fn tasks_where(&self, pred: impl Fn(TaskId) -> bool) -> Vec<&TaskRecord> {
-        self.tasks.iter().filter(|t| pred(t.task)).collect()
-    }
-}
-
 /// A complete evaluation: the config that produced it plus per-model
 /// records.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -15,14 +15,14 @@
 //! `n`). `BuildFailure`, `RuntimeCrash` and `Timeout` run nothing: their
 //! verdicts are fixed ([`pcg_problems::framework::fixed_verdict`]).
 //!
-//! [`SharedRunner`] is the concurrent form used by the parallel
-//! scheduler: many evaluation cells call into one runner at once, and
+//! [`SharedRunner`] is safe to share across the parallel scheduler's
+//! workers: many evaluation cells call into one runner at once, and
 //! each distinct computation runs exactly once (`OnceLock` per cache
 //! key — concurrent requesters for the same key block on the first
 //! initializer instead of duplicating work). All caching is keyed by
 //! task coordinates, never by worker identity, so results are
-//! byte-identical whatever the worker count. [`Runner`] remains as the
-//! serial facade over the same machinery.
+//! byte-identical whatever the worker count. Serial callers use the
+//! same runner from one thread.
 
 use crate::config::EvalConfig;
 use crate::scheduler::panic_message;
@@ -895,43 +895,6 @@ impl Drop for SharedRunner {
     }
 }
 
-/// Caching candidate runner (serial facade over [`SharedRunner`]).
-pub struct Runner {
-    shared: SharedRunner,
-}
-
-impl Runner {
-    /// A fresh runner for one evaluation.
-    pub fn new(cfg: EvalConfig) -> Runner {
-        Runner { shared: SharedRunner::new(cfg) }
-    }
-
-    /// The evaluation configuration.
-    pub fn config(&self) -> &EvalConfig {
-        self.shared.config()
-    }
-
-    /// The underlying shared runner.
-    pub fn shared(&self) -> &SharedRunner {
-        &self.shared
-    }
-
-    /// The baseline for `problem`, measured on first use.
-    pub fn baseline(&mut self, problem: ProblemId) -> Baseline {
-        self.shared.with_baseline(problem, Baseline::clone)
-    }
-
-    /// Execute (or fetch the cached execution of) one candidate.
-    pub fn outcome(&mut self, task: TaskId, kind: CandidateKind, n: u32) -> Outcome {
-        self.shared.outcome(task, kind, n)
-    }
-
-    /// The `T*/T` performance ratio of one candidate (0 when incorrect).
-    pub fn ratio(&mut self, task: TaskId, kind: CandidateKind, n: u32) -> f64 {
-        self.shared.ratio(task, kind, n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -942,13 +905,13 @@ mod tests {
         pcg_core::ProblemId::new(ProblemType::Transform, 0).task(model)
     }
 
-    fn runner() -> Runner {
-        Runner::new(EvalConfig::smoke())
+    fn runner() -> SharedRunner {
+        SharedRunner::new(EvalConfig::smoke())
     }
 
     #[test]
     fn correct_candidate_validates() {
-        let mut r = runner();
+        let r = runner();
         let out = r.outcome(
             mk_task(ExecutionModel::OpenMp),
             CandidateKind::Correct(Quality::Efficient),
@@ -960,7 +923,7 @@ mod tests {
 
     #[test]
     fn failure_kinds_map_to_codes() {
-        let mut r = runner();
+        let r = runner();
         let t = mk_task(ExecutionModel::OpenMp);
         let build = r.outcome(t, CandidateKind::BuildFailure, 4);
         assert!(!build.built && !build.correct);
@@ -986,7 +949,7 @@ mod tests {
 
     #[test]
     fn sequential_fallback_flagged_only_for_parallel_tasks() {
-        let mut r = runner();
+        let r = runner();
         let par = r.outcome(mk_task(ExecutionModel::Kokkos), CandidateKind::SequentialFallback, 4);
         assert!(!par.correct);
         assert_eq!(par.error.as_deref(), Some("sequential"));
@@ -997,18 +960,18 @@ mod tests {
 
     #[test]
     fn outcomes_are_cached() {
-        let mut r = runner();
+        let r = runner();
         let t = mk_task(ExecutionModel::Cuda);
         let a = r.outcome(t, CandidateKind::Correct(Quality::Efficient), 0);
-        let hits_before = r.shared().cache_hits();
+        let hits_before = r.cache_hits();
         let b = r.outcome(t, CandidateKind::Correct(Quality::Efficient), 0);
         assert_eq!(a.seconds, b.seconds, "second call must be the cached run");
-        assert_eq!(r.shared().cache_hits(), hits_before + 1);
+        assert_eq!(r.cache_hits(), hits_before + 1);
     }
 
     #[test]
     fn inefficient_candidate_is_slower() {
-        let mut r = runner();
+        let r = runner();
         let t = mk_task(ExecutionModel::OpenMp);
         let eff = r.ratio(t, CandidateKind::Correct(Quality::Efficient), 8);
         let ineff = r.ratio(t, CandidateKind::Correct(Quality::Inefficient), 8);

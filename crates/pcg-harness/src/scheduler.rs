@@ -1,4 +1,4 @@
-//! Work-stealing parallel evaluation scheduler.
+//! Parallel evaluation scheduler.
 //!
 //! Fans a static grid of evaluation cells (task × model here, but any
 //! `Send` item works) across a bounded worker pool. Design constraints,
@@ -14,19 +14,21 @@
 //!    reported per-slot; the worker survives and keeps draining the
 //!    queue. (Candidate-level panic/timeout isolation is one layer
 //!    down, in `runner`.)
-//! 3. **Balance.** Workers own interleaved slices of the grid and steal
-//!    from the back of a victim's deque when their own runs dry — cheap
-//!    LIFO-steal/FIFO-own scheduling in the spirit of
-//!    `pcg_shmem::Schedule::Dynamic`, but without that pool's fork-join
-//!    region semantics (grid cells are coarse and independent).
+//! 3. **Balance.** Every worker pops the next cell from one shared FIFO
+//!    queue, so a free worker always takes the next cell and none idles
+//!    while work remains — dynamic scheduling with chunk 1, in the
+//!    spirit of `pcg_shmem::Schedule::Dynamic`, but without that pool's
+//!    fork-join region semantics (grid cells are coarse and
+//!    independent). The queue is a cursor into the dispatch sequence,
+//!    advanced with one atomic increment, so no worker ever holds a
+//!    lock.
 //!
 //! The worker count comes from `--jobs N` / `PCG_JOBS` (see
 //! [`jobs_from_cli`]); `--jobs 1` degrades to an in-place serial loop
 //! with identical results, which is the A/B lever the benchmarks use.
 
-use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// One completed grid cell.
@@ -113,45 +115,28 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    run_grid_observed(items, jobs, f, |_, _| {})
+    run_grid_prioritized(items, jobs, None, f, |_, _| {})
 }
 
-/// [`run_grid`] with a completion observer: `observe(slot, &cell)` runs
-/// on the *calling* thread as each cell completes, in completion order
-/// (not slot order). This is the hook the write-ahead journal appends
-/// from. Workers never wait for the observer: finished cells queue in
-/// the completion channel until it takes them, so a slow observer
-/// delays journaling, not evaluation, and a crash loses every queued
-/// cell. The journal therefore only writes here; its syncer thread
-/// makes the frames durable off this thread.
-pub fn run_grid_observed<T, R, F, O>(
-    items: Vec<T>,
-    jobs: usize,
-    f: F,
-    observe: O,
-) -> Vec<Cell<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    O: FnMut(usize, &Cell<R>),
-{
-    run_grid_prioritized(items, jobs, None, f, observe)
-}
-
-/// [`run_grid_observed`] with an explicit dispatch order: when `order`
-/// is given, workers *pick up* cells in that sequence (longest
-/// processing time first, when the caller sorts by cost priors) while
-/// results still come back in slot order and each cell's computation is
-/// untouched. Dispatch order is pure scheduling — it changes wall-clock
-/// tail latency, never bytes.
+/// [`run_grid`] with a dispatch order and a completion observer.
 ///
-/// With an explicit order the workers share one front-pop queue (the
-/// classic LPT list-scheduling discipline: next free worker takes the
-/// longest remaining cell). Without one (`None`), the grid is dealt
-/// round-robin into per-worker deques with back-steal, which is the
-/// better default when costs are unknown. `order` must be a permutation
-/// of `0..items.len()`; out-of-range or duplicate entries panic.
+/// Workers *pick up* cells in `order` (longest processing time first,
+/// when the caller sorts by cost priors), or in slot order when `order`
+/// is `None`, from one shared front-pop queue: the next free worker
+/// takes the next cell, the classic list-scheduling discipline. Results
+/// still come back in slot order and each cell's computation is
+/// untouched: dispatch order changes wall-clock tail latency, never
+/// bytes. `order` must be a permutation of `0..items.len()`;
+/// out-of-range or duplicate entries panic.
+///
+/// `observe(slot, &cell)` runs on the *calling* thread as each cell
+/// completes, in completion order (not slot order). This is the hook
+/// the write-ahead journal appends from. Workers never wait for the
+/// observer: finished cells queue in the completion channel until it
+/// takes them, so a slow observer delays journaling, not evaluation,
+/// and a crash loses every queued cell. The journal therefore only
+/// writes here; its syncer thread makes the frames durable off this
+/// thread.
 pub fn run_grid_prioritized<T, R, F, O>(
     items: Vec<T>,
     jobs: usize,
@@ -168,15 +153,19 @@ where
     let n = items.len();
     let jobs = jobs.max(1).min(n.max(1));
 
-    if let Some(order) = &order {
-        let mut seen = vec![false; n];
-        for &slot in order {
-            assert!(slot < n, "dispatch order entry {slot} out of range for {n} items");
-            assert!(!seen[slot], "dispatch order repeats slot {slot}");
-            seen[slot] = true;
+    let sequence = match order {
+        Some(order) => {
+            let mut seen = vec![false; n];
+            for &slot in &order {
+                assert!(slot < n, "dispatch order entry {slot} out of range for {n} items");
+                assert!(!seen[slot], "dispatch order repeats slot {slot}");
+                seen[slot] = true;
+            }
+            assert!(seen.iter().all(|&s| s), "dispatch order must cover every slot");
+            order
         }
-        assert!(seen.iter().all(|&s| s), "dispatch order must cover every slot");
-    }
+        None => (0..n).collect(),
+    };
 
     let run_cell = |slot: usize| -> Cell<R> {
         let started = Instant::now();
@@ -185,64 +174,32 @@ where
         Cell { value, exec: started.elapsed() }
     };
 
+    let mut slots: Vec<Option<Cell<R>>> = (0..n).map(|_| None).collect();
     if jobs == 1 {
-        // Serial A/B path: same code path per cell, no worker threads.
-        // An explicit order still reorders execution (the journal sees
-        // completion order), but results scatter back to their slots.
-        let mut slots: Vec<Option<Cell<R>>> = (0..n).map(|_| None).collect();
-        let sequence = order.unwrap_or_else(|| (0..n).collect());
-        for slot in sequence {
+        // Serial A/B path: same code path per cell, no worker threads,
+        // so a single-threaded process stays single-threaded.
+        for &slot in &sequence {
             let cell = run_cell(slot);
             observe(slot, &cell);
             slots[slot] = Some(cell);
         }
-        return slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| c.unwrap_or_else(|| panic!("grid slot {i} never completed")))
-            .collect();
-    }
-
-    // Dispatch queues. With an explicit priority order, one shared
-    // front-pop queue implements LPT list scheduling exactly; otherwise
-    // deal the grid round-robin so every worker starts with a spread of
-    // cells (adjacent cells often share a problem and therefore cost).
-    let deques: Vec<Mutex<VecDeque<usize>>> = match order {
-        Some(order) => vec![Mutex::new(order.into_iter().collect())],
-        None => (0..jobs).map(|w| Mutex::new((w..n).step_by(jobs).collect())).collect(),
-    };
-    let queues = deques.len();
-
-    let mut slots: Vec<Option<Cell<R>>> = (0..n).map(|_| None).collect();
-    {
-        // Hand each worker an interleaved view of the result slots:
-        // worker `w` may only ever write slots it popped, and every slot
-        // is popped exactly once, so the raw pointer writes are disjoint.
-        // Rather than reason about that with unsafe code, collect over a
-        // channel and scatter afterwards.
+    } else {
+        // The queue is a cursor into `sequence`: each `fetch_add` hands
+        // out a distinct position, so every slot is popped exactly once.
+        // `Relaxed` suffices because the cursor publishes no data —
+        // `sequence` is built before the workers start, and results
+        // come back over the channel, which synchronizes. Rather than
+        // reason about disjoint slot writes with unsafe code, collect
+        // over that channel and scatter here.
+        let next = AtomicUsize::new(0);
         let (tx, rx) = std::sync::mpsc::channel::<(usize, Cell<R>)>();
         std::thread::scope(|scope| {
-            for w in 0..jobs {
+            for _ in 0..jobs {
                 let tx = tx.clone();
-                let deques = &deques;
-                let run_cell = &run_cell;
-                scope.spawn(move || loop {
-                    // Own queue first (front), then steal (back). The
-                    // own pop is its own statement so its guard is
-                    // dropped before any sibling deque is locked: two
-                    // workers draining at once would otherwise each hold
-                    // their own deque while waiting for the other's.
-                    let own = w % queues;
-                    let mine = deques[own].lock().pop_front();
-                    let slot = mine.or_else(|| {
-                        (1..queues)
-                            .find_map(|d| deques[(own + d) % queues].lock().pop_back())
-                    });
-                    match slot {
-                        Some(slot) => {
-                            let _ = tx.send((slot, run_cell(slot)));
-                        }
-                        None => break,
+                let (next, sequence, run_cell) = (&next, &sequence, &run_cell);
+                scope.spawn(move || {
+                    while let Some(&slot) = sequence.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let _ = tx.send((slot, run_cell(slot)));
                     }
                 });
             }
@@ -260,29 +217,10 @@ where
         .collect()
 }
 
-/// [`run_grid`], unwrapping cell panics by re-raising the first one
-/// after the whole grid has drained (so no in-flight work is lost).
-pub fn run_grid_strict<T, R, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<Cell<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let cells = run_grid(items, jobs, f);
-    if let Some((slot, msg)) = cells
-        .iter()
-        .enumerate()
-        .find_map(|(i, c)| c.value.as_ref().err().map(|m| (i, m.clone())))
-    {
-        panic!("evaluation cell {slot} panicked: {msg}");
-    }
-    cells
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use parking_lot::Mutex;
 
     #[test]
     fn results_come_back_in_slot_order() {
@@ -341,14 +279,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cell 7 panicked")]
-    fn strict_variant_reraises_after_drain() {
-        run_grid_strict((0..20).collect::<Vec<_>>(), 4, |_, &x| {
-            assert!(x != 7, "boom");
-        });
-    }
-
-    #[test]
     fn empty_grid_and_oversized_jobs() {
         let cells = run_grid(Vec::<u32>::new(), 8, |_, &x| x);
         assert!(cells.is_empty());
@@ -361,9 +291,9 @@ mod tests {
 
     #[test]
     fn stealing_drains_a_lopsided_grid() {
-        // All the work lands in worker 0's deque slots; the others must
-        // steal it. (0, jobs, 2*jobs, ... are worker 0's cells under
-        // round-robin dealing with jobs=4.)
+        // Every fourth cell is slow and the rest are instant: the shared
+        // queue must still hand every cell to exactly one worker, with
+        // free workers draining the fast cells while others sleep.
         let items: Vec<usize> = (0..64).collect();
         let slow = AtomicUsize::new(0);
         let cells = run_grid(items, 4, |_, &x| {
@@ -389,12 +319,12 @@ mod tests {
 
     #[test]
     fn tiny_grids_drain_without_lock_order_deadlock() {
-        // Workers whose deques empty at the same moment all go stealing
-        // at once, which is when a held own-deque guard can close a lock
-        // cycle. Tiny no-op grids make that moment as frequent as
-        // possible; debug builds widen the window. A deadlock shows up
-        // as the timeout, not as a hung test run: the stress thread is
-        // joined only once it has reported back.
+        // Workers that find the queue empty at the same moment all exit
+        // at once, which is when a dispatch scheme holding more than one
+        // lock could close a lock cycle. Tiny no-op grids make that
+        // moment as frequent as possible; debug builds widen the window.
+        // A deadlock shows up as the timeout, not as a hung test run:
+        // the stress thread is joined only once it has reported back.
         let (tx, rx) = std::sync::mpsc::channel();
         let stress = std::thread::spawn(move || {
             for _round in 0..200 {
@@ -435,6 +365,13 @@ mod tests {
         for (i, c) in cells.iter().enumerate() {
             assert_eq!(*c.value.as_ref().unwrap(), i * 10);
         }
+
+        // Without an order, jobs=1 executes in identity (slot) order.
+        let mut executed = Vec::new();
+        run_grid_prioritized((0..17).collect::<Vec<usize>>(), 1, None, |_, &x| x, |slot, _| {
+            executed.push(slot)
+        });
+        assert_eq!(executed, (0..17).collect::<Vec<_>>(), "no order means slot order");
 
         // At jobs>1 results are still slot-ordered and byte-identical
         // to the unordered run; only pickup order differs.

@@ -103,7 +103,7 @@ pub fn scan_siblings(
         }
         let spec = ShardSpec::new(k, shard.count);
         let jpath = journal::shard_journal_path(cache, spec);
-        if let Some(p) = journal::peek_progress_sourced(&jpath, cfg, salt, spec, priors_hash) {
+        if let Some(p) = journal::peek_progress(&jpath, cfg, salt, spec, priors_hash) {
             all.done.extend(p.done);
             all.claimed.extend(p.claimed);
         }
@@ -416,23 +416,22 @@ pub fn merge_shards(
     for k in 0..count {
         let spec = ShardSpec::new(k, count);
         let jpath = journal::shard_journal_path(&cache, spec);
+        let loaded = journal::load_counting_sourced(&jpath, cfg, &salt, spec, priors_hash);
         // A worker that partitioned the grid under different priors
         // journaled cells this merge assigns elsewhere — and is missing
         // cells it was supposed to own. Reject the whole journal
         // loudly; the gap fill below re-evaluates its slice.
-        if let Some(stamped) = journal::peek_priors_hash(&jpath) {
-            if stamped != priors_hash {
-                eprintln!(
-                    "[pcgbench] warning: journal {}: priors hash {stamped:016x} does not match \
-                     this merge's {priors_hash:016x}; ignoring the journal (its cells will be \
-                     re-evaluated) — run every worker and the merge with the same --priors",
-                    jpath.display(),
-                );
-                rejected += 1;
-                continue;
-            }
+        if let Some(stamped) = loaded.header.filter(|h| h.priors_hash != priors_hash) {
+            eprintln!(
+                "[pcgbench] warning: journal {}: priors hash {:016x} does not match \
+                 this merge's {priors_hash:016x}; ignoring the journal (its cells will be \
+                 re-evaluated) — run every worker and the merge with the same --priors",
+                jpath.display(),
+                stamped.priors_hash,
+            );
+            rejected += 1;
+            continue;
         }
-        let loaded = journal::load_counting_sourced(&jpath, cfg, &salt, spec, priors_hash);
         for r in &loaded.rejects {
             eprintln!("[pcgbench] warning: journal {}: rejected {r}", jpath.display());
         }

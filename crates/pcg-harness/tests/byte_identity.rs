@@ -9,7 +9,7 @@
 use pcg_core::plan::fnv1a;
 use pcg_core::PromptVariant;
 use pcg_harness::config::EvalConfig;
-use pcg_harness::{eval, journal, record};
+use pcg_harness::{eval, journal, record, SharedRunner};
 use pcg_models::{CandidateSource, SyntheticSource};
 
 /// FNV-1a of the canonical config JSON, captured pre-refactor.
@@ -82,8 +82,10 @@ fn smoke_zoo_projection_matches_the_pre_refactor_capture() {
     let cfg = EvalConfig::smoke();
     let zoo = pcg_models::zoo();
     let tasks = eval::smoke_tasks();
-    let rec1 = eval::evaluate_jobs(&cfg, &zoo, Some(&tasks), 1);
-    let rec8 = eval::evaluate_jobs(&cfg, &zoo, Some(&tasks), 8);
+    let eval_at = |jobs| {
+        eval::evaluate_with(&cfg, &zoo, Some(&tasks), jobs, &SharedRunner::new(cfg.clone())).0
+    };
+    let (rec1, rec8) = (eval_at(1), eval_at(8));
     assert_eq!(
         fnv1a(record::projection(&rec1).as_bytes()),
         PROJ_SMOKE_ZOO,

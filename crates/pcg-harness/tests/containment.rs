@@ -17,7 +17,7 @@
 use pcg_core::plan::ShardSpec;
 use pcg_core::{ExecutionModel, ProblemId, ProblemType, TaskId};
 use pcg_harness::config::EvalConfig;
-use pcg_harness::eval::{assemble, evaluate_plan, evaluate_with, plan_for};
+use pcg_harness::eval::{assemble, evaluate_cells_priors, evaluate_with, plan_for};
 use pcg_harness::journal::{config_hash, Replay};
 use pcg_harness::record::projection;
 use pcg_harness::runner::SharedRunner;
@@ -127,8 +127,8 @@ fn chaos_battery_fails_fast_and_stays_deterministic() {
     let mut map = std::collections::HashMap::new();
     for k in 0..3 {
         let spec = ShardSpec::new(k, 3);
-        let run = evaluate_plan(
-            &cfg, &models, &plan, spec, 1, &shared, &Replay::new(), |_, _, _| {},
+        let run = evaluate_cells_priors(
+            &cfg, &models, plan.shard(spec), 1, None, &shared, &Replay::new(), |_, _, _| {},
         );
         assert_eq!(run.stats.timeouts, 0, "shard {k} must fail fast too");
         for (cell, rec) in run.cells {

@@ -71,7 +71,7 @@ fn assert_replays(
     appended: &HashMap<CellId, (String, TaskRecord)>,
     claims: usize,
 ) {
-    let loaded = journal::load_counting(path, cfg, ShardSpec::WHOLE);
+    let loaded = journal::load_counting_sourced(path, cfg, &[], ShardSpec::WHOLE, 0);
     assert!(loaded.rejects.is_empty(), "rejected frames: {:?}", loaded.rejects);
     assert_eq!(loaded.stale_frames, claims, "only the claim frames may be stale");
     assert_eq!(loaded.replay.len(), appended.len());
@@ -90,7 +90,7 @@ fn concurrent_appends_and_claims_replay_every_cell_intact() {
     let _serial = serial();
     let cfg = EvalConfig::smoke();
     let path = tmp_path("concurrent");
-    let wal = Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap();
+    let wal = Journal::create_sourced(&path, &cfg, &[], ShardSpec::WHOLE, 0).unwrap();
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let (wal, cfg) = (&wal, &cfg);
@@ -114,7 +114,7 @@ fn concurrent_appends_and_claims_replay_every_cell_intact() {
         .collect();
     let claims = THREADS * (APPENDS / CLAIM_EVERY) * 2;
     assert_replays(&path, &cfg, &appended, claims);
-    let progress = journal::peek_progress(&path, &cfg, ShardSpec::WHOLE, 0).unwrap();
+    let progress = journal::peek_progress(&path, &cfg, &[], ShardSpec::WHOLE, 0).unwrap();
     assert_eq!((progress.done.len(), progress.claimed.len()), (THREADS * APPENDS, claims));
     drop(wal);
     journal::remove(&path);
@@ -125,7 +125,7 @@ fn journal_dropped_without_sync_replays_every_frame() {
     let _serial = serial();
     let cfg = EvalConfig::smoke();
     let path = tmp_path("drop-unsynced");
-    let wal = Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap();
+    let wal = Journal::create_sourced(&path, &cfg, &[], ShardSpec::WHOLE, 0).unwrap();
     let mut appended = HashMap::new();
     for i in 0..APPENDS {
         wal.append(cell(&cfg, 0, i), &model(0, i), &record(0, i)).unwrap();
@@ -168,7 +168,7 @@ fn dropping_journals_leaks_no_syncer_thread() {
     // threads while this test runs, so the raw task count is not steady.
     let before = settle_syncers(0);
 
-    let wal = Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap();
+    let wal = Journal::create_sourced(&path, &cfg, &[], ShardSpec::WHOLE, 0).unwrap();
     assert_eq!(syncer_threads(), before, "a journal with no write starts no syncer");
     wal.append(cell(&cfg, 0, 0), &model(0, 0), &record(0, 0)).unwrap();
     assert_eq!(settle_syncers(before + 1), before + 1, "the first write starts one syncer");
@@ -176,7 +176,7 @@ fn dropping_journals_leaks_no_syncer_thread() {
 
     for i in 0..200 {
         let wal = if i % 2 == 0 {
-            Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap()
+            Journal::create_sourced(&path, &cfg, &[], ShardSpec::WHOLE, 0).unwrap()
         } else {
             Journal::open_append(&path).unwrap()
         };

@@ -1,4 +1,4 @@
-//! Journal v3 corruption battery + v2→v3 migration guarantees.
+//! Journal v3 corruption battery, and what becomes of a pre-v3 file.
 //!
 //! Two layers of defence for the binary journal:
 //!
@@ -13,24 +13,28 @@
 //!   wrong shard geometry, wrong config) with exact assertions on
 //!   replay contents, stale accounting, and reject diagnostics.
 //!
-//! Plus the migration contract: a v2 JSONL journal loads, compacts to
-//! v3, and reproduces a cache **byte-identical** to the pure-JSONL
-//! reference run at `--jobs 1` and `--jobs 8`.
+//! Plus the legacy contract: a v2 JSONL journal (no `PCGJRNL3` magic)
+//! replays nothing, and a resumed run recreates it as v3 and commits
+//! the same records as a clean run.
 
 use pcg_core::frame::JOURNAL_MAGIC;
 use pcg_core::plan::{CellId, ShardSpec};
-use pcg_core::{warm, ExecutionModel, ProblemId, ProblemType, TaskId};
+use pcg_core::{ExecutionModel, ProblemId, ProblemType, TaskId};
 use pcg_harness::codec;
-use pcg_harness::eval::{self, evaluate_with, smoke_tasks};
-use pcg_harness::journal::{self, Journal, JournalFormat};
-use pcg_harness::record::TaskRecord;
-use pcg_harness::{EvalConfig, SharedRunner};
+use pcg_harness::journal::{self, Journal};
+use pcg_harness::pipeline::{self, RunOptions};
+use pcg_harness::record::{self, TaskRecord};
+use pcg_harness::EvalConfig;
 use pcg_metrics::TaskSamples;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+fn load(path: &Path, cfg: &EvalConfig, shard: ShardSpec) -> journal::Loaded {
+    journal::load_counting_sourced(path, cfg, &[], shard, 0)
+}
 
 fn tmp_path(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -75,7 +79,7 @@ fn fixture_journal(cfg: &EvalConfig, tag: &str) -> (PathBuf, Vec<(CellId, String
         })
         .collect();
     let path = tmp_path(tag);
-    let wal = Journal::create(&path, cfg, ShardSpec::WHOLE).unwrap();
+    let wal = Journal::create_sourced(&path, cfg, &[], ShardSpec::WHOLE, 0).unwrap();
     for (cell, model, rec) in &entries {
         wal.append(*cell, model, rec).unwrap();
     }
@@ -156,7 +160,7 @@ proptest! {
         let bit = flip % (bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &bytes).unwrap();
-        let loaded = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+        let loaded = load(&path, &cfg, ShardSpec::WHOLE);
         assert_no_silent_corruption(&loaded, &entries, &format!("bit {bit}"));
         prop_assert!(
             loaded.replay.len() == entries.len()
@@ -177,11 +181,10 @@ fn corruption_battery() {
     let (path, entries) = fixture_journal(&cfg, "battery");
     let pristine = std::fs::read(&path).unwrap();
     assert!(pristine.starts_with(&JOURNAL_MAGIC));
-    let loaded = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+    let loaded = load(&path, &cfg, ShardSpec::WHOLE);
     assert_eq!(loaded.replay.len(), 3);
     assert_eq!(loaded.stale_frames, 0);
     assert!(loaded.rejects.is_empty());
-    assert_eq!(loaded.format, Some(JournalFormat::V3));
     assert!(!loaded.needs_compaction());
     let offsets = journal::entry_offsets(&path);
     assert_eq!(offsets.len(), 4, "3 entry frames + end sentinel");
@@ -194,7 +197,7 @@ fn corruption_battery() {
         let mut corrupt = pristine.clone();
         corrupt[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &corrupt).unwrap();
-        let loaded = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+        let loaded = load(&path, &cfg, ShardSpec::WHOLE);
         let what = format!("flip at bit {bit}");
         assert_no_silent_corruption(&loaded, &entries, &what);
         assert!(
@@ -209,7 +212,7 @@ fn corruption_battery() {
     // frame's header. Replay keeps the frames before the cut and
     // reports a torn tail at the right offset.
     std::fs::write(&path, &pristine[..offsets[1] as usize + 2]).unwrap();
-    let torn = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+    let torn = load(&path, &cfg, ShardSpec::WHOLE);
     assert_eq!(torn.replay.len(), 1);
     assert_no_silent_corruption(&torn, &entries, "truncated length prefix");
     assert_eq!(torn.rejects.len(), 1);
@@ -221,7 +224,7 @@ fn corruption_battery() {
     // uses, but cutting inside the payload (past the 16-byte frame
     // header) so the length field itself is intact.
     std::fs::write(&path, &pristine[..offsets[2] as usize + 20]).unwrap();
-    let torn = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+    let torn = load(&path, &cfg, ShardSpec::WHOLE);
     assert_eq!(torn.replay.len(), 2);
     assert_no_silent_corruption(&torn, &entries, "torn payload");
     assert_eq!(torn.rejects.len(), 1);
@@ -240,7 +243,7 @@ fn corruption_battery() {
     shadow.low.ratio[0] = 9.75;
     wal.append(*cell0, model0, &shadow).unwrap();
     drop(wal);
-    let dup = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+    let dup = load(&path, &cfg, ShardSpec::WHOLE);
     assert_eq!(dup.replay.len(), 3);
     assert_eq!(dup.stale_frames, 1);
     assert!(dup.rejects.is_empty());
@@ -257,7 +260,7 @@ fn corruption_battery() {
     let folded = dup.replay.clone();
     journal::compact(&path, &cfg, ShardSpec::WHOLE, &folded).unwrap();
     assert!(std::fs::read(&path).unwrap().starts_with(&JOURNAL_MAGIC));
-    let compacted = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+    let compacted = load(&path, &cfg, ShardSpec::WHOLE);
     assert_eq!(compacted.replay.len(), 3);
     assert_eq!(compacted.stale_frames, 0);
     assert!(!compacted.needs_compaction());
@@ -276,7 +279,7 @@ fn corruption_battery() {
         &codec::encode_entry(model2, rec2),
     ));
     std::fs::write(&path, &forged).unwrap();
-    let loaded = journal::load_counting(&path, &cfg, ShardSpec::WHOLE);
+    let loaded = load(&path, &cfg, ShardSpec::WHOLE);
     assert_eq!(loaded.replay.len(), 2);
     assert_no_silent_corruption(&loaded, &entries, "forged cell tag");
     assert_eq!(loaded.rejects.len(), 1);
@@ -285,82 +288,72 @@ fn corruption_battery() {
     // ------- Wrong shard geometry / wrong config: a journal is only
     // replayable into the exact grid that wrote it.
     std::fs::write(&path, &pristine).unwrap();
-    assert!(journal::load(&path, &cfg, ShardSpec::new(1, 3)).is_empty());
+    assert!(load(&path, &cfg, ShardSpec::new(1, 3)).replay.is_empty());
     let mut other_cfg = cfg.clone();
     other_cfg.seed ^= 1;
-    assert!(journal::load(&path, &other_cfg, ShardSpec::WHOLE).is_empty());
+    assert!(load(&path, &other_cfg, ShardSpec::WHOLE).replay.is_empty());
 
     std::fs::remove_file(&path).unwrap();
 }
 
-/// The migration contract, end to end: a v2 JSONL journal holding a
-/// full run's cells loads through the fallback reader, demands
-/// compaction, compacts to v3, and the migrated journal reproduces a
-/// cache byte-identical to the pure-JSONL reference at `--jobs 1` and
-/// `--jobs 8`. One `#[test]`: the phases share a [`SharedRunner`] so
-/// records are byte-comparable, and the warm flag is process-global.
+/// A journal without the v3 magic — here the JSONL layout of older
+/// releases, as a crashed run of one would have left it — loads like
+/// any header mismatch: nothing replays and no sibling progress shows.
+/// A resumed pipeline run then recreates the journal as v3 and commits
+/// the same records as a clean run.
 #[test]
-fn v2_migration_is_byte_identical_at_any_job_count() {
+fn pre_v3_journal_replays_nothing_and_resume_recreates_it() {
     let cfg = EvalConfig::smoke();
-    let tasks: Vec<TaskId> = smoke_tasks().into_iter().take(4).collect();
-    let models = pcg_models::zoo();
-    warm::set_enabled(true);
+    let dir = tmp_path("legacy");
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean_cache = dir.join("clean.json");
+    let clean = pipeline::load_or_run_opts(Some(&clean_cache), &cfg, &RunOptions::new(2));
 
-    // Pure-JSONL-era reference: what a v2 run recorded, jobs-agnostic.
-    let runner = SharedRunner::new(cfg.clone());
-    let (ref1, _) = evaluate_with(&cfg, &models, Some(&tasks), 1, &runner);
-    let (ref8, _) = evaluate_with(&cfg, &models, Some(&tasks), 8, &runner);
-    let ref_json = serde_json::to_vec(&ref1).unwrap();
-    assert_eq!(ref_json, serde_json::to_vec(&ref8).unwrap(), "reference must be jobs-agnostic");
-
+    // One v2 header line, then one JSONL entry per cell of the clean run.
     let chash = journal::config_hash(&cfg);
-    let entries: Vec<(CellId, String, TaskRecord)> = ref1
-        .models
-        .iter()
-        .flat_map(|m| {
-            m.tasks
-                .iter()
-                .map(move |t| (CellId::new(chash, &m.model, t.task), m.model.clone(), t.clone()))
-        })
-        .collect();
-
-    // A v2 journal as a crashed v2-era run would have left it.
-    let jpath = tmp_path("migrate");
-    journal::write_v2_journal(&jpath, &cfg, ShardSpec::WHOLE, &entries).unwrap();
-    assert!(!std::fs::read(&jpath).unwrap().starts_with(&JOURNAL_MAGIC));
-    let loaded = journal::load_counting(&jpath, &cfg, ShardSpec::WHOLE);
-    assert_eq!(loaded.format, Some(JournalFormat::V2Jsonl));
-    assert_eq!(loaded.replay.len(), entries.len());
-    assert!(loaded.stale_frames == 0 && loaded.rejects.is_empty());
-    assert!(loaded.needs_compaction(), "a clean v2 journal must still demand migration");
-
-    // Migrate (replay v2 → commit v3) and reload through the binary path.
-    journal::compact(&jpath, &cfg, ShardSpec::WHOLE, &loaded.replay).unwrap();
-    assert!(std::fs::read(&jpath).unwrap().starts_with(&JOURNAL_MAGIC));
-    let migrated = journal::load_counting(&jpath, &cfg, ShardSpec::WHOLE);
-    assert_eq!(migrated.format, Some(JournalFormat::V3));
-    assert!(!migrated.needs_compaction());
-    assert_eq!(migrated.replay.len(), entries.len());
-
-    // Assembling straight from the migrated replay reproduces the
-    // committed cache bytes with no evaluation at all...
-    let plan = eval::plan_for(&cfg, &models, Some(&tasks));
-    let assembled = eval::assemble(&cfg, &plan, |c| migrated.replay[&c.id].record.clone());
-    assert_eq!(serde_json::to_vec(&assembled).unwrap(), ref_json);
-
-    // ...and driving the real evaluator over the migrated replay — at
-    // --jobs 1 and --jobs 8 — replays every cell and commits the
-    // identical bytes the pure-JSONL run did.
-    for jobs in [1usize, 8] {
-        let (rec, stats) =
-            eval::evaluate_resumable(&cfg, &models, Some(&tasks), jobs, &runner, &migrated.replay, |_, _, _| {});
-        assert_eq!(stats.resumed_cells, entries.len(), "jobs={jobs}: every cell must replay");
-        assert_eq!(
-            serde_json::to_vec(&rec).unwrap(),
-            ref_json,
-            "jobs={jobs}: migrated replay must commit identical bytes"
-        );
+    let mut legacy = format!(
+        "{{\"version\":2,\"config_hash\":{chash},\"shard_index\":0,\"shard_count\":1}}\n"
+    );
+    for m in &clean.models {
+        for t in &m.tasks {
+            let cell = CellId::new(chash, &m.model, t.task);
+            legacy.push_str(&format!(
+                "{{\"cell\":{},\"model\":{},\"record\":{}}}\n",
+                cell.0,
+                serde_json::to_string(&m.model).unwrap(),
+                serde_json::to_string(t).unwrap(),
+            ));
+        }
     }
+    let cache = dir.join("resumed.json");
+    let jpath = journal::journal_path(&cache);
+    std::fs::write(&jpath, &legacy).unwrap();
 
-    std::fs::remove_file(&jpath).unwrap();
+    let loaded = load(&jpath, &cfg, ShardSpec::WHOLE);
+    assert!(loaded.replay.is_empty() && loaded.rejects.is_empty());
+    assert!(loaded.header.is_none(), "a file without the magic has no header");
+    assert!(journal::peek_progress(&jpath, &cfg, &[], ShardSpec::WHOLE, 0).is_none());
+
+    // Resume with the cache commit blocked (a directory sits at the
+    // cache path), so the journal the run wrote is left to inspect.
+    std::fs::create_dir_all(&cache).unwrap();
+    let resume = RunOptions { resume: true, ..RunOptions::new(2) };
+    let rerun = pipeline::load_or_run_opts(Some(&cache), &cfg, &resume);
+    assert_eq!(record::projection(&rerun), record::projection(&clean));
+    assert!(std::fs::read(&jpath).unwrap().starts_with(&JOURNAL_MAGIC), "recreated as v3");
+    let recreated = load(&jpath, &cfg, ShardSpec::WHOLE);
+    assert_eq!(recreated.replay.len(), legacy.lines().count() - 1);
+    assert!(recreated.rejects.is_empty());
+
+    // With the cache path free again, resume replays the v3 journal
+    // and commits the clean run's records.
+    std::fs::remove_dir(&cache).unwrap();
+    let committed = pipeline::load_or_run_opts(Some(&cache), &cfg, &resume);
+    assert_eq!(record::projection(&committed), record::projection(&clean));
+    let on_disk: pcg_harness::EvalRecord =
+        serde_json::from_slice(&std::fs::read(&cache).unwrap()).unwrap();
+    assert_eq!(record::projection(&on_disk), record::projection(&clean));
+    assert!(!jpath.exists(), "the journal is removed once the cache commits");
+
+    std::fs::remove_dir_all(&dir).unwrap();
 }

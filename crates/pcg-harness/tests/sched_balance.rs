@@ -45,12 +45,11 @@ fn write_shard_journals(
     for k in 0..3 {
         let spec = ShardSpec::new(k, 3);
         let jpath = journal::shard_journal_path(cache, spec);
-        let wal = Journal::create_with_priors(&jpath, cfg, spec, hash).unwrap();
-        let run = eval::evaluate_plan_priors(
+        let wal = Journal::create_sourced(&jpath, cfg, &[], spec, hash).unwrap();
+        let run = eval::evaluate_cells_priors(
             cfg,
             models,
-            &plan,
-            spec,
+            plan.shard_with(spec, priors),
             2,
             priors,
             runner,

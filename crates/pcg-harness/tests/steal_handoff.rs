@@ -46,8 +46,8 @@ fn write_one_shard(
 ) -> EvalStats {
     let plan = eval::plan_for(cfg, models, Some(tasks));
     let jpath = journal::shard_journal_path(cache, spec);
-    let wal = Journal::create_with_priors(&jpath, cfg, spec, 0).unwrap();
-    let run = eval::evaluate_plan_priors(cfg, models, &plan, spec, 2, None, runner, &Replay::new(), |cell, model, rec| {
+    let wal = Journal::create_sourced(&jpath, cfg, &[], spec, 0).unwrap();
+    let run = eval::evaluate_cells_priors(cfg, models, plan.shard(spec), 2, None, runner, &Replay::new(), |cell, model, rec| {
         wal.append(cell, model, rec).unwrap();
     });
     assert!(run.stats.cells > 0, "shard {spec} must own some cells");
@@ -87,7 +87,7 @@ fn stolen_cells_merge_byte_identically() {
     // unsharded bytes, and --keep-shards must preserve the evidence.
     let mut stats1 = write_one_shard(&cache, &cfg, &models, &tasks, &runner, spec1);
     let stats2 = write_one_shard(&cache, &cfg, &models, &tasks, &runner, spec2);
-    drop(Journal::create_with_priors(&journal::shard_journal_path(&cache, spec0), &cfg, spec0, 0).unwrap());
+    drop(Journal::create_sourced(&journal::shard_journal_path(&cache, spec0), &cfg, &[], spec0, 0).unwrap());
 
     let before = scan_siblings(&cache, &cfg, &[], spec1, 0);
     assert_eq!(before.done.len(), plan.shard_with(spec2, None).len(), "shard 2's results are visible to the thief");
@@ -153,7 +153,7 @@ fn stolen_cells_merge_byte_identically() {
     let stats2 = write_one_shard(&cache, &cfg, &models, &tasks, &runner, spec2);
     write_sidecar(&cache, spec1, &stats1);
     write_sidecar(&cache, spec2, &stats2);
-    drop(Journal::create_with_priors(&journal::shard_journal_path(&cache, spec0), &cfg, spec0, 0).unwrap());
+    drop(Journal::create_sourced(&journal::shard_journal_path(&cache, spec0), &cfg, &[], spec0, 0).unwrap());
     let jpath2 = journal::shard_journal_path(&cache, spec2);
     let claimed = victim_cells[0].id;
     {
@@ -161,7 +161,7 @@ fn stolen_cells_merge_byte_identically() {
         wal2.append_claims(&[claimed], 2).unwrap();
         // The thief dies here: claim on disk, no result.
     }
-    let loaded = journal::load_counting_with_priors(&jpath2, &cfg, spec2, 0);
+    let loaded = journal::load_counting_sourced(&jpath2, &cfg, &[], spec2, 0);
     assert_eq!(
         loaded.replay.len(),
         stats2.cells,
@@ -169,7 +169,7 @@ fn stolen_cells_merge_byte_identically() {
     );
     assert!(loaded.rejects.is_empty(), "a claim is a valid frame kind, not corruption");
     assert!(loaded.stale_frames >= 1, "the claim counts stale so resume compacts it away");
-    let prog = journal::peek_progress(&jpath2, &cfg, spec2, 0).unwrap();
+    let prog = journal::peek_progress(&jpath2, &cfg, &[], spec2, 0).unwrap();
     assert!(prog.claimed.contains(&claimed.0), "the claim is visible to sibling peeks");
     assert!(!prog.done.contains(&claimed.0));
     for jobs in [1usize, 8] {

@@ -10,12 +10,12 @@
 //! ```
 
 use pcgbench::core::{CandidateKind, ExecutionModel, ProblemId, ProblemType, Quality};
-use pcgbench::harness::{runner::Runner, EvalConfig};
+use pcgbench::harness::{EvalConfig, SharedRunner};
 
 fn main() {
     let mut cfg = EvalConfig::quick();
     cfg.reps = 3;
-    let mut runner = Runner::new(cfg);
+    let runner = SharedRunner::new(cfg);
 
     let cases = [
         (ProblemType::Stencil, 2, ExecutionModel::OpenMp),

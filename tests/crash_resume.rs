@@ -64,12 +64,13 @@ fn resumed_run_is_byte_identical_to_uninterrupted() {
     // deliberately not grid order), then a simulated SIGKILL that tears
     // the journal mid-append.
     let path = tmp_journal("kill");
-    let wal = Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap();
-    let (journaled, _) = eval::evaluate_resumable(
+    let wal = Journal::create_sourced(&path, &cfg, &[], ShardSpec::WHOLE, 0).unwrap();
+    let (journaled, _) = eval::evaluate_resumable_priors(
         &cfg,
         &models,
         Some(&tasks),
         8,
+        None,
         &runner,
         &Replay::new(),
         |cell, model, rec| wal.append(cell, model, rec).unwrap(),
@@ -84,13 +85,14 @@ fn resumed_run_is_byte_identical_to_uninterrupted() {
     simulate_crash(&path, keep);
 
     // Resume at a different worker count: keyed replay must not care.
-    let replay = journal::load(&path, &cfg, ShardSpec::WHOLE);
+    let replay = journal::load_counting_sourced(&path, &cfg, &[], ShardSpec::WHOLE, 0).replay;
     assert_eq!(replay.len(), keep, "replay survives up to the torn frame");
-    let (resumed, stats) = eval::evaluate_resumable(
+    let (resumed, stats) = eval::evaluate_resumable_priors(
         &cfg,
         &models,
         Some(&tasks),
         1,
+        None,
         &runner,
         &replay,
         |_, _, _| {},
@@ -113,12 +115,13 @@ fn journal_from_a_different_config_is_not_replayed() {
     let runner = SharedRunner::new(cfg.clone());
 
     let path = tmp_journal("mismatch");
-    let wal = Journal::create(&path, &cfg, ShardSpec::WHOLE).unwrap();
-    let (_, _) = eval::evaluate_resumable(
+    let wal = Journal::create_sourced(&path, &cfg, &[], ShardSpec::WHOLE, 0).unwrap();
+    let (_, _) = eval::evaluate_resumable_priors(
         &cfg,
         &models,
         Some(tasks),
         2,
+        None,
         &runner,
         &Replay::new(),
         |cell, model, rec| wal.append(cell, model, rec).unwrap(),
@@ -130,7 +133,7 @@ fn journal_from_a_different_config_is_not_replayed() {
     // replay any of them.
     let mut other = cfg.clone();
     other.seed += 1;
-    assert!(journal::load(&path, &other, ShardSpec::WHOLE).is_empty());
-    assert_eq!(journal::load(&path, &cfg, ShardSpec::WHOLE).len(), tasks.len());
+    assert!(journal::load_counting_sourced(&path, &other, &[], ShardSpec::WHOLE, 0).replay.is_empty());
+    assert_eq!(journal::load_counting_sourced(&path, &cfg, &[], ShardSpec::WHOLE, 0).replay.len(), tasks.len());
     journal::remove(&path);
 }

@@ -148,8 +148,10 @@ fn worker_count_does_not_change_correctness_fields() {
     let cfg = EvalConfig::smoke();
     let model = || SyntheticModel::by_name("Phind-CodeLlama-V2").unwrap();
     let tasks = &mini_tasks()[..14];
-    let a = eval::evaluate_jobs(&cfg, &[model()], Some(tasks), 1);
-    let b = eval::evaluate_jobs(&cfg, &[model()], Some(tasks), 8);
+    let eval_at = |jobs| {
+        eval::evaluate_with(&cfg, &[model()], Some(tasks), jobs, &SharedRunner::new(cfg.clone())).0
+    };
+    let (a, b) = (eval_at(1), eval_at(8));
     for (ta, tb) in a.models[0].tasks.iter().zip(&b.models[0].tasks) {
         assert_eq!(ta.task, tb.task, "task order must be canonical");
         assert_eq!(ta.low.correct, tb.low.correct, "{}", ta.task);

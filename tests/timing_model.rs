@@ -2,7 +2,7 @@
 //! *shapes* the paper reports must emerge from the substrates.
 
 use pcgbench::core::{CandidateKind, ExecutionModel, ProblemId, ProblemType, Quality};
-use pcgbench::harness::{runner::Runner, EvalConfig};
+use pcgbench::harness::{EvalConfig, SharedRunner};
 
 fn cfg() -> EvalConfig {
     let mut cfg = EvalConfig::quick();
@@ -15,7 +15,7 @@ fn cfg() -> EvalConfig {
 fn openmp_speedup_grows_then_saturates() {
     // A compute-heavy map: modeled OpenMP time should improve with
     // threads at low counts; efficiency must decline monotonically-ish.
-    let mut runner = Runner::new(cfg());
+    let runner = SharedRunner::new(cfg());
     let task = ProblemId::new(ProblemType::Transform, 4).task(ExecutionModel::OpenMp);
     let kind = CandidateKind::Correct(Quality::Efficient);
     let r1 = runner.ratio(task, kind, 1);
@@ -30,13 +30,13 @@ fn openmp_speedup_grows_then_saturates() {
 
 #[test]
 fn mpi_efficiency_declines_with_ranks() {
-    let mut runner = Runner::new(cfg());
+    let runner = SharedRunner::new(cfg());
     let task = ProblemId::new(ProblemType::Reduce, 0).task(ExecutionModel::Mpi);
     let kind = CandidateKind::Correct(Quality::Efficient);
-    let e = |n: u32, r: &mut Runner| r.ratio(task, kind, n) / f64::from(n);
-    let e2 = e(2, &mut runner);
-    let e32 = e(32, &mut runner);
-    let e256 = e(256, &mut runner);
+    let e = |n: u32| runner.ratio(task, kind, n) / f64::from(n);
+    let e2 = e(2);
+    let e32 = e(32);
+    let e256 = e(256);
     assert!(e2 > e32, "e2={e2:.4} e32={e32:.4}");
     assert!(e32 > e256, "e32={e32:.4} e256={e256:.4}");
 }
@@ -45,7 +45,7 @@ fn mpi_efficiency_declines_with_ranks() {
 fn inefficient_candidates_never_scale() {
     // The lopsided/root-computes fallbacks must show ~no speedup growth
     // from more resources.
-    let mut runner = Runner::new(cfg());
+    let runner = SharedRunner::new(cfg());
     let task = ProblemId::new(ProblemType::Reduce, 3).task(ExecutionModel::OpenMp);
     let kind = CandidateKind::Correct(Quality::Inefficient);
     let r1 = runner.ratio(task, kind, 1);
@@ -64,7 +64,7 @@ fn gpu_models_give_large_speedups_on_big_maps() {
     let mut cfg = EvalConfig::quick();
     cfg.size_divisor = 1;
     cfg.reps = 3;
-    let mut runner = Runner::new(cfg);
+    let runner = SharedRunner::new(cfg);
     let task = ProblemId::new(ProblemType::Transform, 0).task(ExecutionModel::Cuda);
     let r = runner.ratio(task, CandidateKind::Correct(Quality::Efficient), 0);
     assert!(r > 2.0, "GPU speedup too small: {r:.2}");
@@ -76,7 +76,7 @@ fn gpu_models_give_large_speedups_on_big_maps() {
 
 #[test]
 fn failure_kinds_have_infinite_effective_runtime() {
-    let mut runner = Runner::new(cfg());
+    let runner = SharedRunner::new(cfg());
     let task = ProblemId::new(ProblemType::Histogram, 0).task(ExecutionModel::OpenMp);
     for kind in [
         CandidateKind::BuildFailure,
