@@ -1,63 +1,54 @@
-//! Print the cross-process-deterministic projection of an `EvalRecord`
-//! JSON file (and, with `--stats`, of an `EvalStats` sidecar, or with
-//! `--cols`, of a columnar `.cols` sidecar).
+//! Print the cross-process-deterministic projection of a records cache
+//! (or, with `--stats`, of an `EvalStats` sidecar).
 //!
 //! This binary is the projection CI diffs across processes — after a
-//! kill-and-resume cycle, and between a merged sharded run and a
-//! single-process run. It delegates to
-//! [`pcg_harness::record::projection`], the same function the
+//! kill-and-resume cycle, between a merged sharded run and a
+//! single-process run, and between a live run and its pool replay. It
+//! reads the cache's cells with [`journal::read_cells`] and prints them
+//! through [`pcg_harness::record::projection`], the same function the
 //! warm-path, mux, and shard projection-equality tests call, so there
-//! is exactly one definition of "deterministic fields" in the repo
-//! (`ci/project_records.py` execs this binary instead of carrying a
-//! hand-written copy). `--cols` reads the binary columnar stats store
-//! the pipeline commits next to the cache and prints the identical
-//! projection without touching a JSON parser — which also lets CI
-//! cross-check the sidecar against its cache byte-for-byte.
+//! is exactly one definition of "deterministic fields" in the repo.
 
-use pcg_harness::colstats::ColumnarStats;
-use pcg_harness::record::{projection, stats_projection, EvalStats};
-use pcg_harness::EvalRecord;
+use pcg_harness::journal;
+use pcg_harness::record::{projection, stats_projection, EvalStats, ModelRecord};
+use std::path::Path;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mode, path) = match args.as_slice() {
-        [p] => ("record", p.clone()),
-        [flag, p] if flag == "--stats" => ("stats", p.clone()),
-        [flag, p] if flag == "--cols" => ("cols", p.clone()),
-        _ => {
-            eprintln!("usage: project_records [--stats|--cols] <records.json | records.json.cols>");
-            std::process::exit(2);
-        }
-    };
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("project_records: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let projected = match mode {
-        "stats" => match serde_json::from_slice::<EvalStats>(&bytes) {
-            Ok(stats) => stats_projection(&stats),
-            Err(e) => {
-                eprintln!("project_records: {path} is not an EvalStats sidecar: {e}");
-                std::process::exit(2);
-            }
-        },
-        "cols" => match ColumnarStats::from_bytes(&bytes) {
-            Ok(cols) => cols.projection(),
-            Err(e) => {
-                eprintln!("project_records: {path} is not a columnar stats sidecar: {e}");
-                std::process::exit(2);
-            }
-        },
-        _ => match serde_json::from_slice::<EvalRecord>(&bytes) {
-            Ok(rec) => projection(&rec),
-            Err(e) => {
-                eprintln!("project_records: {path} is not an EvalRecord: {e}");
-                std::process::exit(2);
-            }
-        },
+    let projected = match args.as_slice() {
+        [path] => records(path),
+        [flag, path] if flag == "--stats" => stats(path),
+        _ => fail("usage: project_records [--stats] <records cache | stats sidecar>"),
     };
     print!("{projected}");
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("project_records: {msg}");
+    std::process::exit(2);
+}
+
+/// The projection of a records cache: its cells in file (plan) order,
+/// grouped by model.
+fn records(path: &str) -> String {
+    let Some((_, cells)) = journal::read_cells(Path::new(path)) else {
+        fail(&format!("{path} is not a readable records cache"));
+    };
+    let mut models: Vec<ModelRecord> = Vec::new();
+    for (_, cell) in cells {
+        match models.last_mut() {
+            Some(m) if m.model == cell.model => m.tasks.push(cell.record),
+            _ => models.push(ModelRecord { model: cell.model, tasks: vec![cell.record] }),
+        }
+    }
+    projection(&models)
+}
+
+fn stats(path: &str) -> String {
+    let bytes =
+        std::fs::read(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+    match serde_json::from_slice::<EvalStats>(&bytes) {
+        Ok(stats) => stats_projection(&stats),
+        Err(e) => fail(&format!("{path} is not an EvalStats sidecar: {e}")),
+    }
 }

@@ -1,6 +1,7 @@
 //! Binary payload codec for journal v3 entries.
 //!
-//! One journal frame's payload is one completed grid cell: the owning
+//! One entry frame's payload, in a journal or a committed records
+//! cache, is one completed grid cell: the owning
 //! model's display name plus the full [`TaskRecord`]. The layout is
 //! fixed-order little-endian (see DESIGN.md's journal v3 spec):
 //!
@@ -23,9 +24,8 @@
 //! ```
 //!
 //! Floats are raw IEEE-754 bits, so the binary round trip is exact:
-//! a record journaled in v3 and exported back to JSON prints the
-//! identical shortest-roundtrip decimal the JSONL path would have
-//! written — the byte-identity contract survives the format change.
+//! a record read back from a journal or cache is bit-for-bit the one
+//! written, and the byte-identity contract holds through it.
 //!
 //! Decoding trusts nothing: every length is bounds-checked against the
 //! remaining payload, bools must be 0/1, the task index must be dense

@@ -1,22 +1,18 @@
 //! Columnar stats sidecar: the projection-relevant columns of an
-//! evaluation record in one flat binary file.
+//! evaluation record, plus each cell's measured wall, in one flat
+//! binary file.
 //!
-//! The CI byte-identity checks and the `project_records` diff only
-//! need the *deterministic projection* of a records cache — model
-//! names, task identities, build/correct flags, which sweep resource
-//! counts were collected — never the measured floats. Re-parsing the
-//! multi-megabyte JSON cache to extract those few columns is the last
-//! JSON-on-the-hot-path cost the v3 journal did not remove, so the
-//! pipeline and the shard merge commit a `<cache>.cols` sidecar
-//! alongside the cache: the projection columns, struct-of-arrays,
-//! behind a CRC-32.
+//! The pipeline and the shard merge commit a `<cache>.cols` sidecar
+//! next to the records cache: the *deterministic projection* columns
+//! (model names, task identities, build/correct flags, which sweep
+//! resource counts were collected), struct-of-arrays, behind a CRC-32,
+//! plus the wall column `--priors` reads.
 //!
 //! [`ColumnarStats::projection`] reproduces
-//! [`crate::record::projection`] **byte-for-byte** (it is asserted
-//! against it in tests and diffed in CI via `project_records --cols`),
-//! so the sidecar is a pure accelerator: the JSON cache remains the
-//! export format and the single source of truth, and anything the
-//! sidecar serves can always be recomputed from it.
+//! [`crate::record::projection`] **byte-for-byte** (asserted against
+//! it in tests). The records cache ([`crate::journal::commit_record`])
+//! stays the single source of truth: everything in the sidecar but the
+//! walls can be recomputed from it.
 //!
 //! ## On-disk layout
 //!
@@ -50,8 +46,8 @@
 //!
 //! Decoding verifies the CRC and every structural invariant (offset
 //! monotonicity, bounds, row counts, task-index range); a sidecar that
-//! fails any check is rejected, and callers fall back to the JSON
-//! cache.
+//! fails any check is rejected, and `--priors` falls back to the
+//! default cost profile.
 
 use crate::record::EvalRecord;
 use pcg_core::frame::{crc32, ByteReader, ByteWriter};
@@ -61,12 +57,11 @@ use std::path::{Path, PathBuf};
 
 /// File magic for a columnar stats sidecar. Bumped to `2` when the
 /// per-row wall-seconds column was appended; `PCGCOLS1` sidecars fail
-/// decode and callers rebuild from the JSON cache, which is always
-/// safe because the sidecar is a pure accelerator.
+/// decode, and `--priors` falls back to the default cost profile.
 pub const COLS_MAGIC: [u8; 8] = *b"PCGCOLS2";
 
-/// Sidecar path for a records cache path (`records-quick.json` →
-/// `records-quick.json.cols`).
+/// Sidecar path for a records cache path (`records-quick.rec` →
+/// `records-quick.rec.cols`).
 pub fn cols_path(cache_path: &Path) -> PathBuf {
     let mut os = cache_path.as_os_str().to_os_string();
     os.push(".cols");
@@ -204,7 +199,7 @@ impl ColumnarStats {
     }
 
     /// Reproduce [`crate::record::projection`] byte-for-byte from the
-    /// columns, without touching the JSON cache.
+    /// columns, without reading the records cache.
     pub fn projection(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -540,8 +535,8 @@ mod tests {
     #[test]
     fn cols_path_derives_from_cache_path() {
         assert_eq!(
-            cols_path(Path::new("target/pcgbench/records-quick.json")),
-            Path::new("target/pcgbench/records-quick.json.cols"),
+            cols_path(Path::new("target/pcgbench/records-quick.rec")),
+            Path::new("target/pcgbench/records-quick.rec.cols"),
         );
     }
 }

@@ -35,11 +35,18 @@
 //! scheduled and sharded under, 0 for no priors; headers written before
 //! the field existed are read as hash 0); every further frame is one
 //! cell, its payload encoded by [`crate::codec`]. Replay reads the
-//! whole file in one buffered pass and never touches a JSON parser —
-//! JSON remains the *export* format (the records cache,
-//! `record::projection`), unchanged to the byte. A file without the
-//! magic (including the JSONL journals of older releases) replays
-//! nothing, like any header mismatch, and resume recreates it.
+//! whole file in one buffered pass and never touches a JSON parser. A
+//! file without the magic (including the JSONL journals of older
+//! releases) replays nothing, like any header mismatch, and resume
+//! recreates it.
+//!
+//! **Committed records cache:** a finished run commits its records in
+//! this same format ([`commit_record`]): a whole-grid header with
+//! priors hash 0 (records do not depend on priors), then one entry
+//! frame per cell in plan order. [`read_cells`] walks such a file
+//! strictly — any flaw refuses the whole file — and the loader serves
+//! it only when its cells are exactly the plan's, in order; that match
+//! is the seal. A JSON cache from an older release reads as a miss.
 //!
 //! A torn final frame (the crash happened mid-append), a CRC mismatch,
 //! a payload that does not decode, or a failed cell self-check
@@ -66,10 +73,10 @@
 
 use crate::codec;
 use crate::config::EvalConfig;
-use crate::record::TaskRecord;
+use crate::record::{EvalRecord, TaskRecord};
 use parking_lot::{Condvar, Mutex};
 use pcg_core::frame::{self, FrameError, ByteReader, ByteWriter, FRAME_OVERHEAD, JOURNAL_MAGIC};
-use pcg_core::plan::{fnv1a, CellId, ShardSpec};
+use pcg_core::plan::{fnv1a, CellId, ShardSpec, WorkPlan};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -133,6 +140,12 @@ impl Header {
         Header { config_hash: config_hash_with(cfg, salt), shard, priors_hash }
     }
 
+    /// The header of a committed records cache for `plan`: the whole
+    /// grid, and priors hash 0, since records do not depend on priors.
+    pub(crate) fn cache(plan: &WorkPlan) -> Header {
+        Header { config_hash: plan.config_hash(), shard: ShardSpec::WHOLE, priors_hash: 0 }
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u32(VERSION);
@@ -178,8 +191,8 @@ impl Header {
     }
 }
 
-/// Journal path for a record cache path (`records-quick.json` →
-/// `records-quick.json.journal`).
+/// Journal path for a record cache path (`records-quick.rec` →
+/// `records-quick.rec.journal`).
 pub fn journal_path(cache_path: &Path) -> PathBuf {
     let mut os = cache_path.as_os_str().to_os_string();
     os.push(".journal");
@@ -187,7 +200,7 @@ pub fn journal_path(cache_path: &Path) -> PathBuf {
 }
 
 /// Journal path for one shard of a sharded run
-/// (`records-quick.json.journal.shard-0-of-3`). The whole-grid spec
+/// (`records-quick.rec.journal.shard-0-of-3`). The whole-grid spec
 /// maps to the plain [`journal_path`], so single-process runs and
 /// `0/1`-sharded runs are the same artifact.
 pub fn shard_journal_path(cache_path: &Path, shard: ShardSpec) -> PathBuf {
@@ -242,6 +255,7 @@ impl std::fmt::Display for Reject {
 
 /// What [`load_counting_sourced`] recovered, plus how much of the file
 /// it had to discard or fold and the header it found.
+#[derive(Default)]
 pub struct Loaded {
     /// The replayable cells.
     pub replay: Replay,
@@ -263,10 +277,6 @@ pub struct Loaded {
 }
 
 impl Loaded {
-    fn empty() -> Loaded {
-        Loaded { replay: Replay::new(), stale_frames: 0, rejects: Vec::new(), header: None }
-    }
-
     /// Whether resume should rewrite this journal before appending to
     /// it: it carries stale frames to fold away. A journal with
     /// replayable frames *must not* be truncated instead.
@@ -541,7 +551,7 @@ pub fn load_counting_sourced(
     shard: ShardSpec,
     priors_hash: u64,
 ) -> Loaded {
-    let mut loaded = Loaded::empty();
+    let mut loaded = Loaded::default();
     let Ok(bytes) = std::fs::read(path) else { return loaded };
     let Some((header, mut offset)) = Header::read(&bytes) else { return loaded };
     loaded.header = Some(header);
@@ -561,8 +571,7 @@ pub fn load_counting_sourced(
                     FrameError::BadCrc { cell, .. } => Some(cell),
                     FrameError::TornTail { .. } => None,
                 };
-                let after = tail_extent(&bytes, offset, &e);
-                loaded.stale_frames += 1 + count_tail_frames(&bytes, after);
+                loaded.stale_frames += count_tail_frames(&bytes, offset);
                 loaded.rejects.push(Reject {
                     offset: offset as u64,
                     frame: frame_idx,
@@ -584,34 +593,23 @@ pub fn load_counting_sourced(
             frame_idx += 1;
             continue;
         }
-        let reject = |reason: String| Reject {
-            offset: offset as u64,
-            frame: frame_idx,
-            cell: Some(f.cell),
-            reason,
-        };
-        let (model, record) = match codec::decode_entry(f.payload) {
-            Ok(e) => e,
-            Err(e) => {
-                // CRC-valid but undecodable: can only happen across an
-                // incompatible codec change. Same corruption policy.
-                loaded.stale_frames += 1 + count_tail_frames(&bytes, f.end);
-                loaded.rejects.push(reject(format!("payload does not decode: {e}")));
+        let (id, cell) = match decode_cell(header.config_hash, &f) {
+            Ok(c) => c,
+            Err(reason) => {
+                // CRC-valid, yet undecodable (only an incompatible codec
+                // change does that) or not the cell it claims to be.
+                // Same corruption policy.
+                loaded.stale_frames += count_tail_frames(&bytes, offset);
+                loaded.rejects.push(Reject {
+                    offset: offset as u64,
+                    frame: frame_idx,
+                    cell: Some(f.cell),
+                    reason,
+                });
                 return loaded;
             }
         };
-        let id = CellId::new(header.config_hash, &model, record.task);
-        if id.0 != f.cell {
-            // Self-check failed: the frame decoded but does not
-            // describe the cell it claims to.
-            loaded.stale_frames += 1 + count_tail_frames(&bytes, f.end);
-            loaded.rejects.push(reject(format!(
-                "cell self-check failed: recomputed {:016x} from the entry's own fields",
-                id.0
-            )));
-            return loaded;
-        }
-        if loaded.replay.insert(id, ReplayCell { model, record }).is_some() {
+        if loaded.replay.insert(id, cell).is_some() {
             // A duplicate append (an earlier resume re-evaluated this
             // cell after a truncated replay). Last write wins; the
             // shadowed frame is stale.
@@ -621,6 +619,40 @@ pub fn load_counting_sourced(
         frame_idx += 1;
     }
     loaded
+}
+
+/// Decode one entry frame and self-check it: the cell id recomputed
+/// from the entry's own fields under `config_hash` must equal the
+/// frame's tag.
+fn decode_cell(config_hash: u64, f: &frame::Frame<'_>) -> Result<(CellId, ReplayCell), String> {
+    let (model, record) =
+        codec::decode_entry(f.payload).map_err(|e| format!("payload does not decode: {e}"))?;
+    let id = CellId::new(config_hash, &model, record.task);
+    if id.0 != f.cell {
+        return Err(format!(
+            "cell self-check failed: recomputed {:016x} from the entry's own fields",
+            id.0
+        ));
+    }
+    Ok((id, ReplayCell { model, record }))
+}
+
+/// Every cell of the file at `path` in file order, with its header, or
+/// `None` at the first flaw: no v3 magic or readable header, a torn or
+/// CRC-bad frame, a claim, an undecodable payload or a failed cell
+/// self-check. Unlike replay, which keeps a clean prefix, this walk
+/// trusts all of a file or none of it. It takes no config: the caller
+/// gates on the header and on which cells came back.
+pub fn read_cells(path: &Path) -> Option<(Header, Vec<(CellId, ReplayCell)>)> {
+    let bytes = std::fs::read(path).ok()?;
+    let (header, mut offset) = Header::read(&bytes)?;
+    let mut cells = Vec::new();
+    while let Some(f) = frame::decode_frame(&bytes, offset) {
+        let f = f.ok()?;
+        cells.push(decode_cell(header.config_hash, &f).ok()?);
+        offset = f.end;
+    }
+    Some((header, cells))
 }
 
 /// A sibling journal's structurally visible progress: which cells it
@@ -674,37 +706,23 @@ pub fn peek_progress(
     Some(progress)
 }
 
-/// Where the untrusted tail begins, one past the rejected frame: a
-/// torn frame extends to end-of-file by definition; a CRC-bad frame
-/// still has a structurally known extent.
-fn tail_extent(bytes: &[u8], offset: usize, e: &FrameError) -> usize {
-    match e {
-        FrameError::TornTail { .. } => bytes.len(),
-        FrameError::BadCrc { .. } => {
-            let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-            (offset + FRAME_OVERHEAD).saturating_add(len).min(bytes.len())
-        }
-    }
+/// Structural walk (no CRC check) from `offset`: the end offset of
+/// each whole frame, stopping at trailing bytes that do not form one.
+fn frame_ends(bytes: &[u8], mut offset: usize) -> impl Iterator<Item = usize> + '_ {
+    std::iter::from_fn(move || {
+        let len = u32::from_le_bytes(bytes.get(offset..offset + 4)?.try_into().unwrap()) as usize;
+        offset = (offset + FRAME_OVERHEAD).checked_add(len).filter(|&e| e <= bytes.len())?;
+        Some(offset)
+    })
 }
 
-/// Best-effort structural count of the frames in the untrusted tail
-/// (for stale-frame accounting only — none of them is replayed).
-/// Trailing bytes that do not form a whole frame count as one.
-fn count_tail_frames(bytes: &[u8], mut offset: usize) -> usize {
-    let mut n = 0;
-    while offset < bytes.len() {
-        if bytes.len() - offset < FRAME_OVERHEAD {
-            return n + 1;
-        }
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-        let Some(end) = (offset + FRAME_OVERHEAD).checked_add(len).filter(|&e| e <= bytes.len())
-        else {
-            return n + 1;
-        };
-        n += 1;
-        offset = end;
-    }
-    n
+/// Best-effort structural count of the untrusted frames from the
+/// rejected one at `offset` on (for stale-frame accounting only — none
+/// of them is replayed). Trailing bytes that do not form a whole frame
+/// count as one.
+fn count_tail_frames(bytes: &[u8], offset: usize) -> usize {
+    let (n, end) = frame_ends(bytes, offset).fold((0, offset), |(n, _), end| (n + 1, end));
+    n + usize::from(end < bytes.len())
 }
 
 /// Rewrite the journal at `path` atomically with exactly `replay`
@@ -733,27 +751,36 @@ pub fn compact_sourced(
     priors_hash: u64,
     replay: &Replay,
 ) -> std::io::Result<usize> {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(crate::pipeline::unique_suffix("compact"));
-    let tmp = PathBuf::from(os);
-    let result = (|| {
-        let mut bytes = Header::new(cfg, salt, shard, priors_hash).file_prefix();
-        let mut cells: Vec<(&CellId, &ReplayCell)> = replay.iter().collect();
-        cells.sort_by_key(|(id, _)| **id);
-        for (id, cell) in &cells {
-            frame::encode_frame_into(&mut bytes, id.0, &codec::encode_entry(&cell.model, &cell.record));
-        }
-        let mut file = File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_data()?;
-        drop(file);
-        std::fs::rename(&tmp, path)?;
-        Ok(replay.len())
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
+    let mut cells: Vec<(&CellId, &ReplayCell)> = replay.iter().collect();
+    cells.sort_by_key(|(id, _)| **id);
+    let cells = cells.into_iter().map(|(id, c)| (*id, (c.model.as_str(), &c.record)));
+    write_frames(path, Header::new(cfg, salt, shard, priors_hash), cells)?;
+    Ok(replay.len())
+}
+
+/// Commit `record`, assembled from `plan`, as the records cache at
+/// `path`: the plan's whole-grid header with priors hash 0 (records do
+/// not depend on priors), then one entry frame per cell in plan order,
+/// replacing the file atomically like [`compact_sourced`].
+pub fn commit_record(path: &Path, plan: &WorkPlan, record: &EvalRecord) -> std::io::Result<()> {
+    let cells =
+        record.models.iter().flat_map(|m| m.tasks.iter().map(move |t| (m.model.as_str(), t)));
+    write_frames(path, Header::cache(plan), plan.cells().map(|c| c.id).zip(cells))
+}
+
+/// Replace the file at `path` with `header` and one entry frame per
+/// cell, in the order given. Readers (and crashes) observe the old
+/// file or the new one, never a hybrid.
+fn write_frames<'a>(
+    path: &Path,
+    header: Header,
+    cells: impl Iterator<Item = (CellId, (&'a str, &'a TaskRecord))>,
+) -> std::io::Result<()> {
+    let mut bytes = header.file_prefix();
+    for (id, (model, record)) in cells {
+        frame::encode_frame_into(&mut bytes, id.0, &codec::encode_entry(model, record));
     }
-    result
+    crate::pipeline::atomic_write(path, &bytes)
 }
 
 /// Byte offsets of each entry frame (frame 1 onward) in a v3 journal,
@@ -761,27 +788,14 @@ pub fn compact_sourced(
 /// Structural only (no CRC verification) — this exists so crash tests
 /// and tooling can cut a journal at exact frame boundaries.
 pub fn entry_offsets(path: &Path) -> Vec<u64> {
-    let Ok(bytes) = std::fs::read(path) else { return Vec::new() };
-    if !bytes.starts_with(&JOURNAL_MAGIC) {
-        return Vec::new();
-    }
-    let mut offsets = Vec::new();
-    let mut offset = JOURNAL_MAGIC.len();
-    let mut saw_header = false;
-    while bytes.len() - offset >= FRAME_OVERHEAD {
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-        let Some(end) = (offset + FRAME_OVERHEAD).checked_add(len).filter(|&e| e <= bytes.len())
-        else {
-            break;
-        };
-        if saw_header {
-            offsets.push(offset as u64);
+    match std::fs::read(path) {
+        // Each frame's end is the next one's start, so the ends of the
+        // header and of every entry are exactly these offsets.
+        Ok(bytes) if bytes.starts_with(&JOURNAL_MAGIC) => {
+            frame_ends(&bytes, JOURNAL_MAGIC.len()).map(|e| e as u64).collect()
         }
-        saw_header = true;
-        offset = end;
+        _ => Vec::new(),
     }
-    offsets.push(offset as u64);
-    offsets
 }
 
 /// Delete a journal (after its run committed the final record).
@@ -1171,19 +1185,19 @@ mod tests {
 
     #[test]
     fn journal_paths_derive_from_cache_path() {
-        let p = journal_path(Path::new("target/pcgbench/records-quick.json"));
-        assert_eq!(p, Path::new("target/pcgbench/records-quick.json.journal"));
+        let p = journal_path(Path::new("target/pcgbench/records-quick.rec"));
+        assert_eq!(p, Path::new("target/pcgbench/records-quick.rec.journal"));
         let s = shard_journal_path(
-            Path::new("target/pcgbench/records-quick.json"),
+            Path::new("target/pcgbench/records-quick.rec"),
             ShardSpec::new(1, 3),
         );
         assert_eq!(
             s,
-            Path::new("target/pcgbench/records-quick.json.journal.shard-1-of-3")
+            Path::new("target/pcgbench/records-quick.rec.journal.shard-1-of-3")
         );
         assert_eq!(
-            shard_journal_path(Path::new("x.json"), ShardSpec::WHOLE),
-            journal_path(Path::new("x.json")),
+            shard_journal_path(Path::new("x.rec"), ShardSpec::WHOLE),
+            journal_path(Path::new("x.rec")),
         );
     }
 

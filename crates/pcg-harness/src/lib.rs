@@ -21,7 +21,7 @@
 //!
 //! Figure/table regenerators live in `src/bin/` — one binary per paper
 //! artifact — all driven by [`pipeline::load_or_run_opts`] which caches
-//! the full evaluation record as JSON.
+//! the full evaluation record in the write-ahead journal's frame format.
 //!
 //! Evaluation fans the (model × task) grid over a worker pool fed by
 //! one shared queue ([`scheduler`]); `--jobs N` / `PCG_JOBS` picks the worker

@@ -4,10 +4,13 @@
 //! a cell-addressed write-ahead journal next to the cache file (keyed
 //! by the cell's globally stable [`pcg_core::plan::CellId`], and
 //! group-committed: see [`crate::journal::Journal`]). The run waits on
-//! [`crate::journal::Journal::sync`] before it commits. The final cache
-//! and stats sidecar are committed atomically (temp file + rename), so
-//! readers never observe a torn record; the journal is deleted only
-//! after the cache commit succeeds. A run killed at any point can be
+//! [`crate::journal::Journal::sync`] before it commits. The records
+//! cache is committed in the journal's own frame format
+//! ([`crate::journal::commit_record`]), and it and the stats sidecar
+//! are committed atomically (temp file + rename), so readers never
+//! observe a torn record; the journal is deleted only after the cache
+//! commit succeeds. A cache serves a run only if it holds exactly that
+//! run's plan of cells ([`read_cache`]). A run killed at any point can be
 //! restarted with `--resume` and will re-evaluate only the cells the
 //! journal does not already hold — and, if the journal accumulated
 //! stale lines (torn tails, shadowed duplicate appends), resume first
@@ -19,12 +22,12 @@
 //! single-process run (see [`crate::shard`]).
 
 use crate::config::EvalConfig;
-use crate::eval::evaluate_resumable_priors;
+use crate::eval::{self, evaluate_resumable_priors};
 use crate::journal::{self, Journal};
 use crate::record::{EvalRecord, EvalStats};
 use crate::runner::SharedRunner;
 use crate::scheduler;
-use pcg_core::plan::{CellId, ShardSpec};
+use pcg_core::plan::{CellId, ShardSpec, WorkPlan};
 use pcg_core::{CandidateKind, CostPriors, TaskId};
 use pcg_models::{CandidateSource, ReplaySource, SampleSpec, SyntheticSource};
 use std::collections::HashMap;
@@ -36,7 +39,7 @@ use std::path::{Path, PathBuf};
 /// separately).
 pub fn default_cache_path(cfg: &EvalConfig) -> PathBuf {
     let tag = if cfg.size_divisor == 1 { "full" } else { "quick" };
-    PathBuf::from("target").join("pcgbench").join(format!("records-{tag}.json"))
+    PathBuf::from("target").join("pcgbench").join(format!("records-{tag}.rec"))
 }
 
 /// Sidecar path for the scheduler stats of a cached run. Stats live
@@ -240,7 +243,7 @@ pub(crate) fn cache_path_for(
             let tag = if cfg.size_divisor == 1 { "full" } else { "quick" };
             PathBuf::from("target")
                 .join("pcgbench")
-                .join(format!("records-{tag}-pool{:016x}.json", r.content_hash()))
+                .join(format!("records-{tag}-pool{:016x}.rec", r.content_hash()))
         }
     }
 }
@@ -393,17 +396,16 @@ pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions
     let source = resolve_source(cfg, opts);
     let salt = source.config_salt();
     let path = cache_path_for(path, cfg, &source);
-    if let Ok(bytes) = std::fs::read(&path) {
-        if let Ok(rec) = serde_json::from_slice::<EvalRecord>(&bytes) {
-            if rec.config == *cfg {
-                eprintln!("[pcgbench] loaded cached records from {}", path.display());
-                return rec;
-            }
-            eprintln!("[pcgbench] cache config mismatch; re-running evaluation");
-            // The sidecar describes the mismatched run; drop it now so
-            // a crash mid-re-run cannot leave it lying about this one.
-            let _ = std::fs::remove_file(stats_path(cfg));
-        }
+    let plan = eval::plan_for(cfg, &source, None);
+    if let Some(rec) = read_cache(&path, cfg, &plan) {
+        eprintln!("[pcgbench] loaded cached records from {}", path.display());
+        return rec;
+    }
+    if path.exists() {
+        eprintln!("[pcgbench] cache does not match this run; re-running evaluation");
+        // The sidecar describes the cache's run; drop it now so a
+        // crash mid-re-run cannot leave it lying about this one.
+        let _ = std::fs::remove_file(stats_path(cfg));
     }
     if let Some(count) = opts.merge_shards {
         return crate::shard::merge_shards(Some(&path), cfg, opts, count, None);
@@ -422,7 +424,7 @@ pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions
     let resumed = if opts.resume {
         resume_journal(&jpath, cfg, &salt, ShardSpec::WHOLE, priors_hash)
     } else {
-        ResumedJournal::none()
+        ResumedJournal::default()
     };
     let replay = resumed.replay;
     if !replay.is_empty() {
@@ -477,19 +479,13 @@ pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions
     eprintln!("[pcgbench] evaluation finished in {:.1}s", stats.wall_s);
     eprint!("{}", crate::report::stats_summary(&stats));
 
-    let committed = match serde_json::to_vec(&record) {
-        Ok(bytes) => match atomic_write(&path, &bytes) {
-            Ok(()) => {
-                eprintln!("[pcgbench] cached records at {}", path.display());
-                true
-            }
-            Err(e) => {
-                eprintln!("[pcgbench] warning: could not cache records: {e}");
-                false
-            }
-        },
+    let committed = match journal::commit_record(&path, &plan, &record) {
+        Ok(()) => {
+            eprintln!("[pcgbench] cached records at {}", path.display());
+            true
+        }
         Err(e) => {
-            eprintln!("[pcgbench] warning: could not serialize records: {e}");
+            eprintln!("[pcgbench] warning: could not cache records: {e}");
             false
         }
     };
@@ -502,11 +498,24 @@ pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions
     record
 }
 
+/// The record committed at `path` for `plan`, or `None` unless the
+/// cache reads back whole ([`journal::read_cells`]) under the plan's
+/// cache header and holds exactly the plan's cells in plan order: a
+/// cache of another config, source or task subset, a damaged one, or
+/// one from an older release is a miss.
+pub fn read_cache(path: &Path, cfg: &EvalConfig, plan: &WorkPlan) -> Option<EvalRecord> {
+    let (header, cells) = journal::read_cells(path)?;
+    let fits = header == journal::Header::cache(plan)
+        && cells.len() == plan.len()
+        && plan.cells().zip(&cells).all(|(c, (id, _))| c.id == *id);
+    let mut cells = cells.into_iter().map(|(_, c)| c.record);
+    fits.then(|| eval::assemble(cfg, plan, |_| cells.next().expect("the cache covers the plan")))
+}
+
 /// Commit the columnar projection sidecar next to a freshly written
 /// records cache, with the run's measured per-cell walls folded into
 /// the wall column (the next run's `--priors` source). Best-effort:
-/// the sidecar is a pure accelerator for projection diffs, and every
-/// consumer falls back to the JSON cache.
+/// without it, `--priors` falls back to the default cost profile.
 pub(crate) fn write_cols_sidecar(
     cache: &Path,
     record: &EvalRecord,
@@ -526,7 +535,8 @@ pub(crate) fn write_cols_sidecar(
 }
 
 /// What [`resume_journal`] recovered and how the journal must be
-/// reopened for further appends.
+/// reopened for further appends (the default: nothing replayed).
+#[derive(Default)]
 pub(crate) struct ResumedJournal {
     /// Replayable cells (empty without `--resume`).
     pub replay: journal::Replay,
@@ -541,12 +551,6 @@ pub(crate) struct ResumedJournal {
     /// stale tail would never replay. The replay above is still valid
     /// in memory.
     pub recreate: bool,
-}
-
-impl ResumedJournal {
-    pub(crate) fn none() -> ResumedJournal {
-        ResumedJournal { replay: journal::Replay::new(), compacted: 0, rejected: 0, recreate: false }
-    }
 }
 
 /// Load a journal for resume: report every rejected frame with its

@@ -49,6 +49,12 @@ impl EvalRecord {
     }
 }
 
+impl AsRef<[ModelRecord]> for EvalRecord {
+    fn as_ref(&self) -> &[ModelRecord] {
+        &self.models
+    }
+}
+
 /// Scheduler observability for one evaluation run.
 ///
 /// Deliberately **not** part of [`EvalRecord`]: stats carry wall-clock
@@ -205,13 +211,13 @@ pub struct CellWall {
 ///
 /// This is the **single definition** of that projection: the
 /// warm-path, mux, and shard projection-equality tests all call it,
-/// and CI diffs it across processes via the `project_records` binary —
-/// so the copies that used to live in each test and in
-/// `ci/project_records.py` can no longer drift.
-pub fn projection(rec: &EvalRecord) -> String {
+/// and CI diffs it across processes via the `project_records` binary,
+/// which reads a records cache's cells without its config, hence the
+/// `AsRef` bound.
+pub fn projection(rec: &impl AsRef<[ModelRecord]>) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
-    for m in &rec.models {
+    for m in rec.as_ref() {
         let _ = writeln!(s, "model={}", m.model);
         for t in &m.tasks {
             let _ = writeln!(

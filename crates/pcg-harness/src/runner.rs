@@ -370,6 +370,29 @@ struct WarmBase {
     sched: pcg_mpisim::SchedStats,
 }
 
+/// Print a panic in candidate code (a thread carrying a candidate's
+/// cancel token) as the default hook's message line, without a
+/// backtrace; a cancellation unwind, which the harness itself asked
+/// for, prints nothing. Other panics go to the previous hook. The
+/// harness captures candidate panics as verdicts, and under
+/// `RUST_BACKTRACE` the default hook first symbolizes a backtrace on
+/// the panicking thread, which under CPU load outlasts a tight time
+/// limit and turns a `panic` verdict into `timeout`.
+fn install_candidate_panic_hook() {
+    static INSTALLED: std::sync::Once = std::sync::Once::new();
+    INSTALLED.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if cancel::current_token().is_none() {
+                previous(info);
+            } else if !cancel::is_cancel_payload(info.payload()) {
+                let thread = std::thread::current();
+                eprintln!("thread '{}' {info}", thread.name().unwrap_or("<unnamed>"));
+            }
+        }));
+    });
+}
+
 /// A compute-once cache slot: concurrent requesters for the same key
 /// block on the first initializer instead of duplicating the work.
 type OnceCell<T> = Arc<OnceLock<T>>;
@@ -393,6 +416,7 @@ pub struct SharedRunner {
 impl SharedRunner {
     /// A fresh runner for one evaluation.
     pub fn new(cfg: EvalConfig) -> SharedRunner {
+        install_candidate_panic_hook();
         SharedRunner {
             cfg,
             baselines: Mutex::new(HashMap::new()),

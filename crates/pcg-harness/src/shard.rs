@@ -14,8 +14,8 @@
 //! and torn lines truncate replay instead of corrupting it.
 //!
 //! [`merge_shards`] stitches N shard journals back into the records
-//! cache and stats sidecar. The merged records file is **byte-identical
-//! to a single-process run** of the same config: journaled records
+//! cache and stats sidecar. The merged records cache is **byte-identical
+//! to a single-process run's** for the same config: journaled records
 //! round-trip losslessly, fresh evaluations are keyed by grid
 //! coordinates only, and assembly order is the plan order both code
 //! paths share. Cells missing from the shard journals (a worker died
@@ -64,7 +64,7 @@ use std::path::{Path, PathBuf};
 
 /// Stats-sidecar path for one shard of a sharded run. Like the shard
 /// journal, it derives from the records cache path
-/// (`records-quick.json.stats.shard-0-of-3`), so every artifact of a
+/// (`records-quick.rec.stats.shard-0-of-3`), so every artifact of a
 /// sharded run lives next to the cache it will be merged into.
 pub fn shard_stats_path(cache_path: &Path, shard: ShardSpec) -> PathBuf {
     let mut os = cache_path.as_os_str().to_os_string();
@@ -252,7 +252,7 @@ pub fn run_shard(
     let resumed = if opts.resume {
         pipeline::resume_journal(&jpath, cfg, &salt, shard, priors_hash)
     } else {
-        pipeline::ResumedJournal::none()
+        pipeline::ResumedJournal::default()
     };
     let replay = resumed.replay;
 
@@ -492,19 +492,13 @@ pub fn merge_shards(
     stats.journal_frames_rejected += rejected;
     eprint!("{}", crate::report::stats_summary(&stats));
 
-    let committed = match serde_json::to_vec(&record) {
-        Ok(bytes) => match pipeline::atomic_write(&cache, &bytes) {
-            Ok(()) => {
-                eprintln!("[pcgbench] merge: cached records at {}", cache.display());
-                true
-            }
-            Err(e) => {
-                eprintln!("[pcgbench] warning: could not cache merged records: {e}");
-                false
-            }
-        },
+    let committed = match journal::commit_record(&cache, &plan, &record) {
+        Ok(()) => {
+            eprintln!("[pcgbench] merge: cached records at {}", cache.display());
+            true
+        }
         Err(e) => {
-            eprintln!("[pcgbench] warning: could not serialize merged records: {e}");
+            eprintln!("[pcgbench] warning: could not cache merged records: {e}");
             false
         }
     };

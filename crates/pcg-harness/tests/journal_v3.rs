@@ -15,15 +15,22 @@
 //!
 //! Plus the legacy contract: a v2 JSONL journal (no `PCGJRNL3` magic)
 //! replays nothing, and a resumed run recreates it as v3 and commits
-//! the same records as a clean run.
+//! the same records as a clean run; a JSON records cache of an older
+//! release is a miss and is replaced by a frame cache.
+//!
+//! The committed records cache is the same format, read strictly: any
+//! bit flip or frame-boundary truncation refuses the whole cache, and
+//! a cache of a task subset never serves the whole grid.
 
 use pcg_core::frame::JOURNAL_MAGIC;
 use pcg_core::plan::{CellId, ShardSpec};
 use pcg_core::{ExecutionModel, ProblemId, ProblemType, TaskId};
 use pcg_harness::codec;
+use pcg_harness::eval;
 use pcg_harness::journal::{self, Journal};
 use pcg_harness::pipeline::{self, RunOptions};
 use pcg_harness::record::{self, TaskRecord};
+use pcg_harness::shard::merge_shards;
 use pcg_harness::EvalConfig;
 use pcg_metrics::TaskSamples;
 use proptest::collection::vec;
@@ -345,15 +352,79 @@ fn pre_v3_journal_replays_nothing_and_resume_recreates_it() {
     assert_eq!(recreated.replay.len(), legacy.lines().count() - 1);
     assert!(recreated.rejects.is_empty());
 
-    // With the cache path free again, resume replays the v3 journal
-    // and commits the clean run's records.
+    // A JSON records cache, as an older release committed it, now sits
+    // at the cache path. It is a miss: resume replays the v3 journal
+    // and replaces the JSON with a frame cache of the clean run's
+    // records.
     std::fs::remove_dir(&cache).unwrap();
+    std::fs::write(&cache, serde_json::to_vec(&clean).unwrap()).unwrap();
     let committed = pipeline::load_or_run_opts(Some(&cache), &cfg, &resume);
     assert_eq!(record::projection(&committed), record::projection(&clean));
-    let on_disk: pcg_harness::EvalRecord =
-        serde_json::from_slice(&std::fs::read(&cache).unwrap()).unwrap();
+    assert!(std::fs::read(&cache).unwrap().starts_with(&JOURNAL_MAGIC), "JSON cache replaced");
+    let source = pipeline::resolve_source(&cfg, &resume);
+    let plan = eval::plan_for(&cfg, &source, None);
+    let on_disk = pipeline::read_cache(&cache, &cfg, &plan).expect("the frame cache reads back");
+    assert_eq!(serde_json::to_string(&on_disk).unwrap(), serde_json::to_string(&committed).unwrap());
     assert_eq!(record::projection(&on_disk), record::projection(&clean));
     assert!(!jpath.exists(), "the journal is removed once the cache commits");
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every single-bit flip, and every truncation at a frame boundary, of
+/// a small committed cache is refused: the cache either reads back as
+/// exactly the committed record or not at all.
+#[test]
+fn committed_cache_refuses_any_flip_or_truncation() {
+    let cfg = EvalConfig::smoke();
+    let zoo = pcg_models::zoo();
+    let tasks: Vec<TaskId> = eval::smoke_tasks().into_iter().take(2).collect();
+    let plan = eval::plan_for(&cfg, &zoo[..2], Some(&tasks));
+    let record = eval::assemble(&cfg, &plan, |c| TaskRecord {
+        task: c.task,
+        ..fixture_record(c.model + c.task_idx)
+    });
+    let path = tmp_path("cache");
+    journal::commit_record(&path, &plan, &record).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let back = pipeline::read_cache(&path, &cfg, &plan).expect("a clean cache reads back");
+    assert_eq!(serde_json::to_string(&back).unwrap(), serde_json::to_string(&record).unwrap());
+
+    for bit in 0..pristine.len() * 8 {
+        let mut corrupt = pristine.clone();
+        corrupt[bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(&path, &corrupt).unwrap();
+        assert!(pipeline::read_cache(&path, &cfg, &plan).is_none(), "flip at bit {bit} was served");
+    }
+    std::fs::write(&path, &pristine).unwrap();
+    let offsets = journal::entry_offsets(&path);
+    assert_eq!(offsets.len(), plan.len() + 1, "one entry frame per cell, plus the end");
+    let entry_starts = offsets[..plan.len()].iter().map(|&o| o as usize);
+    let boundaries = [0, JOURNAL_MAGIC.len()].into_iter().chain(entry_starts);
+    for cut in boundaries {
+        std::fs::write(&path, &pristine[..cut]).unwrap();
+        assert!(pipeline::read_cache(&path, &cfg, &plan).is_none(), "cut at byte {cut} was served");
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A cache merged from a task subset carries the same config as the
+/// whole grid: it serves its own plan, never the whole grid's (a
+/// config-only check would have served it as the full grid).
+#[test]
+fn subset_merge_cache_is_refused_for_the_whole_grid() {
+    let cfg = EvalConfig::smoke();
+    let tasks: Vec<TaskId> = eval::smoke_tasks().into_iter().take(1).collect();
+    let dir = tmp_path("subset");
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = dir.join("merged.rec");
+    let opts = RunOptions::new(2);
+    let merged = merge_shards(Some(&cache), &cfg, &opts, 2, Some(&tasks));
+    let source = pipeline::resolve_source(&cfg, &opts);
+    let subset = eval::plan_for(&cfg, &source, Some(&tasks));
+    let back = pipeline::read_cache(&cache, &cfg, &subset).expect("serves its own plan");
+    assert_eq!(serde_json::to_string(&back).unwrap(), serde_json::to_string(&merged).unwrap());
+    let whole = eval::plan_for(&cfg, &source, None);
+    assert!(pipeline::read_cache(&cache, &cfg, &whole).is_none(), "a subset served the whole grid");
     std::fs::remove_dir_all(&dir).unwrap();
 }

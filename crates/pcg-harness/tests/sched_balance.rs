@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 fn tmp_cache() -> PathBuf {
     let dir = std::env::temp_dir().join("pcgbench-sched-balance-tests");
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("records-{}.json", std::process::id()))
+    dir.join(format!("records-{}.rec", std::process::id()))
 }
 
 /// Write real 3-shard journals + stats sidecars the way three
@@ -117,7 +117,9 @@ fn priors_reorder_execution_without_touching_a_byte() {
         ref_json,
         "a weighted 3-shard merge must reproduce the unsharded record exactly"
     );
-    assert_eq!(std::fs::read(&cache).unwrap(), ref_json.as_bytes());
+    let plan = eval::plan_for(&cfg, &models, Some(&tasks));
+    let read_back = pipeline::read_cache(&cache, &cfg, &plan).expect("merge commits a cache");
+    assert_eq!(serde_json::to_string(&read_back).unwrap(), ref_json);
     let stats: EvalStats =
         serde_json::from_slice(&std::fs::read(pipeline::stats_path(&cfg)).unwrap()).unwrap();
     assert_eq!(stats.shard_walls.len(), 3, "one wall entry per shard worker");

@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 fn tmp_cache() -> PathBuf {
     let dir = std::env::temp_dir().join("pcgbench-shard-merge-tests");
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("records-{}.json", std::process::id()))
+    dir.join(format!("records-{}.rec", std::process::id()))
 }
 
 /// Write real shard journals + stats sidecars for all three shards,
@@ -111,10 +111,19 @@ fn merged_shards_match_the_unsharded_run() {
         ref_json,
         "merged shard journals must reproduce the unsharded record exactly"
     );
+    let plan = eval::plan_for(&cfg, &models, Some(&tasks));
+    let read_back = pipeline::read_cache(&cache, &cfg, &plan).expect("merge commits a cache");
+    assert_eq!(
+        serde_json::to_string(&read_back).unwrap(),
+        ref_json,
+        "the committed cache must read back to the identical record, floats included"
+    );
+    let first_commit = std::fs::read(&cache).unwrap();
+    journal::commit_record(&cache, &plan, &merged).unwrap();
     assert_eq!(
         std::fs::read(&cache).unwrap(),
-        ref_json.as_bytes(),
-        "the committed cache must hold the identical bytes"
+        first_commit,
+        "committing the same record twice must write identical bytes"
     );
     let cols = pcg_harness::colstats::ColumnarStats::read(&pcg_harness::colstats::cols_path(&cache))
         .expect("merge must commit a columnar sidecar next to the cache");

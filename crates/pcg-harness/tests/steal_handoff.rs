@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 fn tmp_cache() -> PathBuf {
     let dir = std::env::temp_dir().join("pcgbench-steal-handoff-tests");
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("records-{}.json", std::process::id()))
+    dir.join(format!("records-{}.rec", std::process::id()))
 }
 
 /// Journal one shard completely, the way a worker that finished its

@@ -26,7 +26,7 @@ use std::path::PathBuf;
 fn tmp_cache() -> PathBuf {
     let dir = std::env::temp_dir().join("pcgbench-variant-grid-tests");
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("records-{}.json", std::process::id()))
+    dir.join(format!("records-{}.rec", std::process::id()))
 }
 
 /// Mean pass@1 over every model row of one variant.
