@@ -10,11 +10,13 @@
 //! sections naively would charge oversubscription stalls to the candidate.
 //! Instead, hybrid worlds disable the simulator's automatic compute
 //! measurement (`compute_scale = 0`) and each rank's local pool runs in
-//! `pcg-shmem` **timed mode**: loop chunks are gate-serialized and
-//! wall-timed, and the modeled section time (critical path across the
-//! requested thread count, plus fork/join overheads) is charged to the
-//! rank's virtual clock by the [`HybridCtx`] wrappers. The world admits
-//! one computing rank at a time so chunk measurements stay clean.
+//! `pcg-shmem` **timed mode**: loop chunks run one after another on the
+//! rank itself and are wall-timed, dynamic and guided chunks go to the
+//! member with the smallest virtual clock, and the modeled section time
+//! (critical path across the requested thread count, plus fork/join
+//! overheads) is charged to the rank's virtual clock by the [`HybridCtx`]
+//! wrappers. The world admits one computing rank at a time so chunk
+//! measurements of different ranks never overlap.
 //! Communication costs remain those of `pcg-mpisim`'s Hockney model, so
 //! the hybrid column inherits realistic rank-level scaling behavior.
 //!
@@ -23,11 +25,9 @@
 //! Rank execution is inherited from `pcg-mpisim`: an oversubscribed
 //! world runs its ranks as multiplexed fibers on a bounded worker pool
 //! (see `pcg_mpisim::sched`), with records identical to thread-per-rank.
-//! Only the *ranks* multiplex — each rank's timed compute pool keeps
-//! real OS threads, because chunk wall-timing is the measurement. A
-//! rank fiber blocking on its own pool's completion blocks only pool
-//! progress, never another fiber's scheduling, so the two layers
-//! compose without deadlock.
+//! A rank's timed compute pool owns no OS threads: its sections compute
+//! on the rank's own thread or fiber, so a 4 x 64 world occupies only
+//! the rank layer's threads, and no rank ever waits on a pool.
 //!
 //! ```
 //! use pcg_hybrid::HybridWorld;
@@ -58,27 +58,20 @@ pub struct HybridWorld {
     force_mux: bool,
 }
 
-/// Warm substrate for hybrid worlds: a persistent [`RankTeam`] plus one
-/// persistent timed pool per rank, so [`HybridWorld::run_on`] reuses
-/// `ranks * threads_per_rank` threads instead of respawning them per
-/// run (a fresh `ranks x threads` spawn storm is the hybrid column's
-/// dominant fixed cost).
+/// Warm substrate for hybrid worlds: a persistent [`RankTeam`], so
+/// [`HybridWorld::run_on`] reuses the rank layer's threads instead of
+/// respawning them per run. The per-rank timed pools own no threads and
+/// are built fresh by every run.
 pub struct HybridTeam {
     team: RankTeam,
-    pools: Vec<Pool>,
+    threads_per_rank: usize,
 }
 
 impl HybridTeam {
-    /// Spawn rank threads and per-rank timed pools for a
-    /// `ranks x threads_per_rank` hybrid world.
+    /// Spawn the rank layer of a `ranks x threads_per_rank` hybrid world.
     pub fn new(ranks: usize, threads_per_rank: usize) -> HybridTeam {
         assert!(ranks > 0 && threads_per_rank > 0, "hybrid team dims must be nonzero");
-        HybridTeam {
-            team: RankTeam::new(ranks),
-            pools: (0..ranks)
-                .map(|_| Pool::new_timed(threads_per_rank, ThreadCostModel::default()))
-                .collect(),
-        }
+        HybridTeam { team: RankTeam::new(ranks), threads_per_rank }
     }
 
     /// Rank count.
@@ -88,7 +81,7 @@ impl HybridTeam {
 
     /// Threads per rank pool.
     pub fn threads_per_rank(&self) -> usize {
-        self.pools[0].num_threads()
+        self.threads_per_rank
     }
 }
 
@@ -143,19 +136,12 @@ impl HybridWorld {
         R: Send,
         F: Fn(&HybridCtx<'_>) -> R + Sync,
     {
-        let threads_requested = self.threads_per_rank;
-        self.world().run(move |comm| {
-            let pool = Pool::new_timed(threads_requested, ThreadCostModel::default());
-            let ctx = HybridCtx { comm, pool: &pool, threads_requested };
-            f(&ctx)
-        })
+        self.world().run(|comm| self.on_rank(comm, &f))
     }
 
-    /// Run an SPMD hybrid program on a warm [`HybridTeam`]: rank threads
-    /// and per-rank pools are reused; every other per-run structure is
-    /// rebuilt, and each rank pool is re-aimed at the calling candidate
-    /// and clock-cleared before the program starts. Team dims must match
-    /// the world's.
+    /// Run an SPMD hybrid program on a warm [`HybridTeam`]: the rank
+    /// threads are reused and every per-run structure is rebuilt. Team
+    /// dims must match the world's.
     pub fn run_on<R, F>(&self, team: &HybridTeam, f: F) -> Result<SimOutcome<R>, PcgError>
     where
         R: Send,
@@ -167,18 +153,13 @@ impl HybridWorld {
             self.threads_per_rank,
             "hybrid team thread count must match world"
         );
-        let threads_requested = self.threads_per_rank;
-        self.world().run_on(&team.team, move |comm| {
-            let pool = &team.pools[comm.rank()];
-            // The rank thread already carries the candidate's sink and
-            // token (installed by the rank team); adopt them on the pool
-            // workers and start the virtual clock from zero, exactly
-            // like the cold path's freshly built pool.
-            pool.retarget();
-            pool.reset_virtual_clock();
-            let ctx = HybridCtx { comm, pool, threads_requested };
-            f(&ctx)
-        })
+        self.world().run_on(&team.team, |comm| self.on_rank(comm, &f))
+    }
+
+    /// One rank's program: a fresh timed pool computing on the rank itself.
+    fn on_rank<R>(&self, comm: &Comm<'_>, f: &impl Fn(&HybridCtx<'_>) -> R) -> R {
+        let pool = Pool::new_timed(self.threads_per_rank, ThreadCostModel::default());
+        f(&HybridCtx { comm, pool: &pool, threads_requested: self.threads_per_rank })
     }
 
     fn world(&self) -> World {

@@ -74,13 +74,6 @@ impl ExecSpace {
         self.pool.reset_virtual_clock()
     }
 
-    /// Re-aim the underlying pool at the calling candidate's usage sink
-    /// and cancel token (see [`pcg_shmem::Pool::retarget`]). Called by
-    /// the substrate lease layer when a warm space is checked out.
-    pub fn retarget(&self) {
-        self.pool.retarget()
-    }
-
     /// Concurrency of the space.
     pub fn concurrency(&self) -> usize {
         self.pool.num_threads()

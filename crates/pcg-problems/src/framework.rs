@@ -400,10 +400,11 @@ fn run_correct<S: Spec>(
     input: &S::Input,
     res: &Resources,
 ) -> Result<TimedRun, PcgError> {
-    // On the warm path each arm leases its substrate instead of building
-    // one; the `Lease` drop at the end of the arm returns it to the
-    // cache — or poisons it if the candidate unwinds (panic or
-    // cooperative cancellation), so a dirty substrate is never reused.
+    // On the warm path the MPI, hybrid and GPU arms lease their substrate
+    // instead of building one; the `Lease` drop at the end of the arm
+    // returns it to the cache — or poisons it if the candidate unwinds
+    // (panic or cooperative cancellation), so a dirty substrate is never
+    // reused. Timed pools and spaces own no threads and are built per run.
     match model {
         ExecutionModel::Serial => {
             let t0 = Instant::now();
@@ -411,34 +412,18 @@ fn run_correct<S: Spec>(
             Ok(TimedRun { output, seconds: t0.elapsed().as_secs_f64() })
         }
         ExecutionModel::OpenMp => {
-            let lease;
-            let fresh;
-            let pool: &Pool = if warm::enabled() {
-                lease = lease::checkout(LeaseKey::Shmem { threads: res.threads });
-                lease.pool()
-            } else {
-                fresh = Pool::new_timed(res.threads, ThreadCostModel::default());
-                &fresh
-            };
+            let pool = Pool::new_timed(res.threads, ThreadCostModel::default());
             let output = match quality {
-                Quality::Efficient => spec.solve_shmem(input, pool),
-                Quality::Inefficient => fallback::lopsided_shmem(pool, || spec.serial(input)),
+                Quality::Efficient => spec.solve_shmem(input, &pool),
+                Quality::Inefficient => fallback::lopsided_shmem(&pool, || spec.serial(input)),
             };
             Ok(TimedRun { output, seconds: pool.virtual_elapsed() })
         }
         ExecutionModel::Kokkos => {
-            let lease;
-            let fresh;
-            let space: &ExecSpace = if warm::enabled() {
-                lease = lease::checkout(LeaseKey::Patterns { threads: res.threads });
-                lease.space()
-            } else {
-                fresh = ExecSpace::new_timed(res.threads);
-                &fresh
-            };
+            let space = ExecSpace::new_timed(res.threads);
             let output = match quality {
-                Quality::Efficient => spec.solve_patterns(input, space),
-                Quality::Inefficient => fallback::lopsided_patterns(space, || spec.serial(input)),
+                Quality::Efficient => spec.solve_patterns(input, &space),
+                Quality::Inefficient => fallback::lopsided_patterns(&space, || spec.serial(input)),
             };
             Ok(TimedRun { output, seconds: space.virtual_elapsed() })
         }

@@ -1,14 +1,15 @@
 //! Substrate leasing: a process-wide cache of warm execution substrates.
 //!
-//! Cold candidate execution builds a fresh substrate per run — a timed
-//! shmem pool spawns `threads - 1` OS threads, an MPI world spawns one
-//! thread per rank (512 for the paper's headline configuration), a GPU
-//! device builds its own host pool. Those spawns dominate the hot loop's
-//! fixed costs. This module keeps finished substrates warm in a
-//! process-wide cache keyed by [`LeaseKey`] (execution model +
-//! threads/ranks; each key variant pins one cost model, so the cost
-//! model is part of the key by construction) and hands them out as
-//! [`Lease`]s.
+//! Cold candidate execution builds a fresh substrate per run — an MPI
+//! world spawns one thread per rank (512 for the paper's headline
+//! configuration), a hybrid world spawns its rank layer, a GPU device
+//! builds its own host pool. Those spawns dominate the hot loop's fixed
+//! costs. (Timed shmem pools and Kokkos spaces own no threads, see
+//! `pcg_shmem::timing`, so they are built per run and never leased.)
+//! This module keeps finished substrates warm in a
+//! process-wide cache keyed by [`LeaseKey`] (execution model + resource
+//! shape; cost models are per-run state or follow the model) and hands
+//! them out as [`Lease`]s.
 //!
 //! ## Checkout / return protocol
 //!
@@ -39,30 +40,18 @@ use pcg_core::ExecutionModel;
 use pcg_gpusim::Gpu;
 use pcg_hybrid::HybridTeam;
 use pcg_mpisim::RankTeam;
-use pcg_patterns::ExecSpace;
-use pcg_shmem::{Pool, ThreadCostModel};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Identity of a warm substrate: execution model plus resource shape.
-/// Each variant pins one cost model (`ThreadCostModel::default()` for
-/// thread pools, `CostModel::cluster()` supplied per-run for MPI), so
-/// two candidates share a substrate only if they would have built
-/// identical ones.
+/// Cost models are per-run state (`CostModel::cluster()` supplied per
+/// run for MPI, a fresh timed pool per hybrid rank) or follow the model
+/// (GPU profiles), so two candidates share a substrate only if they
+/// would have built identical ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LeaseKey {
-    /// Timed shmem pool (OpenMP path), default `ThreadCostModel`.
-    Shmem {
-        /// Team size.
-        threads: usize,
-    },
-    /// Timed Kokkos execution space, default `ThreadCostModel`.
-    Patterns {
-        /// Space concurrency.
-        threads: usize,
-    },
     /// Persistent MPI rank team. Cost model and token semaphore are
     /// per-run (`World::run_on` rebuilds them), so ranks alone identify
     /// the substrate.
@@ -70,7 +59,7 @@ pub enum LeaseKey {
         /// World size.
         ranks: usize,
     },
-    /// Hybrid rank team plus per-rank timed pools.
+    /// Hybrid rank team (its per-rank timed pools own no threads).
     HybridTeam {
         /// Rank count.
         ranks: usize,
@@ -90,16 +79,12 @@ impl LeaseKey {
     /// parked-thread budget.
     fn parked_threads(self) -> usize {
         match self {
-            LeaseKey::Shmem { threads } | LeaseKey::Patterns { threads } => {
-                threads.saturating_sub(1)
-            }
             // Rank teams that the multiplexer would adopt park only the
             // fiber worker pool (one per core), not one thread per rank —
             // which is what makes MPI-256/512 and hybrid 4x64 teams fit
             // the budget at all.
-            LeaseKey::MpiTeam { ranks } => pcg_mpisim::sched::os_threads_for(ranks),
-            LeaseKey::HybridTeam { ranks, threads } => {
-                pcg_mpisim::sched::os_threads_for(ranks) + ranks * threads.saturating_sub(1)
+            LeaseKey::MpiTeam { ranks } | LeaseKey::HybridTeam { ranks, .. } => {
+                pcg_mpisim::sched::os_threads_for(ranks)
             }
             LeaseKey::Gpu { .. } => {
                 std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4) - 1
@@ -121,8 +106,8 @@ pub const PARKED_THREAD_BUDGET: usize = 2048;
 /// every *other* substrate spawn (stack mmaps contend on the process
 /// memory map). With rank multiplexing, the paper-scale MPI teams
 /// (256/512 ranks) account only their fiber worker pool and therefore
-/// fit under this cap — only genuinely thread-per-unit shapes (large
-/// shmem pools, wide hybrid pools) remain excluded.
+/// fit under this cap — only thread-per-rank worlds beyond it remain
+/// excluded.
 pub const MAX_PARKED_THREADS_PER_SUBSTRATE: usize = 256;
 
 /// Whether a substrate of this shape is worth leasing at all. Oversized
@@ -135,8 +120,6 @@ pub fn parkable(key: LeaseKey) -> bool {
 }
 
 enum Substrate {
-    Pool(Pool),
-    Space(ExecSpace),
     Mpi(RankTeam),
     Hybrid(HybridTeam),
     Gpu(Gpu),
@@ -247,10 +230,6 @@ pub fn flush() {
 
 fn build(key: LeaseKey) -> Substrate {
     match key {
-        LeaseKey::Shmem { threads } => {
-            Substrate::Pool(Pool::new_timed(threads, ThreadCostModel::default()))
-        }
-        LeaseKey::Patterns { threads } => Substrate::Space(ExecSpace::new_timed(threads)),
         LeaseKey::MpiTeam { ranks } => Substrate::Mpi(RankTeam::new(ranks)),
         LeaseKey::HybridTeam { ranks, threads } => {
             Substrate::Hybrid(HybridTeam::new(ranks, threads))
@@ -269,14 +248,6 @@ fn build(key: LeaseKey) -> Substrate {
 /// `run_on` call.
 fn refresh(sub: &Substrate) {
     match sub {
-        Substrate::Pool(p) => {
-            p.retarget();
-            p.reset_virtual_clock();
-        }
-        Substrate::Space(s) => {
-            s.retarget();
-            s.reset_virtual_clock();
-        }
         Substrate::Gpu(g) => {
             g.retarget();
             g.reset_clock();
@@ -294,22 +265,6 @@ impl Lease {
 
     fn sub(&self) -> &Substrate {
         &self.entry.as_ref().expect("lease holds a substrate").sub
-    }
-
-    /// The leased shmem pool. Panics if the key was not `Shmem`.
-    pub fn pool(&self) -> &Pool {
-        match self.sub() {
-            Substrate::Pool(p) => p,
-            _ => panic!("lease {:?} does not hold a shmem pool", self.key),
-        }
-    }
-
-    /// The leased Kokkos space. Panics if the key was not `Patterns`.
-    pub fn space(&self) -> &ExecSpace {
-        match self.sub() {
-            Substrate::Space(s) => s,
-            _ => panic!("lease {:?} does not hold an exec space", self.key),
-        }
     }
 
     /// The leased MPI rank team. Panics if the key was not `MpiTeam`.
@@ -402,7 +357,7 @@ mod tests {
 
     // The cache and counters are process-global and `flush` is
     // cross-key destructive, so these tests serialize on one lock and
-    // use thread counts no other suite leases.
+    // use rank counts no other suite leases.
     static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -412,11 +367,11 @@ mod tests {
     #[test]
     fn clean_return_is_reused_and_stats_move() {
         let _s = serial();
-        let key = LeaseKey::Shmem { threads: 3 };
+        let key = LeaseKey::MpiTeam { ranks: 3 };
         let before = stats();
         let first = checkout(key);
         let id = first.instance_id();
-        assert_eq!(first.pool().num_threads(), 3);
+        assert_eq!(first.mpi_team().size(), 3);
         drop(first);
         let second = checkout(key);
         assert_eq!(second.instance_id(), id, "clean return must be reused");
@@ -429,7 +384,7 @@ mod tests {
     #[test]
     fn poisoned_substrate_is_never_rehanded() {
         let _s = serial();
-        let key = LeaseKey::Patterns { threads: 5 };
+        let key = LeaseKey::MpiTeam { ranks: 5 };
         let lease = checkout(key);
         let poisoned_id = lease.instance_id();
         let before = stats();
@@ -447,7 +402,7 @@ mod tests {
     fn cancelled_candidate_poisons_substrate() {
         let _s = serial();
         use pcg_core::cancel::{self, CancelToken};
-        let key = LeaseKey::Shmem { threads: 9 };
+        let key = LeaseKey::MpiTeam { ranks: 9 };
         let before = stats().poisoned;
         let leased_id = AtomicU64::new(0);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -473,10 +428,20 @@ mod tests {
     #[test]
     fn oversized_substrates_are_never_parked() {
         let _s = serial();
-        // MPI teams are no longer a reliable oversized shape: the rank
-        // multiplexer accounts them at the fiber-worker count. Shmem
-        // pools are genuinely thread-per-unit.
-        let key = LeaseKey::Shmem { threads: MAX_PARKED_THREADS_PER_SUBSTRATE + 2 };
+        // The rank multiplexer accounts MPI teams at the fiber-worker
+        // count, so only a thread-per-rank world is oversized: force
+        // that mode for this test (and restore it even on failure).
+        use pcg_mpisim::sched::{exec_mode, set_exec_mode, ExecMode};
+        struct Restore(ExecMode);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                set_exec_mode(self.0);
+            }
+        }
+        let _restore = Restore(exec_mode());
+        set_exec_mode(ExecMode::ForceThreads);
+        let key = LeaseKey::MpiTeam { ranks: MAX_PARKED_THREADS_PER_SUBSTRATE + 2 };
+        assert!(!parkable(key));
         let first = checkout(key);
         let id = first.instance_id();
         drop(first);
@@ -490,6 +455,8 @@ mod tests {
 
     #[test]
     fn multiplexed_rank_teams_fit_the_parked_budget() {
+        // Serialized with the test that forces thread-per-rank mode.
+        let _s = serial();
         // Whenever the scheduler would multiplex a paper-scale world,
         // its lease accounting must make the team parkable. (On a host
         // with >= 256 cores, Auto runs 512 ranks thread-per-rank and
@@ -508,7 +475,7 @@ mod tests {
     fn wrong_accessor_panics() {
         let _s = serial();
         let lease = checkout(LeaseKey::MpiTeam { ranks: 2 });
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lease.pool()));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lease.gpu()));
         assert!(err.is_err());
         assert_eq!(lease.mpi_team().size(), 2);
     }
@@ -516,7 +483,7 @@ mod tests {
     #[test]
     fn flush_empties_the_cache() {
         let _s = serial();
-        let key = LeaseKey::Shmem { threads: 7 };
+        let key = LeaseKey::MpiTeam { ranks: 7 };
         let id = {
             let l = checkout(key);
             l.instance_id()

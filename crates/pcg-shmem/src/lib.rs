@@ -9,7 +9,9 @@
 //! updates. This crate provides the same constructs:
 //!
 //! * [`Pool`] — a persistent team of worker threads (the OpenMP thread
-//!   team); regions fork onto the team and join at the end,
+//!   team); regions fork onto the team and join at the end. A timed
+//!   pool ([`Pool::new_timed`]) models the team instead: it owns no
+//!   threads and runs every chunk on the caller (see [`timing`]),
 //! * [`Pool::parallel_for`] — work-sharing loops with
 //!   [`Schedule::Static`], [`Schedule::Dynamic`], and [`Schedule::Guided`],
 //! * [`Pool::parallel_for_reduce`] — the reduction clause,

@@ -7,15 +7,17 @@
 //! member, and joins on a countdown — the caller does not return until all
 //! workers have finished with the borrowed closure, which is what makes
 //! the lifetime erasure sound.
+//!
+//! A timed pool ([`Pool::new_timed`]) owns no workers: its regions run
+//! every member, or every loop chunk, on the caller (see [`crate::timing`]).
 
 use crate::barrier::Barrier;
 use crate::schedule::{LoopState, Schedule, StaticCursor};
-use crate::timing::{ThreadCostModel, TimedState};
+use crate::timing::{self, ThreadCostModel, TimedState};
 use parking_lot::{Condvar, Mutex};
 use pcg_core::cancel::{self, CancelToken};
 use pcg_core::{usage, ExecutionModel};
 use std::ops::Range;
-use std::time::Instant;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -43,6 +45,9 @@ struct RegionState {
     /// The launching candidate's cancel token, captured at region entry
     /// so barrier spins and work-sharing chunk loops can observe a kill.
     cancel: Option<CancelToken>,
+    /// The members run one after another on the caller (a timed team of
+    /// more than one), so a barrier could never complete.
+    sequential: bool,
 }
 
 struct Slot {
@@ -101,8 +106,14 @@ impl ThreadCtx<'_> {
 
     /// Team-wide barrier (`#pragma omp barrier`). Unwinds with the
     /// cancellation marker instead of spinning forever if the harness
-    /// kills the enclosing candidate.
+    /// kills the enclosing candidate. Panics in a raw region on a timed
+    /// pool of more than one member, whose members run one after another.
     pub fn barrier(&self) {
+        assert!(
+            !self.region.sequential,
+            "barrier() in a raw region on a timed pool: its members run one after \
+             another on the caller, so the barrier could never complete"
+        );
         self.region.barrier.wait_cancellable(self.region.cancel.as_ref());
     }
 
@@ -137,6 +148,10 @@ impl Pool {
     /// Create a team of `nthreads` members (the calling thread plus
     /// `nthreads - 1` workers). Panics if `nthreads == 0`.
     pub fn new(nthreads: usize) -> Pool {
+        Pool::build(nthreads, None)
+    }
+
+    fn build(nthreads: usize, timed: Option<TimedState>) -> Pool {
         assert!(nthreads > 0, "pool requires at least one thread");
         // Workers inherit the creating candidate's usage sink so API
         // calls they make attribute to that candidate, and its cancel
@@ -157,7 +172,9 @@ impl Pool {
                 token: cancel::current_token(),
             }),
         });
-        let workers = (1..nthreads)
+        // A timed team runs every member on the caller: it spawns no one.
+        let spawned = if timed.is_some() { 1 } else { nthreads };
+        let workers = (1..spawned)
             .map(|tid| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -166,7 +183,7 @@ impl Pool {
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        Pool { shared, nthreads, workers, timed: None }
+        Pool { shared, nthreads, workers, timed }
     }
 
     /// Re-aim the team at the calling candidate: capture this thread's
@@ -175,7 +192,8 @@ impl Pool {
     /// warm pool is checked out, so a reused team attributes API calls to
     /// — and observes the kill switch of — its *current* candidate, not
     /// the one that created it. Must only be called while no region is in
-    /// flight (a leased pool is exclusively owned).
+    /// flight (a leased pool is exclusively owned). A timed pool has no
+    /// workers: it always runs on its caller's sink and token.
     pub fn retarget(&self) {
         let mut t = self.shared.target.lock();
         t.epoch += 1;
@@ -183,16 +201,18 @@ impl Pool {
         t.token = cancel::current_token();
     }
 
-    /// Create a team whose work-sharing loops run in **timed mode**:
-    /// chunks execute one at a time behind a gate and are wall-timed, and
-    /// each region adds `max-thread-work + fork/join overhead` to the
-    /// pool's virtual clock (see [`crate::timing`]). Use this for
-    /// performance measurements on machines with fewer cores than the
-    /// simulated team; correctness behavior is identical to [`Pool::new`].
+    /// Create a team that runs in **timed mode** and owns no OS threads:
+    /// every loop chunk runs on the calling thread, one at a time, and is
+    /// wall-timed into its member's virtual clock. Static chunks go to
+    /// their fixed member; dynamic and guided chunks go to the member with
+    /// the smallest virtual clock. Each region adds `max-member-work +
+    /// fork/join overhead` to the pool's virtual clock (see
+    /// [`crate::timing`]). Use this for performance measurements on
+    /// machines with fewer cores than the simulated team; work-sharing
+    /// results are identical to [`Pool::new`]. A raw [`Pool::parallel`]
+    /// region runs its members in id order and cannot use a barrier.
     pub fn new_timed(nthreads: usize, model: ThreadCostModel) -> Pool {
-        let mut pool = Pool::new(nthreads);
-        pool.timed = Some(TimedState::new(model));
-        pool
+        Pool::build(nthreads, Some(TimedState::new(model)))
     }
 
     /// Whether this pool accounts virtual time.
@@ -214,8 +234,8 @@ impl Pool {
     }
 
     /// Shared work-sharing driver: distributes `range` per `schedule`
-    /// and hands `(tid, chunk)` pairs to `chunk_fn`, with per-chunk
-    /// timing in timed mode.
+    /// and hands `(tid, chunk)` pairs to `chunk_fn`. A timed pool runs
+    /// the chunks on the caller and times each one.
     fn worksharing<F>(&self, range: Range<usize>, schedule: Schedule, chunk_fn: F)
     where
         F: Fn(usize, Range<usize>) + Sync,
@@ -230,21 +250,23 @@ impl Pool {
                 }
             }),
             Some(st) => {
-                let clocks = Mutex::new(vec![0.0f64; self.nthreads]);
-                self.parallel(|ctx| {
-                    let mut cursor = StaticCursor::default();
-                    let mut local = 0.0f64;
-                    while let Some((lo, hi)) = state.next_chunk(ctx.tid(), &mut cursor) {
-                        ctx.check_cancel();
-                        let _gate = st.gate.lock();
-                        let t0 = Instant::now();
-                        chunk_fn(ctx.tid(), lo..hi);
-                        local += t0.elapsed().as_secs_f64() + st.model.chunk_dispatch;
-                    }
-                    clocks.lock()[ctx.tid()] = local;
+                self.enter_region();
+                let clocks = timing::run_chunks(&state, |tid, chunk| {
+                    st.time_chunk(|| chunk_fn(tid, chunk))
                 });
-                st.charge_region(&clocks.into_inner());
+                st.charge_region(&clocks);
             }
+        }
+    }
+
+    /// Region entry, exactly once per region: record the OpenMP usage,
+    /// refuse to fork for a killed candidate, and charge fork/join in
+    /// timed mode.
+    fn enter_region(&self) {
+        usage::record(ExecutionModel::OpenMp);
+        cancel::check_current();
+        if let Some(st) = &self.timed {
+            st.clock.fetch_add(st.model.fork_join(self.nthreads));
         }
     }
 
@@ -254,25 +276,28 @@ impl Pool {
     }
 
     /// Execute a parallel region: `f` runs once on every team member.
-    /// Panics in any member are joined and re-thrown on the caller.
+    /// Panics in any member are joined and re-thrown on the caller. A
+    /// pool without workers (timed, or of one member) runs the members
+    /// in id order on the caller.
     pub fn parallel<'a, F>(&self, f: F)
     where
         F: Fn(&ThreadCtx<'_>) + Sync + 'a,
     {
-        usage::record(ExecutionModel::OpenMp);
         // A killed candidate must not fork fresh regions; unwinding here,
         // before the job is published, needs no worker coordination.
-        cancel::check_current();
-        if let Some(st) = &self.timed {
-            // Every region (work-sharing drivers included) passes through
-            // here exactly once: charge the fork/join overhead.
-            st.clock.fetch_add(st.model.fork_join(self.nthreads));
-        }
+        self.enter_region();
         let region = RegionState {
             barrier: Barrier::new(self.nthreads),
-            remaining: AtomicUsize::new(self.nthreads - 1),
+            remaining: AtomicUsize::new(self.workers.len()),
             cancel: cancel::current_token(),
+            sequential: self.workers.len() + 1 < self.nthreads,
         };
+        let (nthreads, shared) = (self.nthreads, &*self.shared);
+        let ctx = |tid| ThreadCtx { tid, nthreads, region: &region, shared };
+        if self.workers.is_empty() {
+            (0..nthreads).for_each(|tid| f(&ctx(tid)));
+            return;
+        }
         let f_ref: &RegionFn<'a> = &f;
         // SAFETY: we erase the lifetime; `parallel` does not return until
         // `region.remaining` hits zero, i.e. every worker is done with
@@ -286,20 +311,18 @@ impl Pool {
             region: &region as *const RegionState,
         };
 
-        if self.nthreads > 1 {
+        {
             let mut slot = self.shared.slot.lock();
             slot.generation += 1;
             slot.job = Some(job);
-            drop(slot);
-            self.shared.work_ready.notify_all();
         }
+        self.shared.work_ready.notify_all();
 
         // The caller participates as tid 0.
-        let ctx = ThreadCtx { tid: 0, nthreads: self.nthreads, region: &region, shared: &self.shared };
-        let my_result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
+        let my_result = catch_unwind(AssertUnwindSafe(|| f(&ctx(0))));
 
         // Join: wait for every worker to finish this region.
-        if self.nthreads > 1 {
+        {
             let mut guard = self.shared.finish_lock.lock();
             while region.remaining.load(Ordering::Acquire) != 0 {
                 self.shared.finished.wait(&mut guard);
@@ -380,50 +403,26 @@ impl Pool {
         F: Fn(usize, usize, &mut [T]) + Sync,
     {
         usage::record(ExecutionModel::OpenMp);
-        let n = data.len();
-        let per = n.div_ceil(self.nthreads).max(1);
-        let chunks: Vec<(usize, &mut [T])> = {
-            let mut rest = data;
-            let mut out = Vec::with_capacity(self.nthreads);
-            let mut offset = 0;
-            while !rest.is_empty() {
-                let take = per.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                out.push((offset, head));
-                offset += take;
-                rest = tail;
-            }
-            out
-        };
-        let chunks = Mutex::new(chunks.into_iter().map(Some).collect::<Vec<_>>());
+        let per = data.len().div_ceil(self.nthreads).max(1);
+        let chunks = data.chunks_mut(per).enumerate().map(|(tid, chunk)| (tid * per, chunk));
         match &self.timed {
-            None => self.parallel(|ctx| {
-                ctx.check_cancel();
-                let taken = {
-                    let mut guard = chunks.lock();
-                    guard.get_mut(ctx.tid()).and_then(Option::take)
-                };
-                if let Some((start, chunk)) = taken {
-                    body(ctx.tid(), start, chunk);
-                }
-            }),
-            Some(st) => {
-                let clocks = Mutex::new(vec![0.0f64; self.nthreads]);
+            None => {
+                let chunks = Mutex::new(chunks.map(Some).collect::<Vec<_>>());
                 self.parallel(|ctx| {
                     ctx.check_cancel();
-                    let taken = {
-                        let mut guard = chunks.lock();
-                        guard.get_mut(ctx.tid()).and_then(Option::take)
-                    };
+                    let taken = chunks.lock().get_mut(ctx.tid()).and_then(Option::take);
                     if let Some((start, chunk)) = taken {
-                        let _gate = st.gate.lock();
-                        let t0 = Instant::now();
                         body(ctx.tid(), start, chunk);
-                        clocks.lock()[ctx.tid()] =
-                            t0.elapsed().as_secs_f64() + st.model.chunk_dispatch;
                     }
-                });
-                st.charge_region(&clocks.into_inner());
+                })
+            }
+            Some(st) => {
+                self.enter_region();
+                let clocks: Vec<f64> = chunks
+                    .enumerate()
+                    .map(|(tid, (start, chunk))| st.time_chunk(|| body(tid, start, chunk)))
+                    .collect();
+                st.charge_region(&clocks);
             }
         }
     }
@@ -494,18 +493,24 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// A threaded and a timed team of four: the contract tests run on both.
+    fn teams() -> [Pool; 2] {
+        [Pool::new(4), Pool::new_timed(4, crate::ThreadCostModel::default())]
+    }
+
     #[test]
     fn region_runs_on_every_member() {
-        let pool = Pool::new(4);
-        let hits = AtomicU64::new(0);
-        let mask = AtomicU64::new(0);
-        pool.parallel(|ctx| {
-            hits.fetch_add(1, Ordering::SeqCst);
-            mask.fetch_or(1 << ctx.tid(), Ordering::SeqCst);
-            assert_eq!(ctx.num_threads(), 4);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 4);
-        assert_eq!(mask.load(Ordering::SeqCst), 0b1111);
+        for pool in teams() {
+            let hits = AtomicU64::new(0);
+            let mask = AtomicU64::new(0);
+            pool.parallel(|ctx| {
+                hits.fetch_add(1, Ordering::SeqCst);
+                mask.fetch_or(1 << ctx.tid(), Ordering::SeqCst);
+                assert_eq!(ctx.num_threads(), 4);
+            });
+            assert_eq!(hits.load(Ordering::SeqCst), 4);
+            assert_eq!(mask.load(Ordering::SeqCst), 0b1111);
+        }
     }
 
     #[test]
@@ -614,21 +619,24 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
-        let pool = Pool::new(4);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.parallel(|ctx| {
-                if ctx.tid() == 2 {
-                    panic!("boom from worker");
-                }
+        for pool in teams() {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.parallel(|ctx| {
+                    if ctx.tid() == 2 {
+                        panic!("boom from worker");
+                    }
+                });
+            }));
+            assert!(result.is_err());
+            // Pool remains usable after a panic.
+            let hits = AtomicU64::new(0);
+            pool.parallel(|_| {
+                hits.fetch_add(1, Ordering::SeqCst);
             });
-        }));
-        assert!(result.is_err());
-        // Pool remains usable after a panic.
-        let hits = AtomicU64::new(0);
-        pool.parallel(|_| {
-            hits.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 4);
+            assert_eq!(hits.load(Ordering::SeqCst), 4);
+            let sum = pool.parallel_for_reduce(0..100, 0u64, |a, i| a + i as u64, |a, b| a + b);
+            assert_eq!(sum, 4950);
+        }
     }
 
     #[test]
@@ -708,19 +716,52 @@ mod tests {
         // A candidate stuck in an effectively endless dynamic loop: once
         // the token fires, every team member must unwind at its next
         // chunk boundary and the join must deliver the Cancelled marker.
-        let token = CancelToken::new();
-        let _g = cancel::install_token(Some(token.clone()));
-        let pool = Pool::new(4);
-        let started = AtomicBool::new(false);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.parallel_for(0..1_000_000_000, Schedule::Dynamic { chunk: 1 }, |_| {
-                if !started.swap(true, Ordering::Relaxed) {
-                    token.cancel();
-                }
+        for pool in teams() {
+            let token = CancelToken::new();
+            let _g = cancel::install_token(Some(token.clone()));
+            let started = AtomicBool::new(false);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.parallel_for(0..1_000_000_000, Schedule::Dynamic { chunk: 1 }, |_| {
+                    if !started.swap(true, Ordering::Relaxed) {
+                        token.cancel();
+                    }
+                });
+            }));
+            let payload = result.unwrap_err();
+            assert!(cancel::is_cancel_payload(payload.as_ref()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "barrier() in a raw region on a timed pool")]
+    fn barrier_in_raw_region_on_timed_pool_panics() {
+        let pool = Pool::new_timed(2, crate::ThreadCostModel::default());
+        pool.parallel(|ctx| ctx.barrier());
+    }
+
+    #[test]
+    fn one_member_timed_pool_allows_barrier() {
+        let pool = Pool::new_timed(1, crate::ThreadCostModel::default());
+        pool.parallel(|ctx| ctx.barrier());
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn timed_pool_spawns_no_threads() {
+        let tasks = || std::fs::read_dir("/proc/self/task").unwrap().count();
+        // Other tests in this binary spawn and join pools concurrently,
+        // so retry until a quiet window shows an unchanged count.
+        let unchanged = (0..50).any(|_| {
+            let before = tasks();
+            let pool = Pool::new_timed(64, crate::ThreadCostModel::default());
+            pool.parallel_for(0..1000, Schedule::Dynamic { chunk: 7 }, |i| {
+                std::hint::black_box(i);
             });
-        }));
-        let payload = result.unwrap_err();
-        assert!(cancel::is_cancel_payload(payload.as_ref()));
+            let during = tasks();
+            drop(pool);
+            before == during && tasks() == before
+        });
+        assert!(unchanged, "building and running a timed 64-member pool changed the thread count");
     }
 
     #[test]
