@@ -49,7 +49,7 @@ fn hang_grid_seconds(jobs: usize) -> f64 {
     let wall = t0.elapsed().as_secs_f64();
     for c in &cells {
         let out = c.value.as_ref().expect("cell must not panic");
-        assert_eq!(out.error.as_deref(), Some("timeout"));
+        assert_eq!(out.error, Some("timeout"));
     }
     wall
 }

@@ -66,7 +66,7 @@ fn run_role(spec: ShardSpec) {
             std::thread::sleep(Duration::from_secs(600));
             Ok::<_, PcgError>(())
         });
-        assert_eq!(out.error.as_deref(), Some("timeout"));
+        assert_eq!(out.error, Some("timeout"));
     }
 }
 

@@ -25,11 +25,11 @@
 use crate::config::EvalConfig;
 use crate::journal::Replay;
 use crate::record::{CellWall, EvalRecord, EvalStats, ModelRecord, TaskRecord};
-use crate::runner::SharedRunner;
+use crate::runner::{Outcome, SharedRunner};
 use crate::scheduler;
 use pcg_core::plan::{CellId, PlanCell, WorkPlan};
 use pcg_core::task::all_tasks;
-use pcg_core::{CostPriors, ExecutionModel, Stage, TaskId};
+use pcg_core::{CandidateKind, CostPriors, ExecutionModel, Stage, TaskId};
 use pcg_metrics::TaskSamples;
 use pcg_models::{CandidateSource, SampleSpec};
 use std::collections::BTreeMap;
@@ -330,14 +330,27 @@ fn evaluate_task<S: CandidateSource + ?Sized>(
         stack_hog_rate: cfg.stack_hog_rate,
     };
 
+    // A verdict depends only on `(kind, n)`: ask the runner once per
+    // distinct pair, in first-use order, and answer repeats locally.
+    let base = runner.with_baseline(task.problem, |b| b.seconds);
+    let mut seen: Vec<(CandidateKind, u32, Outcome)> = Vec::new();
+    let mut verdict = |kind, n| match seen.iter().find(|e| (e.0, e.1) == (kind, n)) {
+        Some(e) => e.2,
+        None => {
+            let out = runner.outcome(task, kind, n);
+            seen.push((kind, n, out));
+            out
+        }
+    };
+
     // Low-temperature set: correctness + headline performance.
     let kinds_low = source.sample(model, task, &spec(cfg.temp_low, cfg.samples_low));
     let mut low = TaskSamples::default();
     for &kind in &kinds_low {
-        let out = runner.outcome(task, kind, headline);
+        let out = verdict(kind, headline);
         low.built.push(out.built);
         low.correct.push(out.correct);
-        low.ratio.push(runner.ratio(task, kind, headline));
+        low.ratio.push(out.ratio(base));
     }
 
     // High-temperature set: correctness only; the paper excludes the
@@ -350,7 +363,7 @@ fn evaluate_task<S: CandidateSource + ?Sized>(
         for &kind in &kinds {
             // Correctness is resource-independent; reuse the smallest
             // meaningful resource count to keep the 200-sample set fast.
-            let out = runner.outcome(task, kind, headline.clamp(1, 4));
+            let out = verdict(kind, headline.clamp(1, 4));
             high.built.push(out.built);
             high.correct.push(out.correct);
             high.ratio.push(0.0);
@@ -365,7 +378,7 @@ fn evaluate_task<S: CandidateSource + ?Sized>(
     if !cfg.skip_sweeps && sweep_models.contains(&task.model) {
         for n in task.model.resource_sweep() {
             let ratios: Vec<f64> =
-                kinds_low.iter().map(|&k| runner.ratio(task, k, n)).collect();
+                kinds_low.iter().map(|&k| verdict(k, n).ratio(base)).collect();
             sweep.insert(n, ratios);
         }
     }
@@ -385,6 +398,7 @@ mod tests {
     use pcg_core::plan::ShardSpec;
     use pcg_core::{ProblemId, ProblemType};
     use pcg_models::SyntheticModel;
+    use pcg_problems::framework::fixed_verdict;
 
     #[test]
     fn smoke_eval_produces_sane_records() {
@@ -448,6 +462,104 @@ mod tests {
         assert_eq!(stats.timeouts, 0);
         assert!(stats.wall_s > 0.0);
         assert!(stats.run_s > 0.0);
+    }
+
+    /// The per-sample reference for [`evaluate_task`]: every sample asks
+    /// the runner for its outcome and its ratio, and each `(kind, n)`
+    /// requested is logged to `asked`.
+    fn reference_task(
+        cfg: &EvalConfig,
+        runner: &SharedRunner,
+        source: &[SyntheticModel],
+        model: usize,
+        task: TaskId,
+        asked: &mut Vec<(CandidateKind, u32)>,
+    ) -> TaskRecord {
+        let spec = |temperature: f64, n: usize| SampleSpec {
+            temperature,
+            n,
+            seed: cfg.seed,
+            deadlock_rate: cfg.deadlock_rate,
+            stack_hog_rate: cfg.stack_hog_rate,
+        };
+        let mut sample = |kind: CandidateKind, n: u32, samples: &mut TaskSamples, timed: bool| {
+            asked.push((kind, n));
+            let out = runner.outcome(task, kind, n);
+            samples.built.push(out.built);
+            samples.correct.push(out.correct);
+            samples.ratio.push(if timed { runner.ratio(task, kind, n) } else { 0.0 });
+        };
+        let headline = task.model.headline_n();
+        let kinds_low = source.sample(model, task, &spec(cfg.temp_low, cfg.samples_low));
+        let mut low = TaskSamples::default();
+        for &kind in &kinds_low {
+            sample(kind, headline, &mut low, true);
+        }
+        let high = (!cfg.skip_high_temp && source.weights_available(model)).then(|| {
+            let mut high = TaskSamples::default();
+            for kind in source.sample(model, task, &spec(cfg.temp_high, cfg.samples_high)) {
+                sample(kind, headline.clamp(1, 4), &mut high, false);
+            }
+            high
+        });
+        let mut sweep = BTreeMap::new();
+        let swept = matches!(task.model, ExecutionModel::OpenMp | ExecutionModel::Kokkos | ExecutionModel::Mpi);
+        if !cfg.skip_sweeps && swept {
+            for n in task.model.resource_sweep() {
+                let mut at_n = TaskSamples::default();
+                for &kind in &kinds_low {
+                    sample(kind, n, &mut at_n, true);
+                }
+                sweep.insert(n, at_n.ratio);
+            }
+        }
+        TaskRecord { task, low, high, sweep }
+    }
+
+    #[test]
+    fn memoised_cells_equal_the_per_sample_reference() {
+        let cfg = EvalConfig { skip_sweeps: false, ..EvalConfig::smoke() };
+        let models = [
+            SyntheticModel::by_name("CodeLlama-7B").unwrap(),
+            SyntheticModel::by_name("GPT-4").unwrap(),
+        ];
+        let p = ProblemId::new(ProblemType::Transform, 0);
+        let tasks: Vec<TaskId> = ExecutionModel::ALL.iter().map(|&m| p.task(m)).collect();
+
+        // The whole grid, memoised, against the per-sample reference on
+        // the same runner (so both read the same measured runs).
+        let runner = SharedRunner::new(cfg.clone());
+        let (record, _) = evaluate_with(&cfg, &models, Some(&tasks), 2, &runner);
+        assert!(record.models[0].tasks.iter().any(|t| t.high.is_some() && !t.sweep.is_empty()));
+        for (m, row) in record.models.iter().enumerate() {
+            for got in &row.tasks {
+                let want = reference_task(&cfg, &runner, &models, m, got.task, &mut Vec::new());
+                assert_eq!(
+                    serde_json::to_string(got).unwrap(),
+                    serde_json::to_string(&want).unwrap(),
+                    "{} {:?}: the per-cell table must not change a byte",
+                    row.model,
+                    got.task
+                );
+            }
+        }
+
+        // One cell on a fresh runner: one request per distinct
+        // non-fixed `(kind, n)`, however many samples share it.
+        let t = p.task(ExecutionModel::OpenMp);
+        let runner = SharedRunner::new(cfg.clone());
+        evaluate_task(&cfg, &runner, &models[..], 0, t);
+        let requests = runner.executions() - runner.retries() + runner.cache_hits();
+        let mut asked = Vec::new();
+        reference_task(&cfg, &runner, &models, 0, t, &mut asked);
+        let mut distinct: Vec<(CandidateKind, u32)> = Vec::new();
+        for &(kind, n) in &asked {
+            if fixed_verdict(kind).is_none() && !distinct.contains(&(kind, n)) {
+                distinct.push((kind, n));
+            }
+        }
+        assert_eq!(requests, distinct.len() as u64);
+        assert!(distinct.len() < asked.len(), "the cell repeats some verdicts");
     }
 
     #[test]

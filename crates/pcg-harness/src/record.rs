@@ -70,7 +70,7 @@ pub struct EvalStats {
     pub cells: usize,
     /// Candidate executions actually performed (cache misses).
     pub executions: u64,
-    /// Outcome requests served from the shared cache.
+    /// Outcome requests answered by a run they did not execute.
     pub cache_hits: u64,
     /// Candidate bodies that panicked (captured per candidate).
     pub panics: u64,

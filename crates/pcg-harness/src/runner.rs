@@ -1,19 +1,19 @@
 //! Candidate execution: build, run (with a time limit), validate
 //! against the baseline, check parallel-API usage, and time.
 //!
-//! Outcomes are cached by `(task, kind, n)`, and executions by the
-//! computation a kind performs. A synthetic model's candidate artifact
-//! is fully determined by its kind, so distinct samples (and distinct
-//! models) sharing a kind share one execution — the analog of the
-//! paper's per-sample compile-and-run, minus redundant recompilation of
-//! byte-identical generations. Beyond that, kinds that compute the same
-//! thing share one run: `Correct(Efficient)` and the four
-//! `WrongOutput(mode)` kinds run the efficient path once per resource
-//! shape (a wrong sample is that output corrupted), GPU tasks run once
-//! whatever `n` they are asked at (they ignore it), and
-//! `SequentialFallback` runs once per task (its serial path never reads
-//! `n`). `BuildFailure`, `RuntimeCrash` and `Timeout` run nothing: their
-//! verdicts are fixed ([`pcg_problems::framework::fixed_verdict`]).
+//! Executions are cached by the computation a kind performs. A
+//! synthetic model's candidate artifact is fully determined by its
+//! kind, so distinct samples (and distinct models) sharing a kind share
+//! one execution — the analog of the paper's per-sample compile-and-run,
+//! minus redundant recompilation of byte-identical generations. Beyond
+//! that, kinds that compute the same thing share one run:
+//! `Correct(Efficient)` and the four `WrongOutput(mode)` kinds run the
+//! efficient path once per resource shape (a wrong sample is that
+//! output corrupted), GPU tasks run once whatever `n` they are asked at
+//! (they ignore it), and `SequentialFallback` runs once per task (its
+//! serial path never reads `n`). `BuildFailure`, `RuntimeCrash` and
+//! `Timeout` run nothing: their verdicts are fixed
+//! ([`pcg_problems::framework::fixed_verdict`]).
 //!
 //! [`SharedRunner`] is safe to share across the parallel scheduler's
 //! workers: many evaluation cells call into one runner at once, and
@@ -44,7 +44,7 @@ use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Instant;
 
 /// A measured, validated candidate execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Outcome {
     /// Whether the candidate built.
     pub built: bool,
@@ -54,7 +54,7 @@ pub struct Outcome {
     /// only when correct).
     pub seconds: f64,
     /// Failure code (`PcgError::code`-style) when not correct.
-    pub error: Option<String>,
+    pub error: Option<&'static str>,
 }
 
 impl Outcome {
@@ -64,14 +64,23 @@ impl Outcome {
             built: !matches!(e, PcgError::BuildFailure(_)),
             correct: false,
             seconds: f64::INFINITY,
-            error: Some(e.code().to_string()),
+            error: Some(e.code()),
+        }
+    }
+
+    /// The `T*/T` ratio against a `base`-second baseline (0 when incorrect).
+    pub(crate) fn ratio(self, base: f64) -> f64 {
+        if self.correct && self.seconds > 0.0 {
+            base / self.seconds
+        } else {
+            0.0
         }
     }
 
     /// The harness killed the candidate: its worker panicked (`"panic"`)
     /// or blew the wall-clock limit (`"timeout"`).
-    fn hard(code: &str) -> Outcome {
-        Outcome { built: true, correct: false, seconds: f64::INFINITY, error: Some(code.into()) }
+    fn hard(code: &'static str) -> Outcome {
+        Outcome { built: true, correct: false, seconds: f64::INFINITY, error: Some(code) }
     }
 }
 
@@ -402,12 +411,11 @@ type OnceCell<T> = Arc<OnceLock<T>>;
 pub struct SharedRunner {
     cfg: EvalConfig,
     baselines: Mutex<HashMap<ProblemId, OnceCell<Baseline>>>,
-    /// The public cache: one outcome per requested `(task, kind, n)`.
-    outcomes: Mutex<HashMap<(TaskId, CandidateKind, u32), OnceCell<Outcome>>>,
-    /// The runs underneath it: one per distinct computation.
+    /// One run per distinct computation; every request reads its verdict.
     runs: Mutex<HashMap<(TaskId, Computation), OnceCell<Verdicts>>>,
     counters: Counters,
-    quarantined: Mutex<Vec<QuarantineEntry>>,
+    /// Keyed by the requested `(task, kind, n)`, so each is listed once.
+    quarantined: Mutex<HashMap<(TaskId, CandidateKind, u32), QuarantineEntry>>,
     leaks: Arc<LeakTracker>,
     supervisors: Arc<SupervisorPool>,
     warm_base: WarmBase,
@@ -420,10 +428,9 @@ impl SharedRunner {
         SharedRunner {
             cfg,
             baselines: Mutex::new(HashMap::new()),
-            outcomes: Mutex::new(HashMap::new()),
             runs: Mutex::new(HashMap::new()),
             counters: Counters::default(),
-            quarantined: Mutex::new(Vec::new()),
+            quarantined: Mutex::new(HashMap::new()),
             leaks: Arc::new(LeakTracker::default()),
             supervisors: Arc::new(SupervisorPool::default()),
             warm_base: WarmBase {
@@ -460,11 +467,6 @@ impl SharedRunner {
         f(baseline)
     }
 
-    /// Best-of-reps baseline seconds for `problem`.
-    pub fn baseline_seconds(&self, problem: ProblemId) -> f64 {
-        self.with_baseline(problem, |b| b.seconds)
-    }
-
     fn measure_baseline(&self, problem: ProblemId) -> Baseline {
         let p = registry::problem(problem);
         let size = self.cfg.size_for(p.default_size());
@@ -483,44 +485,42 @@ impl SharedRunner {
     /// The request is answered by the run of the computation `kind`
     /// performs (see the module docs), which happens once however many
     /// kinds and `n`s share it; a request this call did not run counts
-    /// as a cache hit. Fixed-verdict kinds run nothing. A run that
+    /// as a cache hit. Fixed-verdict kinds run nothing and count as
+    /// neither a hit nor an execution. A run that
     /// hard-fails (worker panic or wall-clock timeout — not a candidate
     /// that merely *reports* a failure) is retried once when
     /// `cfg.retry_flaky` is set, inside the run's cache initializer, so
     /// concurrent requesters still observe exactly one (possibly
     /// retried) execution sequence per computation. Every requested kind
-    /// whose run hard-failed on its final attempt is quarantined under
-    /// its own kind and `n`.
+    /// whose run hard-failed on its final attempt is quarantined once
+    /// under its own kind and `n`.
     pub fn outcome(&self, task: TaskId, kind: CandidateKind, n: u32) -> Outcome {
-        let cell = {
-            let mut map = self.outcomes.lock();
-            map.entry((task, kind, n)).or_insert_with(|| Arc::new(OnceLock::new())).clone()
+        if let Some(e) = fixed_verdict(kind) {
+            return Outcome::failed(&e);
+        }
+        let comp = Computation::of(task, kind, n);
+        let run = {
+            let mut map = self.runs.lock();
+            map.entry((task, comp)).or_insert_with(|| Arc::new(OnceLock::new())).clone()
         };
         let mut hit = true;
-        let out = cell.get_or_init(|| {
-            if let Some(e) = fixed_verdict(kind) {
-                hit = false;
-                return Outcome::failed(&e);
-            }
-            let comp = Computation::of(task, kind, n);
-            let run = {
-                let mut map = self.runs.lock();
-                map.entry((task, comp)).or_insert_with(|| Arc::new(OnceLock::new())).clone()
-            };
-            let verdicts = run.get_or_init(|| {
-                hit = false;
-                self.run_with_retry(task, comp, n)
-            });
-            let out = verdicts.of(kind).clone();
-            if verdicts.hard {
-                self.quarantine_candidate(task, kind, n, &out);
-            }
-            out
+        let verdicts = run.get_or_init(|| {
+            hit = false;
+            self.run_with_retry(task, comp, n)
         });
         if hit {
             self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
         }
-        out.clone()
+        let out = *verdicts.of(kind);
+        if verdicts.hard {
+            self.quarantined.lock().entry((task, kind, n)).or_insert_with(|| QuarantineEntry {
+                task,
+                kind: kind.tag().to_string(),
+                n,
+                error: out.error.unwrap_or("unknown").to_string(),
+            });
+        }
+        out
     }
 
     /// Run `comp` at `task`, retrying a hard failure once under
@@ -539,20 +539,10 @@ impl SharedRunner {
         second
     }
 
-    fn quarantine_candidate(&self, task: TaskId, kind: CandidateKind, n: u32, out: &Outcome) {
-        self.quarantined.lock().push(QuarantineEntry {
-            task,
-            kind: kind.tag().to_string(),
-            n,
-            error: out.error.clone().unwrap_or_else(|| "unknown".into()),
-        });
-    }
-
     /// The quarantine list: candidates that hard-failed every attempt,
-    /// sorted deterministically (outcome caching makes insertion order
-    /// scheduling-dependent).
+    /// sorted deterministically (the map's order is not).
     pub fn quarantined(&self) -> Vec<QuarantineEntry> {
-        let mut q = self.quarantined.lock().clone();
+        let mut q: Vec<QuarantineEntry> = self.quarantined.lock().values().cloned().collect();
         q.sort_by(|a, b| {
             a.task.cmp(&b.task).then_with(|| a.kind.cmp(&b.kind)).then_with(|| a.n.cmp(&b.n))
         });
@@ -561,13 +551,8 @@ impl SharedRunner {
 
     /// The `T*/T` performance ratio of one candidate (0 when incorrect).
     pub fn ratio(&self, task: TaskId, kind: CandidateKind, n: u32) -> f64 {
-        let base = self.baseline_seconds(task.problem);
-        let out = self.outcome(task, kind, n);
-        if out.correct && out.seconds > 0.0 {
-            base / out.seconds
-        } else {
-            0.0
-        }
+        let base = self.with_baseline(task.problem, |b| b.seconds);
+        self.outcome(task, kind, n).ratio(base)
     }
 
     /// Run `work` on a dedicated worker thread with a cancel token
@@ -728,7 +713,7 @@ impl SharedRunner {
             } else {
                 None
             };
-            Outcome { built: true, correct: error.is_none(), seconds: best, error: error.map(Into::into) }
+            Outcome { built: true, correct: error.is_none(), seconds: best, error }
         };
         let as_is = validate(&output);
         let corrupted = match comp {
@@ -781,8 +766,8 @@ impl SharedRunner {
         self.counters.executions.load(Ordering::Relaxed)
     }
 
-    /// Outcome requests answered by a run another request performed
-    /// (or by the outcome cache itself).
+    /// Outcome requests answered by a run this request did not execute.
+    /// Fixed-verdict kinds count as neither a hit nor an execution.
     pub fn cache_hits(&self) -> u64 {
         self.counters.cache_hits.load(Ordering::Relaxed)
     }
@@ -951,15 +936,15 @@ mod tests {
         let t = mk_task(ExecutionModel::OpenMp);
         let build = r.outcome(t, CandidateKind::BuildFailure, 4);
         assert!(!build.built && !build.correct);
-        assert_eq!(build.error.as_deref(), Some("build"));
+        assert_eq!(build.error, Some("build"));
 
         let crash = r.outcome(t, CandidateKind::RuntimeCrash, 4);
         assert!(crash.built && !crash.correct);
-        assert_eq!(crash.error.as_deref(), Some("runtime"));
+        assert_eq!(crash.error, Some("runtime"));
 
         let timeout = r.outcome(t, CandidateKind::Timeout, 4);
         assert!(!timeout.correct);
-        assert_eq!(timeout.error.as_deref(), Some("timeout"));
+        assert_eq!(timeout.error, Some("timeout"));
 
         let wrong = r.outcome(
             t,
@@ -967,7 +952,7 @@ mod tests {
             4,
         );
         assert!(wrong.built && !wrong.correct);
-        assert_eq!(wrong.error.as_deref(), Some("wrong"));
+        assert_eq!(wrong.error, Some("wrong"));
         assert_eq!(r.ratio(t, CandidateKind::WrongOutput(pcg_core::Corruption::PerturbElement), 4), 0.0);
     }
 
@@ -976,14 +961,14 @@ mod tests {
         let r = runner();
         let par = r.outcome(mk_task(ExecutionModel::Kokkos), CandidateKind::SequentialFallback, 4);
         assert!(!par.correct);
-        assert_eq!(par.error.as_deref(), Some("sequential"));
+        assert_eq!(par.error, Some("sequential"));
 
         let ser = r.outcome(mk_task(ExecutionModel::Serial), CandidateKind::SequentialFallback, 1);
         assert!(ser.correct, "serial prompts cannot fail the usage check");
     }
 
     #[test]
-    fn outcomes_are_cached() {
+    fn repeat_request_is_a_hit_on_the_same_run() {
         let r = runner();
         let t = mk_task(ExecutionModel::Cuda);
         let a = r.outcome(t, CandidateKind::Correct(Quality::Efficient), 0);
@@ -1010,7 +995,7 @@ mod tests {
         let r = SharedRunner::new(EvalConfig::smoke());
         let out = r.run_isolated::<(), _>(|| panic!("candidate exploded"));
         assert!(!out.correct);
-        assert_eq!(out.error.as_deref(), Some("panic"));
+        assert_eq!(out.error, Some("panic"));
         assert_eq!(r.panics(), 1);
         // The runner is still serviceable after a panic.
         let ok = r.run_isolated(|| Ok::<_, PcgError>(42));
@@ -1030,7 +1015,7 @@ mod tests {
             Ok::<_, PcgError>(())
         });
         assert!(!out.correct);
-        assert_eq!(out.error.as_deref(), Some("timeout"));
+        assert_eq!(out.error, Some("timeout"));
         assert_eq!(r.timeouts(), 1);
         assert_eq!(r.abandoned(), 1);
         assert_eq!(r.cancelled(), 0);
@@ -1050,7 +1035,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         });
         assert!(!out.correct);
-        assert_eq!(out.error.as_deref(), Some("timeout"));
+        assert_eq!(out.error, Some("timeout"));
         assert_eq!(r.timeouts(), 1);
         assert_eq!(r.cancelled(), 1);
         assert_eq!(r.abandoned(), 0, "cooperative unwind must not leak");
@@ -1070,7 +1055,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(150));
             Ok::<_, PcgError>(())
         });
-        assert_eq!(out.error.as_deref(), Some("timeout"));
+        assert_eq!(out.error, Some("timeout"));
         assert_eq!(r.abandoned(), 1);
         assert!(
             !r.leak_budget_exhausted(),

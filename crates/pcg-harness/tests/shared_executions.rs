@@ -53,12 +53,7 @@ fn reference(cfg: &EvalConfig, t: TaskId, kind: CandidateKind, n: u32, base: &Ou
         Ok(_) if !usage.used_required_api(t.model) => (true, Some("sequential")),
         Ok(_) => (true, None),
     };
-    Outcome {
-        built,
-        correct: error.is_none(),
-        seconds: 0.0,
-        error: error.map(str::to_string),
-    }
+    Outcome { built, correct: error.is_none(), seconds: 0.0, error }
 }
 
 #[test]
@@ -93,7 +88,7 @@ fn efficient_path_and_its_wrong_modes_run_once() {
     assert!(runner.outcome(t, EFFICIENT, 512).correct);
     for mode in Corruption::ALL {
         let out = runner.outcome(t, CandidateKind::WrongOutput(mode), 512);
-        assert_eq!(out.error.as_deref(), Some("wrong"), "{mode:?}");
+        assert_eq!(out.error, Some("wrong"), "{mode:?}");
     }
     assert_eq!(runner.executions(), 1);
     assert_eq!(runner.cache_hits(), 4, "wrong modes are answered by the shared run");
@@ -120,7 +115,7 @@ fn sequential_fallback_runs_once_per_task() {
     let t = task(ExecutionModel::Mpi);
     for n in ExecutionModel::Mpi.resource_sweep() {
         let out = runner.outcome(t, CandidateKind::SequentialFallback, n);
-        assert_eq!(out.error.as_deref(), Some("sequential"), "n={n}");
+        assert_eq!(out.error, Some("sequential"), "n={n}");
     }
     assert_eq!(runner.executions(), 1);
 }
@@ -136,7 +131,7 @@ fn fixed_verdicts_run_nothing() {
     ];
     for (kind, built, code) in kinds {
         let out = runner.outcome(t, kind, 512);
-        assert_eq!((out.built, out.correct, out.error.as_deref()), (built, false, Some(code)));
+        assert_eq!((out.built, out.correct, out.error), (built, false, Some(code)));
     }
     assert_eq!(runner.executions(), 0);
     assert!(runner.quarantined().is_empty(), "a fixed verdict is not a hard failure");
@@ -193,7 +188,7 @@ fn hard_failed_shared_run_quarantines_each_requested_kind() {
     ];
     for kind in kinds {
         let out = runner.outcome(t, kind, 512);
-        assert_eq!(out.error.as_deref(), Some("timeout"), "{}", kind.tag());
+        assert_eq!(out.error, Some("timeout"), "{}", kind.tag());
     }
     assert_eq!(runner.executions(), 1, "the members share the timed-out run");
     let q = runner.quarantined();
@@ -210,4 +205,42 @@ fn hard_failed_shared_run_quarantines_each_requested_kind() {
     b.quarantined = q[1..].to_vec();
     let merged = shard::combine_stats(&[a, b], 0);
     assert_eq!(merged.quarantined, q);
+}
+
+#[test]
+fn repeated_and_concurrent_requests_quarantine_once() {
+    let cfg = EvalConfig {
+        timeout: Duration::ZERO,
+        grace: Duration::from_secs(10),
+        size_divisor: 8,
+        ..EvalConfig::smoke()
+    };
+    let runner = SharedRunner::new(cfg);
+    let t = task(ExecutionModel::Mpi);
+    let perturb = CandidateKind::WrongOutput(Corruption::PerturbElement);
+    let truncate = CandidateKind::WrongOutput(Corruption::Truncate);
+
+    // Eight threads released together, each asking for all three
+    // members of the one timed-out run, then serial repeats.
+    let start = std::sync::Barrier::new(8);
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| {
+                start.wait();
+                for kind in [EFFICIENT, perturb, truncate] {
+                    assert_eq!(runner.outcome(t, kind, 512).error, Some("timeout"));
+                }
+            });
+        }
+    });
+    for _ in 0..3 {
+        assert_eq!(runner.outcome(t, perturb, 512).error, Some("timeout"));
+    }
+
+    assert_eq!(runner.executions(), 1);
+    assert_eq!(runner.cache_hits(), 2 + 8 * 3, "every request after the first is a hit");
+    let q = runner.quarantined();
+    let tags: Vec<&str> = q.iter().map(|e| e.kind.as_str()).collect();
+    assert_eq!(tags, ["correct", "wrong-perturb", "wrong-truncate"], "{q:?}");
+    assert!(q.iter().all(|e| e.task == t && e.n == 512 && e.error == "timeout"));
 }

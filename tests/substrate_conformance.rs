@@ -216,7 +216,7 @@ fn candidate_panics_are_captured_on_every_substrate() {
     for (substrate, candidate) in panicky {
         let out = runner.run_isolated(candidate);
         assert!(!out.correct, "{substrate}: panicking candidate marked correct");
-        let code = out.error.as_deref().unwrap_or("<none>");
+        let code = out.error.unwrap_or("<none>");
         assert!(
             code == "panic" || code == "runtime",
             "{substrate}: expected a captured panic, got error {code:?}"
@@ -288,7 +288,7 @@ fn hanging_candidates_time_out_on_every_substrate() {
         let out = runner.run_isolated(candidate);
         assert!(!out.correct, "{substrate}: hung candidate marked correct");
         assert_eq!(
-            out.error.as_deref(),
+            out.error,
             Some("timeout"),
             "{substrate}: hang must be abandoned at the limit"
         );
@@ -357,7 +357,7 @@ fn cancellation_unwinds_cooperatively_on_every_substrate() {
     for (i, (substrate, candidate)) in cooperative.into_iter().enumerate() {
         let out = runner.run_isolated(candidate);
         assert_eq!(
-            out.error.as_deref(),
+            out.error,
             Some("timeout"),
             "{substrate}: stuck candidate must time out"
         );
@@ -392,7 +392,7 @@ fn sequential_fallback_is_flagged_despite_concurrent_parallel_candidates() {
         let out = runner.outcome(task, CandidateKind::SequentialFallback, 4);
         stop.store(true, Ordering::Relaxed);
         assert!(!out.correct, "fallback must not inherit the neighbor's API calls");
-        assert_eq!(out.error.as_deref(), Some("sequential"));
+        assert_eq!(out.error, Some("sequential"));
     });
 }
 
