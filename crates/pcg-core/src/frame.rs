@@ -30,7 +30,7 @@
 //!
 //! This module lives in `pcg-core` next to `plan.rs`'s FNV-1a for the
 //! same reason cell addressing does: every process that touches a
-//! journal (workers, merge, benches, fuzzers) must agree on the exact
+//! journal (workers, merge, tests, fuzzers) must agree on the exact
 //! byte contract.
 
 /// File magic for a v3 journal. A file that does not start with these

@@ -3,8 +3,8 @@
 //! The warm execution engine (substrate leasing, input memoization,
 //! supervisor reuse) is on by default: it is a pure throughput
 //! optimisation whose records are required to match the cold path
-//! byte-for-byte. The switch exists for A/B comparison — the
-//! `grid_sweep` bench and the warm-path determinism test drive both
+//! byte-for-byte. The switch exists for A/B comparison — the warm-path
+//! performance gate and the warm-path determinism test drive both
 //! sides — and as an escape hatch (`PCG_COLD=1`) if a platform ever
 //! misbehaves under thread reuse.
 //!

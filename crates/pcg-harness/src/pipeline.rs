@@ -134,7 +134,7 @@ impl RunOptions {
     }
 
     /// The options with a priors source swapped in (builder-style, for
-    /// tests and benches).
+    /// tests).
     pub fn with_priors(mut self, src: impl Into<String>) -> RunOptions {
         self.priors = Some(src.into());
         self

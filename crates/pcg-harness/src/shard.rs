@@ -128,7 +128,7 @@ pub fn scan_siblings(
 /// harmless duplicate evaluation that merge folds last-write-wins.
 ///
 /// The engine is deliberately evaluation-agnostic (`run_batch` does
-/// the work) so the production worker and the steal bench drive the
+/// the work) so the production worker and the steal gate drive the
 /// exact same claim/arbitration code.
 #[allow(clippy::too_many_arguments)]
 pub fn steal_from_siblings(
@@ -272,18 +272,6 @@ pub fn run_shard(
             std::process::exit(1);
         }
     };
-
-    // Test/bench fault injection: stall this worker before it touches
-    // any cell, so siblings get a head start and (with stealing on)
-    // visibly drain this shard's partition out from under it.
-    if let Ok(raw) = std::env::var("PCG_STEAL_STALL_MS") {
-        if let Ok(ms) = raw.trim().parse::<u64>() {
-            if ms > 0 {
-                eprintln!("[pcgbench] shard {shard}: injected stall of {ms}ms");
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
-        }
-    }
 
     let steal_on = opts.steal && shard.count > 1;
     let mut owned = plan.shard_with(shard, priors.as_ref());

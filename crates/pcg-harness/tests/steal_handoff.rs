@@ -60,9 +60,6 @@ fn write_sidecar(cache: &Path, spec: ShardSpec, stats: &EvalStats) {
 
 #[test]
 fn stolen_cells_merge_byte_identically() {
-    // The stall hook must not fire inside this process's run_shard
-    // phases (a leaked env var would only slow the test, but be tidy).
-    std::env::remove_var("PCG_STEAL_STALL_MS");
     let cfg = EvalConfig::smoke();
     let tasks: Vec<_> = smoke_tasks().into_iter().take(7).collect();
     let models = pcg_models::zoo();

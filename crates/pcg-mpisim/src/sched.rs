@@ -65,14 +65,14 @@ pub enum ExecMode {
     Auto,
     /// Always thread-per-rank (the A/B baseline).
     ForceThreads,
-    /// Multiplex every multi-rank world, however small (tests/benches).
+    /// Multiplex every multi-rank world, however small (tests).
     ForceMux,
 }
 
 static MODE: AtomicU8 = AtomicU8::new(0);
 
-/// Set the process-global execution mode (benches and tests; the
-/// default is [`ExecMode::Auto`]).
+/// Set the process-global execution mode (tests only; the default is
+/// [`ExecMode::Auto`]).
 pub fn set_exec_mode(mode: ExecMode) {
     MODE.store(mode as u8, Ordering::Release);
 }
@@ -183,8 +183,8 @@ pub(crate) fn note_zero_copy(bytes: usize) {
 static DEADLOCK_DETECT: AtomicBool = AtomicBool::new(true);
 
 /// Enable/disable the wait-for-graph deadlock detector (on by default).
-/// Only benches and tests turn it off, to measure the timeout-only
-/// baseline the detector replaces.
+/// Only tests turn it off, to measure the timeout-only baseline the
+/// detector replaces.
 pub fn set_deadlock_detection(enabled: bool) {
     DEADLOCK_DETECT.store(enabled, Ordering::Release);
 }

@@ -76,8 +76,9 @@ fn containment_battery() {
     // --- detector toggle: off means no verdict, candidates hang --------
     // (Exercised indirectly: with detection off a deadlock world would
     // block forever, so instead verify the toggle round-trips and leave
-    // the hang measurement to the containment bench, which bounds it
-    // with a harness timeout.)
+    // the hang measurement to the containment gate in
+    // `pcg-harness/tests/perf_gates.rs`, which bounds it with a harness
+    // timeout.)
     sched::set_deadlock_detection(false);
     sched::set_deadlock_detection(true);
 

@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 use pcg_core::{warm, ProblemId};
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 type Key = (ProblemId, u64, usize);
@@ -42,21 +42,37 @@ fn state() -> &'static Mutex<State> {
     STATE.get_or_init(|| Mutex::new(State::default()))
 }
 
-/// Default retained-bytes cap: large enough for a full quick-config
-/// grid's working set, small next to paper-scale inputs at every sweep
-/// size.
+/// Retained-bytes cap: large enough for a full quick-config grid's
+/// working set, small next to paper-scale inputs at every sweep size.
 pub const DEFAULT_BYTE_CAP: usize = 256 << 20;
 
-static BYTE_CAP: AtomicUsize = AtomicUsize::new(DEFAULT_BYTE_CAP);
-
-/// Current LRU byte cap.
-pub fn byte_cap() -> usize {
-    BYTE_CAP.load(Ordering::Relaxed)
-}
-
-/// Override the LRU byte cap (takes effect on subsequent inserts).
-pub fn set_byte_cap(bytes: usize) {
-    BYTE_CAP.store(bytes, Ordering::Relaxed);
+impl State {
+    /// Insert `value` under `key`, then evict least recently used
+    /// entries until the total fits `cap`. A concurrent generator for
+    /// the same key may have inserted first; the existing entry stays
+    /// (both values are identical by determinism of `generate`).
+    fn insert(&mut self, key: Key, value: Arc<dyn Any + Send + Sync>, bytes: usize, cap: usize) {
+        self.tick += 1;
+        let tick = self.tick;
+        let std::collections::hash_map::Entry::Vacant(slot) = self.map.entry(key) else {
+            return;
+        };
+        slot.insert(Entry { value, bytes, last_used: tick });
+        self.total_bytes += bytes;
+        while self.total_bytes > cap {
+            let Some((&victim, _)) = self.map.iter().min_by_key(|(_, e)| e.last_used) else {
+                break;
+            };
+            // Never evict what we just inserted — the newest entry
+            // is by definition not the LRU unless it is alone.
+            if victim == key && self.map.len() == 1 {
+                break;
+            }
+            let e = self.map.remove(&victim).expect("victim present");
+            self.total_bytes = self.total_bytes.saturating_sub(e.bytes);
+            EVICTED.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 static HITS: AtomicU64 = AtomicU64::new(0);
@@ -118,32 +134,8 @@ where
     MISSES.fetch_add(1, Ordering::Relaxed);
     let value = Arc::new(generate());
     let bytes = bytes_of(&value);
-    let cap = byte_cap();
-    if bytes <= cap {
-        let erased: Arc<dyn Any + Send + Sync> = Arc::clone(&value) as _;
-        let mut st = state().lock();
-        st.tick += 1;
-        let tick = st.tick;
-        // A concurrent generator for the same key may have inserted
-        // first; keep the existing entry (both values are identical by
-        // determinism of `generate`).
-        if let std::collections::hash_map::Entry::Vacant(slot) = st.map.entry(key) {
-            slot.insert(Entry { value: erased, bytes, last_used: tick });
-            st.total_bytes += bytes;
-            while st.total_bytes > cap {
-                let Some((&victim, _)) = st.map.iter().min_by_key(|(_, e)| e.last_used) else {
-                    break;
-                };
-                // Never evict what we just inserted — the newest entry
-                // is by definition not the LRU unless it is alone.
-                if victim == key && st.map.len() == 1 {
-                    break;
-                }
-                let e = st.map.remove(&victim).expect("victim present");
-                st.total_bytes = st.total_bytes.saturating_sub(e.bytes);
-                EVICTED.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    if bytes <= DEFAULT_BYTE_CAP {
+        state().lock().insert(key, Arc::clone(&value) as _, bytes, DEFAULT_BYTE_CAP);
     }
     value
 }
@@ -189,7 +181,7 @@ mod tests {
 
     #[test]
     fn oversized_inputs_are_not_cached() {
-        let cap = byte_cap();
+        let cap = DEFAULT_BYTE_CAP;
         let v = get_or_generate(pid(1), 0xdead_0002, 33, |_| cap + 1, || vec![0u8; 8]);
         let w = get_or_generate(pid(1), 0xdead_0002, 33, |_| cap + 1, || vec![1u8; 8]);
         assert!(!Arc::ptr_eq(&v, &w), "oversized entries must bypass the cache");
@@ -197,13 +189,16 @@ mod tests {
 
     #[test]
     fn byte_cap_evicts_least_recently_used() {
-        // Use a private key range and temporarily shrink the cap.
-        let old = byte_cap();
-        set_byte_cap(100);
+        let mut st = State::default();
+        let (a, b) = ((pid(2), 3, 41), (pid(2), 4, 41));
+        // The global counter only grows, so concurrent tests cannot
+        // make this check pass or fail spuriously.
         let before = stats().evicted;
-        let _a = get_or_generate(pid(2), 0xdead_0003, 41, |_| 60, || vec![0u8; 60]);
-        let _b = get_or_generate(pid(2), 0xdead_0004, 41, |_| 60, || vec![0u8; 60]);
-        set_byte_cap(old);
-        assert!(stats().evicted > before, "exceeding the cap must evict");
+        st.insert(a, Arc::new(vec![0u8; 60]), 60, 100);
+        st.insert(b, Arc::new(vec![0u8; 60]), 60, 100);
+        assert!(!st.map.contains_key(&a), "exceeding the cap must evict the LRU entry");
+        assert!(st.map.contains_key(&b), "the newest entry must survive");
+        assert_eq!(st.total_bytes, 60);
+        assert!(stats().evicted > before, "an eviction must be counted");
     }
 }
