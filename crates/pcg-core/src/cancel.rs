@@ -6,14 +6,16 @@
 //! the rest of the run. This module gives the substrates a way to notice
 //! the kill. The runner creates a [`CancelToken`] per candidate and
 //! installs it thread-locally (mirroring [`crate::usage`]'s sink
-//! plumbing); substrates capture it with [`current_token`] at region
-//! entry, re-install it on their own worker threads, and poll it at
-//! natural progress points — shmem chunk boundaries and barrier spins,
-//! mpisim blocking waits, gpusim kernel launches.
+//! plumbing); substrates capture it with [`current_token`], re-install
+//! it on any thread they spawn (MPI rank threads and fiber helpers; also
+//! the workers of an untimed shmem pool, which only tests and direct
+//! library users build), and poll it at natural progress points —
+//! shmem chunk boundaries and barrier spins, mpisim blocking waits,
+//! gpusim kernel blocks.
 //!
 //! A cancelled substrate unwinds by panicking with the [`Cancelled`]
 //! marker payload via [`panic_any`]. The unwind rides the substrates'
-//! existing panic-capture machinery (pool join propagation, rank abort
+//! existing panic-capture machinery (region join propagation, rank abort
 //! cascades, `catch_unwind` in the runner), so cancellation needs no new
 //! control-flow paths — it is "a panic the harness asked for", and
 //! [`is_cancel_payload`] lets panic reporters label it as such.
@@ -88,14 +90,6 @@ pub fn current_token() -> Option<CancelToken> {
 pub fn install_token(token: Option<CancelToken>) -> TokenGuard {
     let prev = CURRENT.with(|c| c.replace(token));
     TokenGuard { prev }
-}
-
-/// Replace this thread's token with no restoring guard. For long-lived
-/// substrate worker threads that are retargeted between candidates when
-/// a warm pool is leased out again; transient threads should prefer
-/// [`install_token`], whose guard restores the previous token.
-pub fn set_token(token: Option<CancelToken>) {
-    CURRENT.with(|c| *c.borrow_mut() = token);
 }
 
 /// Restores the previously installed token on drop.

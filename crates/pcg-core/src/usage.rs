@@ -11,8 +11,10 @@
 //! Attribution is per candidate even when the harness runs candidates
 //! concurrently: [`UsageScope::begin`] installs a thread-local [`Sink`]
 //! that [`record`] feeds in addition to the process-global counters, and
-//! substrates that spawn their own threads (MPI rank threads, shmem pool
-//! workers) re-install the creator's sink on those threads via
+//! substrates that spawn their own threads (MPI rank threads and fiber
+//! helpers; also the workers of an untimed shmem pool, which only tests
+//! and direct library users build) re-install the creator's sink on
+//! those threads via
 //! [`current_sink`]/[`install_sink`]. The global counters remain for
 //! whole-process views ([`Snapshot`]).
 
@@ -54,14 +56,6 @@ pub fn current_sink() -> Option<Arc<Sink>> {
 pub fn install_sink(sink: Option<Arc<Sink>>) -> SinkGuard {
     let prev = CURRENT.with(|c| c.replace(sink));
     SinkGuard { prev }
-}
-
-/// Replace this thread's sink with no restoring guard. For long-lived
-/// substrate worker threads that are retargeted between candidates when
-/// a warm pool is leased out again; transient threads should prefer
-/// [`install_sink`], whose guard restores the previous sink.
-pub fn set_sink(sink: Option<Arc<Sink>>) {
-    CURRENT.with(|c| *c.borrow_mut() = sink);
 }
 
 /// Restores the previously installed sink on drop.

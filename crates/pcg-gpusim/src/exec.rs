@@ -4,9 +4,8 @@ use crate::buffer::GpuBuffer;
 use crate::device::DeviceProfile;
 use crate::elem::GpuElem;
 use pcg_core::{usage, ExecutionModel};
-use pcg_shmem::{AtomicF64, Pool, Schedule};
+use pcg_shmem::AtomicF64;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A kernel launch configuration (`<<<grid, block, shared>>>` analog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,18 +213,19 @@ pub trait BlockKernel: Sync {
     fn phase(&self, phase: usize, blk: &BlockCtx);
 }
 
-/// A simulated GPU device.
+/// A simulated GPU device. It owns no host threads: a launch emulates
+/// its blocks one after another, in block order, on the calling thread,
+/// so a device costs nothing to build and a kernel's atomic updates land
+/// in the same order on every run.
 pub struct Gpu {
     profile: DeviceProfile,
     model: ExecutionModel,
-    pool: Pool,
     clock: AtomicF64,
 }
 
 impl Gpu {
     pub(crate) fn with_profile(profile: DeviceProfile, model: ExecutionModel) -> Gpu {
-        let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        Gpu { profile, model, pool: Pool::new(host), clock: AtomicF64::new(0.0) }
+        Gpu { profile, model, clock: AtomicF64::new(0.0) }
     }
 
     /// The device profile.
@@ -242,13 +242,6 @@ impl Gpu {
     /// Reset the device clock.
     pub fn reset_clock(&self) {
         self.clock.store(0.0);
-    }
-
-    /// Re-aim the host emulation pool at the calling candidate's usage
-    /// sink and cancel token (see [`pcg_shmem::Pool::retarget`]). Called
-    /// by the substrate lease layer when a warm device is checked out.
-    pub fn retarget(&self) {
-        self.pool.retarget();
     }
 
     /// Add modeled time to the device clock directly (used by fallback
@@ -277,23 +270,27 @@ impl Gpu {
     /// Launch a multi-phase block kernel.
     pub fn launch<K: BlockKernel>(&self, cfg: Launch, kernel: &K) -> LaunchReport {
         usage::record(self.model);
-        // A killed candidate stuck in a kernel-launch loop unwinds here;
-        // blocks of an in-flight launch unwind at the pool's per-chunk
-        // checks (one block per dynamic chunk).
-        pcg_core::cancel::check_current();
         assert!(
             cfg.block <= self.profile.max_block_threads,
             "block of {} exceeds device limit {}",
             cfg.block,
             self.profile.max_block_threads
         );
-        let bytes = AtomicU64::new(0);
-        let flops = AtomicU64::new(0);
-        let atomics = AtomicU64::new(0);
         let nphases = kernel.phases(&cfg).max(1);
-        self.pool.parallel_for(0..cfg.grid as usize, Schedule::Dynamic { chunk: 1 }, |b| {
+        let mut report = LaunchReport {
+            bytes: 0,
+            flops: 0,
+            atomics: 0,
+            threads: cfg.total_threads(),
+            time: 0.0,
+        };
+        for b in 0..cfg.grid {
+            // A killed candidate unwinds here: at the launch of a kernel
+            // stuck in a relaunch loop, or between the blocks of a long
+            // one.
+            pcg_core::cancel::check_current();
             let blk = BlockCtx {
-                block_idx: b as u32,
+                block_idx: b,
                 block_dim: cfg.block,
                 grid_dim: cfg.grid,
                 shared: SharedMem::new(cfg.shared_f64),
@@ -304,20 +301,14 @@ impl Gpu {
             for phase in 0..nphases {
                 kernel.phase(phase, &blk);
             }
-            bytes.fetch_add(blk.bytes.get(), Ordering::Relaxed);
-            flops.fetch_add(blk.flops.get(), Ordering::Relaxed);
-            atomics.fetch_add(blk.atomics.get(), Ordering::Relaxed);
-        });
-        let report = LaunchReport {
-            bytes: bytes.into_inner(),
-            flops: flops.into_inner(),
-            atomics: atomics.into_inner(),
-            threads: cfg.total_threads(),
-            time: 0.0,
-        };
-        let time = self.profile.kernel_time(report.threads, report.bytes, report.flops, report.atomics);
-        self.clock.fetch_add(time);
-        LaunchReport { time, ..report }
+            report.bytes += blk.bytes.get();
+            report.flops += blk.flops.get();
+            report.atomics += blk.atomics.get();
+        }
+        report.time =
+            self.profile.kernel_time(report.threads, report.bytes, report.flops, report.atomics);
+        self.clock.fetch_add(report.time);
+        report
     }
 }
 
@@ -483,6 +474,27 @@ mod tests {
     fn oversized_block_rejected() {
         let g = gpu();
         g.launch_each(Launch::new(1, 2048), |_, _| {});
+    }
+
+    #[test]
+    fn float_atomic_outputs_are_bit_identical_across_runs() {
+        // Many threads of many blocks add values of mixed magnitude into
+        // a few bins: floating-point addition is not associative, so the
+        // sums are bit-identical only if the updates land in one order.
+        let g = gpu();
+        let n = 20_000usize;
+        let run = || {
+            let bins = GpuBuffer::<f64>::zeroed(7);
+            g.launch_each(Launch::over(n, 64), |t, ctx| {
+                let i = t.global_id();
+                if i < n {
+                    let v = (i as f64).sqrt() * 1e-3 + 1e12 * ((i % 3) as f64);
+                    ctx.atomic_add(&bins, i % 7, v);
+                }
+            });
+            bins.to_vec().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

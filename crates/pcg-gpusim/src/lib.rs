@@ -14,7 +14,9 @@
 //! [`BlockKernel`] splits its body into barrier-separated phases; the
 //! emulator runs all threads of a block through phase *k* before any
 //! enters phase *k+1*, with block-shared [`SharedMem`] persisting across
-//! phases. Blocks are emulated in parallel on host threads.
+//! phases. Blocks are emulated one after another, in block order, on the
+//! launching thread: a device owns no host threads, and a kernel's
+//! floating-point atomics accumulate in the same order on every run.
 //!
 //! ## Timing model
 //!

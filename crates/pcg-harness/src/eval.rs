@@ -268,11 +268,10 @@ pub fn evaluate_cells_priors<S: CandidateSource + Sync + ?Sized>(
         run_s: runner.stage_seconds(Stage::Run),
         validate_s: runner.stage_seconds(Stage::Validate),
         wall_s,
-        lease_hits: runner.lease_hits(),
-        lease_misses: runner.lease_misses(),
-        pools_poisoned: runner.pools_poisoned(),
+        lease_hits: 0,
+        lease_misses: 0,
         input_cache_hits: runner.input_cache_hits(),
-        pool_setup_s: runner.pool_setup_s(),
+        pool_setup_s: 0.0,
         ranks_multiplexed: runner.ranks_multiplexed(),
         bytes_zero_copied: runner.bytes_zero_copied(),
         journal_compactions: 0,

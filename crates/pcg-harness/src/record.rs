@@ -100,18 +100,14 @@ pub struct EvalStats {
     pub validate_s: f64,
     /// End-to-end wall-clock seconds for the grid.
     pub wall_s: f64,
-    /// Substrate-lease checkouts served by a warm substrate (zero when
-    /// the warm path is disabled via `PCG_COLD`).
+    /// Always zero: substrates own no threads, so nothing is leased.
+    /// Kept because bench-e2e reads it.
     pub lease_hits: u64,
-    /// Substrate-lease checkouts that built a fresh substrate.
+    /// Always zero, like [`EvalStats::lease_hits`].
     pub lease_misses: u64,
-    /// Leased substrates discarded because their candidate unwound
-    /// (panic or cooperative cancellation) while holding them.
-    pub pools_poisoned: u64,
     /// Input-instance lookups served by the memoization cache.
     pub input_cache_hits: u64,
-    /// Seconds constructing substrates on lease misses (summed across
-    /// workers) — the surviving share of per-run pool setup.
+    /// Always zero, like [`EvalStats::lease_hits`].
     pub pool_setup_s: f64,
     /// Simulated MPI ranks run as multiplexed fibers instead of OS
     /// threads (zero when every world ran thread-per-rank).
@@ -285,8 +281,9 @@ mod tests {
     #[test]
     fn stats_sidecar_with_dropped_queue_wait_fields_still_loads() {
         // A sidecar as written before `queue_wait_s`/`max_queue_wait_s`
-        // were dropped: merges and `project_records --stats` still read
-        // such files from earlier runs.
+        // and `pools_poisoned` were dropped: merges and
+        // `project_records --stats` still read such files from earlier
+        // runs.
         let old = r#"{"jobs":2,"cells":3,"executions":9,"cache_hits":4,"panics":0,
             "timeouts":1,"cancelled":1,"abandoned":0,"retries":0,"flaky":0,
             "resumed_cells":0,"quarantined":[],"queue_wait_s":67378.5,
@@ -304,5 +301,6 @@ mod tests {
         assert_eq!(stats.cell_walls, vec![CellWall { cell: 7, secs: 0.75 }]);
         let again = serde_json::to_string(&stats).expect("stats serialize");
         assert!(!again.contains("queue_wait"), "dropped fields are not written back");
+        assert!(!again.contains("pools_poisoned"), "dropped fields are not written back");
     }
 }

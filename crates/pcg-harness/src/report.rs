@@ -117,23 +117,11 @@ pub fn stats_summary(stats: &crate::record::EvalStats) -> String {
         "[pcgbench]   stage seconds (summed over workers): baseline {:.2}, run {:.2}, validate {:.2}",
         stats.baseline_s, stats.run_s, stats.validate_s,
     );
-    let checkouts = stats.lease_hits + stats.lease_misses;
-    if checkouts > 0 {
+    if stats.input_cache_hits + stats.ranks_multiplexed + stats.bytes_zero_copied > 0 {
         let _ = writeln!(
             s,
-            "[pcgbench]   warm path: {}/{} lease hits ({:.0}%), {} poisoned, {} input-cache hits, {:.2}s pool setup",
-            stats.lease_hits,
-            checkouts,
-            100.0 * stats.lease_hits as f64 / checkouts as f64,
-            stats.pools_poisoned,
+            "[pcgbench]   warm path: {} input-cache hits, {} ranks on fibers, {:.1} MiB moved zero-copy",
             stats.input_cache_hits,
-            stats.pool_setup_s,
-        );
-    }
-    if stats.ranks_multiplexed + stats.bytes_zero_copied > 0 {
-        let _ = writeln!(
-            s,
-            "[pcgbench]   mpi transport: {} ranks multiplexed onto fibers, {:.1} MiB moved zero-copy",
             stats.ranks_multiplexed,
             stats.bytes_zero_copied as f64 / (1024.0 * 1024.0),
         );

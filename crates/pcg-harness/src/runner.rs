@@ -33,7 +33,6 @@ use pcg_core::{
 };
 use pcg_problems::framework::fixed_verdict;
 use pcg_problems::input_cache::{self, InputCacheStats};
-use pcg_problems::lease::{self, LeaseStats};
 use pcg_problems::{corrupt, registry, Resources};
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
@@ -371,10 +370,9 @@ impl SupervisorPool {
 }
 
 /// Warm-path counter snapshot taken at runner construction, so the
-/// runner can report per-evaluation deltas of the process-global lease
-/// and input-cache statistics.
+/// runner can report per-evaluation deltas of the process-global
+/// input-cache and fiber-scheduler statistics.
 struct WarmBase {
-    lease: LeaseStats,
     input: InputCacheStats,
     sched: pcg_mpisim::SchedStats,
 }
@@ -434,7 +432,6 @@ impl SharedRunner {
             leaks: Arc::new(LeakTracker::default()),
             supervisors: Arc::new(SupervisorPool::default()),
             warm_base: WarmBase {
-                lease: lease::stats(),
                 input: input_cache::stats(),
                 sched: pcg_mpisim::sched::stats(),
             },
@@ -820,32 +817,9 @@ impl SharedRunner {
         ns as f64 / 1e9
     }
 
-    /// Substrate-lease checkouts served warm since this runner was
-    /// created (delta of the process-global counter).
-    pub fn lease_hits(&self) -> u64 {
-        lease::stats().hits.saturating_sub(self.warm_base.lease.hits)
-    }
-
-    /// Substrate-lease checkouts that built a fresh substrate.
-    pub fn lease_misses(&self) -> u64 {
-        lease::stats().misses.saturating_sub(self.warm_base.lease.misses)
-    }
-
-    /// Leased substrates discarded because their candidate unwound
-    /// (panic or cooperative cancellation) while holding them.
-    pub fn pools_poisoned(&self) -> u64 {
-        lease::stats().poisoned.saturating_sub(self.warm_base.lease.poisoned)
-    }
-
     /// Input-instance lookups served by the memoization cache.
     pub fn input_cache_hits(&self) -> u64 {
         input_cache::stats().hits.saturating_sub(self.warm_base.input.hits)
-    }
-
-    /// Seconds spent constructing substrates on lease misses (the warm
-    /// path's analog of per-run pool setup time).
-    pub fn pool_setup_s(&self) -> f64 {
-        (lease::stats().setup_s - self.warm_base.lease.setup_s).max(0.0)
     }
 
     /// Simulated MPI ranks run as multiplexed fibers rather than OS

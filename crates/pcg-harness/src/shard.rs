@@ -555,7 +555,6 @@ pub fn combine_stats(parts: &[EvalStats], cells: usize) -> EvalStats {
         wall_s: max_f(|p| p.wall_s),
         lease_hits: sum(|p| p.lease_hits),
         lease_misses: sum(|p| p.lease_misses),
-        pools_poisoned: sum(|p| p.pools_poisoned),
         input_cache_hits: sum(|p| p.input_cache_hits),
         pool_setup_s: sum_f(|p| p.pool_setup_s),
         ranks_multiplexed: sum(|p| p.ranks_multiplexed),
@@ -634,7 +633,6 @@ mod tests {
             wall_s: 0.0,
             lease_hits: 0,
             lease_misses: 0,
-            pools_poisoned: 0,
             input_cache_hits: 0,
             pool_setup_s: 0.0,
             ranks_multiplexed: 0,

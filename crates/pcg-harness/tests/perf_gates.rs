@@ -15,8 +15,8 @@
 //! them with `cargo test --release -p pcg-harness --test perf_gates`.
 //!
 //! One lock serializes the gates so no two timings overlap, and every
-//! process-global switch a gate flips (warm path, MPI execution mode,
-//! deadlock detection) is restored by a drop guard, so a failing gate
+//! process-global switch a gate flips (warm path, deadlock detection)
+//! is restored by a drop guard, so a failing gate
 //! cannot leave the next one in a forced mode. Gates 5–7 measure real
 //! OS processes: they re-run this test binary filtered to their own
 //! test, with [`ROLE_VAR`] naming the part the child plays.
@@ -30,8 +30,8 @@ use pcg_harness::shard::{scan_siblings, steal_from_siblings};
 use pcg_harness::{eval, scheduler, EvalConfig, EvalStats, SharedRunner};
 use pcg_metrics::TaskSamples;
 use pcg_models::SyntheticModel;
-use pcg_mpisim::sched::{self, ExecMode};
-use pcg_problems::{input_cache, lease};
+use pcg_mpisim::sched;
+use pcg_problems::input_cache;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -158,7 +158,7 @@ fn timeout_overlap_at_8_workers() {
     let serial_s = best_of(2, || grid_seconds(1));
     let parallel_s = best_of(2, || grid_seconds(8));
     let speedup = serial_s / parallel_s;
-    println!("timeout overlap: jobs1 {serial_s:.3}s, jobs8 {parallel_s:.3}s, {speedup:.1}x");
+    println!("timeout overlap: jobs1 {serial_s:.3}s, jobs8 {parallel_s:.3}s, {speedup:.2}x");
     assert!(
         speedup >= 4.0,
         "hanging cells must overlap: expected >=4x at 8 workers, got {speedup:.2}x"
@@ -192,19 +192,18 @@ fn warm_path_beats_cold() {
 
     warm::set_enabled(false);
     let cold = best_of(2, || once().0);
-    // Start from empty caches and prime once, paying every lease miss;
-    // then measure the steady state.
+    // Start from an empty input cache and prime it once; then measure
+    // the steady state.
     warm::set_enabled(true);
-    lease::flush();
     input_cache::flush();
     once();
     let (warm_a, stats) = once();
     let warm_s = warm_a.min(once().0);
     let speedup = cold / warm_s;
     println!(
-        "warm path: cold {cold:.3}s, warm {warm_s:.3}s, {speedup:.1}x \
-         ({} lease hits / {} misses steady-state)",
-        stats.lease_hits, stats.lease_misses,
+        "warm path: cold {cold:.3}s, warm {warm_s:.3}s, {speedup:.2}x \
+         ({} input-cache hits, {} ranks as fibers steady-state)",
+        stats.input_cache_hits, stats.ranks_multiplexed,
     );
     assert!(speedup >= 2.0, "warm path must be >=2x over cold, got {speedup:.2}x");
 }
@@ -212,15 +211,17 @@ fn warm_path_beats_cold() {
 // ---- 3. MPI multiplexing -----------------------------------------------
 
 /// One 512-rank world (block dot, allreduce, ring shift on the cluster
-/// model): thread per rank pays a thread spawn per rank per run, the
-/// multiplexer runs the world on one fiber worker per core.
+/// model): thread per rank (the cold path) pays a thread spawn per rank
+/// per run, the multiplexer (the warm path) runs the world as fibers on
+/// the calling thread plus one helper per further core.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "bounds hold for optimized builds only")]
 fn mpi_multiplexing_at_512_ranks() {
     use pcg_mpisim::{CostModel, ReduceOp, World};
     let _gate = serial();
-    let was = sched::exec_mode();
-    let _mode = Restore(move || sched::set_exec_mode(was));
+    assert!(sched::supported(), "the gate measures the fiber scheduler");
+    let was = warm::enabled();
+    let _warm = Restore(move || warm::set_enabled(was));
     let world_seconds = || {
         let t0 = Instant::now();
         World::new(512)
@@ -237,15 +238,13 @@ fn mpi_multiplexing_at_512_ranks() {
             .expect("512-rank world");
         t0.elapsed().as_secs_f64()
     };
-    sched::set_exec_mode(ExecMode::ForceThreads);
+    warm::set_enabled(false);
     let threads_s = best_of(2, world_seconds);
-    sched::set_exec_mode(ExecMode::ForceMux);
+    warm::set_enabled(true);
     let mux_s = best_of(2, world_seconds);
     let speedup = threads_s / mux_s;
     println!(
-        "mpi 512 ranks: thread per rank {threads_s:.4}s, multiplexed {mux_s:.4}s \
-         ({} workers), {speedup:.1}x",
-        sched::workers(),
+        "mpi 512 ranks: thread per rank {threads_s:.4}s, multiplexed {mux_s:.4}s, {speedup:.2}x"
     );
     assert!(speedup >= 3.0, "multiplexing must be >=3x over thread per rank, got {speedup:.2}x");
 }
@@ -339,7 +338,7 @@ fn journal_replay_beats_jsonl() {
     let _ = std::fs::remove_file(&v3_path);
     let speedup = jsonl_s / v3_s;
     println!(
-        "journal replay: {} cells: JSONL {jsonl_s:.4}s, v3 {v3_s:.4}s, {speedup:.1}x",
+        "journal replay: {} cells: JSONL {jsonl_s:.4}s, v3 {v3_s:.4}s, {speedup:.2}x",
         replay.len()
     );
     assert!(speedup >= 3.0, "v3 replay must beat JSONL by >=3x, got {speedup:.2}x");
@@ -377,7 +376,7 @@ fn shard_scaling_at_3_workers() {
     let sharded = best_of(2, || children_seconds(test, &three));
     let speedup = single / sharded;
     println!(
-        "shard scaling: 1 process {single:.3}s, 3 workers {sharded:.3}s {split:?}, {speedup:.1}x"
+        "shard scaling: 1 process {single:.3}s, 3 workers {sharded:.3}s {split:?}, {speedup:.2}x"
     );
     assert!(speedup >= 2.0, "shard workers must overlap waits: expected >=2x, got {speedup:.2}x");
 }
@@ -460,7 +459,7 @@ fn weighted_sharding_balances_the_merge_gate() {
     let unweighted = gate("unweighted");
     let weighted = gate("weighted");
     let improvement = unweighted / weighted;
-    println!("scheduling balance: unweighted {unweighted:.3}s, weighted {weighted:.3}s, {improvement:.1}x");
+    println!("scheduling balance: unweighted {unweighted:.3}s, weighted {weighted:.3}s, {improvement:.2}x");
     assert!(
         improvement >= 1.5,
         "weighted LPT must lower the merge gate: expected >=1.5x, got {improvement:.2}x"
@@ -562,7 +561,7 @@ fn stealing_beats_a_stalled_victim() {
     let steal_gate = gate("steal");
     journals.iter().for_each(|p| journal::remove(p));
     let improvement = static_gate / steal_gate;
-    println!("work stealing: static {static_gate:.3}s, steal {steal_gate:.3}s, {improvement:.1}x");
+    println!("work stealing: static {static_gate:.3}s, steal {steal_gate:.3}s, {improvement:.2}x");
     assert!(
         improvement >= 1.5,
         "stealing must lower the straggler gate: expected >=1.5x, got {improvement:.2}x"

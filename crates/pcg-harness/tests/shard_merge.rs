@@ -13,8 +13,8 @@
 //! projection (`pcg_harness::record::projection`), exactly as CI
 //! compares separate worker processes.
 //!
-//! One `#[test]` only: the warm flag, the lease cache, and the input
-//! cache are process-global, so the phases must not interleave.
+//! One `#[test]` only: the warm flag and the input cache are
+//! process-global, so the phases must not interleave.
 
 use pcg_core::plan::ShardSpec;
 use pcg_core::warm;
@@ -24,7 +24,7 @@ use pcg_harness::pipeline::{self, RunOptions};
 use pcg_harness::record::{projection, stats_projection, EvalStats};
 use pcg_harness::shard::{merge_shards, run_shard, shard_stats_path};
 use pcg_harness::{EvalConfig, SharedRunner};
-use pcg_problems::{input_cache, lease};
+use pcg_problems::input_cache;
 use std::path::{Path, PathBuf};
 
 fn tmp_cache() -> PathBuf {
@@ -85,7 +85,6 @@ fn merged_shards_match_the_unsharded_run() {
     let models = pcg_models::zoo();
     let cache = tmp_cache();
     warm::set_enabled(true);
-    lease::flush();
     input_cache::flush();
 
     // ------- Phase 1: unsharded reference, --jobs 1 and --jobs 8.
@@ -98,7 +97,10 @@ fn merged_shards_match_the_unsharded_run() {
         serde_json::to_string(&ref8).unwrap(),
         "unsharded records must be jobs-agnostic"
     );
-    assert!(ref8_stats.lease_hits > 0, "warm path must be engaged for this test");
+    assert!(
+        ref8_stats.ranks_multiplexed > 0,
+        "warm path must be engaged for this test: {ref8_stats:?}"
+    );
 
     // ------- Phase 2: three shard workers write real journals, then
     // merge. The merged records must be byte-identical to the

@@ -22,12 +22,13 @@
 //!
 //! ## Execution style
 //!
-//! Rank execution is inherited from `pcg-mpisim`: an oversubscribed
-//! world runs its ranks as multiplexed fibers on a bounded worker pool
-//! (see `pcg_mpisim::sched`), with records identical to thread-per-rank.
-//! A rank's timed compute pool owns no OS threads: its sections compute
-//! on the rank's own thread or fiber, so a 4 x 64 world occupies only
-//! the rank layer's threads, and no rank ever waits on a pool.
+//! Rank execution is inherited from `pcg-mpisim`: with the warm path on,
+//! a world runs its ranks as fibers on the calling thread (see
+//! `pcg_mpisim::sched`), with records identical to thread-per-rank. A
+//! hybrid world holds one compute token, so it spawns no helper thread.
+//! A rank's timed compute pool owns no OS threads either: its sections
+//! compute on the rank's own fiber, so a 4 x 64 world runs entirely on
+//! its caller, and no rank ever waits on a pool.
 //!
 //! ```
 //! use pcg_hybrid::HybridWorld;
@@ -45,7 +46,7 @@
 //! ```
 
 use pcg_core::{usage, ExecutionModel, PcgError};
-use pcg_mpisim::{Comm, CostModel, RankTeam, SimOutcome, World};
+use pcg_mpisim::{Comm, CostModel, SimOutcome, World};
 use pcg_shmem::{Pool, Schedule, ThreadCostModel};
 use std::ops::Range;
 
@@ -56,33 +57,6 @@ pub struct HybridWorld {
     threads_per_rank: usize,
     cost: CostModel,
     force_mux: bool,
-}
-
-/// Warm substrate for hybrid worlds: a persistent [`RankTeam`], so
-/// [`HybridWorld::run_on`] reuses the rank layer's threads instead of
-/// respawning them per run. The per-rank timed pools own no threads and
-/// are built fresh by every run.
-pub struct HybridTeam {
-    team: RankTeam,
-    threads_per_rank: usize,
-}
-
-impl HybridTeam {
-    /// Spawn the rank layer of a `ranks x threads_per_rank` hybrid world.
-    pub fn new(ranks: usize, threads_per_rank: usize) -> HybridTeam {
-        assert!(ranks > 0 && threads_per_rank > 0, "hybrid team dims must be nonzero");
-        HybridTeam { team: RankTeam::new(ranks), threads_per_rank }
-    }
-
-    /// Rank count.
-    pub fn ranks(&self) -> usize {
-        self.team.size()
-    }
-
-    /// Threads per rank pool.
-    pub fn threads_per_rank(&self) -> usize {
-        self.threads_per_rank
-    }
 }
 
 /// Per-rank context: the rank's communicator plus its thread pool.
@@ -100,9 +74,9 @@ impl HybridWorld {
     }
 
     /// Force the rank layer onto the multiplexed fiber scheduler even
-    /// when the world is small enough for thread-per-rank. Required for
-    /// containment worlds: guard-paged stacks and the wait-for-graph
-    /// deadlock detector only exist on the fiber path.
+    /// when the warm path is off. Required for containment worlds:
+    /// guard-paged stacks and the wait-for-graph deadlock detector only
+    /// exist on the fiber path.
     pub fn multiplexed(mut self) -> HybridWorld {
         self.force_mux = true;
         self
@@ -137,23 +111,6 @@ impl HybridWorld {
         F: Fn(&HybridCtx<'_>) -> R + Sync,
     {
         self.world().run(|comm| self.on_rank(comm, &f))
-    }
-
-    /// Run an SPMD hybrid program on a warm [`HybridTeam`]: the rank
-    /// threads are reused and every per-run structure is rebuilt. Team
-    /// dims must match the world's.
-    pub fn run_on<R, F>(&self, team: &HybridTeam, f: F) -> Result<SimOutcome<R>, PcgError>
-    where
-        R: Send,
-        F: Fn(&HybridCtx<'_>) -> R + Sync,
-    {
-        assert_eq!(team.ranks(), self.ranks, "hybrid team rank count must match world");
-        assert_eq!(
-            team.threads_per_rank(),
-            self.threads_per_rank,
-            "hybrid team thread count must match world"
-        );
-        self.world().run_on(&team.team, |comm| self.on_rank(comm, &f))
     }
 
     /// One rank's program: a fresh timed pool computing on the rank itself.
@@ -289,35 +246,6 @@ mod tests {
             })
             .unwrap();
         assert!(out.per_rank[0] > 0.0, "threaded section must advance virtual clock");
-    }
-
-    #[test]
-    fn warm_team_matches_cold_run() {
-        let world = HybridWorld::new(3, 4);
-        let team = HybridTeam::new(3, 4);
-        let n = 3000usize;
-        let prog = |ctx: &HybridCtx<'_>| {
-            let comm = ctx.comm();
-            let range = pcg_mpisim::block_range(n, comm.size(), comm.rank());
-            let partial = ctx.par_reduce(range, 0.0f64, |a, i| a + i as f64, |a, b| a + b);
-            comm.allreduce_one(partial, ReduceOp::Sum)
-        };
-        let want = (n * (n - 1) / 2) as f64;
-        let cold = world.run(prog).unwrap();
-        assert_eq!(*cold.root(), want);
-        // Repeated warm runs produce the same values on reused threads.
-        for _ in 0..3 {
-            let warm = world.run_on(&team, prog).unwrap();
-            assert_eq!(warm.per_rank, cold.per_rank);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "rank count must match")]
-    fn warm_team_dim_mismatch_panics() {
-        let world = HybridWorld::new(2, 4);
-        let team = HybridTeam::new(3, 4);
-        let _ = world.run_on(&team, |ctx| ctx.comm().rank());
     }
 
     #[test]

@@ -50,14 +50,12 @@ mod mailbox;
 mod packet;
 pub mod sched;
 mod sync;
-mod team;
 mod world;
 
 pub use comm::{block_range, Comm};
 pub use cost::CostModel;
 pub use packet::{Elem, Packet, ReduceOp};
-pub use sched::{ExecMode, SchedStats};
-pub use team::RankTeam;
+pub use sched::SchedStats;
 pub use world::{SimOutcome, World};
 
 /// Receive from any source (the `MPI_ANY_SOURCE` analog).

@@ -4,17 +4,19 @@
 //! which makes the paper's 512-rank sweep column cost 512 spawns plus a
 //! condvar storm per run on a machine with a few dozen cores. This
 //! module runs the same rank programs as **stackful fibers** multiplexed
-//! onto `W = cores` worker threads: a rank that blocks in
-//! `recv`/token acquisition parks its continuation (a saved stack) in a
-//! blocked-rank queue instead of parking an OS thread, and a worker
-//! resumes the next runnable rank.
+//! onto worker threads: a rank that blocks in `recv`/token acquisition
+//! parks its continuation (a saved stack) in a blocked-rank queue
+//! instead of parking an OS thread, and a worker resumes the next
+//! runnable rank.
 //!
-//! The worker count equals the world's compute-token count
-//! (`World::new` grants one token per core). A fiber holds a token from
-//! the moment it starts until it parks, so at most `cores` fibers can
-//! make progress at once; a further worker could only resume a fiber
-//! that fails `try_acquire` and yields straight back, paying a
-//! scheduler-lock round trip and a futex wake for nothing.
+//! The calling thread is worker 0, and a run spawns one scoped helper
+//! per further compute token: workers = tokens = `min(cores, ranks)`
+//! (`World::new` grants one token per core; a hybrid world grants one,
+//! so it spawns no helper at all). A fiber holds a token from the
+//! moment it starts until it parks, so at most `tokens` fibers can make
+//! progress at once; a further worker could only resume a fiber that
+//! fails `try_acquire` and yields straight back, paying a scheduler-lock
+//! round trip and a futex wake for nothing.
 //!
 //! Scheduling is *run-to-block*: fibers yield only at the exact points
 //! where the thread-per-rank path would block on a condvar (mailbox
@@ -52,84 +54,21 @@ use crate::world::WorldShared;
 use parking_lot::{Condvar, Mutex};
 use pcg_core::{cancel, usage, warm};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 // ---- policy ----------------------------------------------------------
-
-/// How worlds choose between thread-per-rank and multiplexed execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Multiplex oversubscribed worlds (`ranks > workers()`) when the
-    /// warm path is enabled (`PCG_COLD=1` restores thread-per-rank).
-    Auto,
-    /// Always thread-per-rank (the A/B baseline).
-    ForceThreads,
-    /// Multiplex every multi-rank world, however small (tests).
-    ForceMux,
-}
-
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-global execution mode (tests only; the default is
-/// [`ExecMode::Auto`]).
-pub fn set_exec_mode(mode: ExecMode) {
-    MODE.store(mode as u8, Ordering::Release);
-}
-
-/// The current execution mode.
-pub fn exec_mode() -> ExecMode {
-    match MODE.load(Ordering::Acquire) {
-        1 => ExecMode::ForceThreads,
-        2 => ExecMode::ForceMux,
-        _ => ExecMode::Auto,
-    }
-}
 
 /// Whether fiber multiplexing is implemented for this target.
 pub fn supported() -> bool {
     cfg!(all(target_arch = "x86_64", unix))
 }
 
-/// Number of multiplexer worker threads: `PCG_MPI_WORKERS` if set to a
-/// positive integer, else the available parallelism — the compute-token
-/// count `World::new` grants, so no worker idles behind a token it can
-/// never get. Read once per process.
-pub fn workers() -> usize {
-    static W: OnceLock<usize> = OnceLock::new();
-    *W.get_or_init(|| {
-        if let Ok(v) = std::env::var("PCG_MPI_WORKERS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    })
-}
-
-/// Whether a world of `ranks` ranks runs multiplexed under the current
-/// mode.
-pub fn should_multiplex(ranks: usize) -> bool {
-    if !supported() {
-        return false;
-    }
-    match exec_mode() {
-        ExecMode::ForceThreads => false,
-        ExecMode::ForceMux => ranks > 1,
-        ExecMode::Auto => warm::enabled() && ranks > workers(),
-    }
-}
-
-/// OS threads a world of `ranks` ranks actually occupies under the
-/// current mode — the quantity the lease layer budgets by.
-pub fn os_threads_for(ranks: usize) -> usize {
-    if should_multiplex(ranks) {
-        workers()
-    } else {
-        ranks
-    }
+/// Whether worlds run their ranks as fibers: on every supported target
+/// while the warm path is on. Cold mode (`PCG_COLD=1`) and unsupported
+/// targets run one OS thread per rank, the reference path the fiber
+/// scheduler is checked against.
+pub fn should_multiplex() -> bool {
+    supported() && warm::enabled()
 }
 
 // ---- stats -----------------------------------------------------------
@@ -141,7 +80,7 @@ static STACK_OVERFLOWS_CAUGHT: AtomicU64 = AtomicU64::new(0);
 static GUARD_FAULTS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide multiplexer counters (monotonic; the harness snapshots
-/// and diffs them per evaluation, like the lease stats).
+/// and diffs them per evaluation, like the input-cache stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedStats {
     /// Simulated ranks that ran as fibers instead of OS threads.
@@ -1091,8 +1030,8 @@ pub(crate) fn worker_loop(shared: &WorldShared, body: &(dyn Fn(usize) + Sync)) {
     let sched = shared.sched.as_ref().expect("worker_loop on a non-multiplexed world");
     // Every thread that can resume fibers needs the SIGSEGV classifier
     // (process-wide, once) and its own sigaltstack before the first
-    // resume; worker_loop is the common entry for cold mux workers and
-    // warm team threads alike.
+    // resume; worker_loop is the common entry for the calling thread and
+    // its helpers alike.
     fiber::ensure_signal_setup();
     loop {
         // Pick the next runnable rank.
@@ -1155,6 +1094,13 @@ pub(crate) fn worker_loop(shared: &WorldShared, body: &(dyn Fn(usize) + Sync)) {
                     // Everyone still picking/waiting must observe
                     // completion and return.
                     sched.ready_cv.notify_all();
+                } else {
+                    // A finished rank can be the last runnable one: the
+                    // survivors may all be waiting on it. Checking here
+                    // as well as on every park makes the verdict
+                    // independent of whether the waiter parked before
+                    // or after its peer returned.
+                    maybe_fail_deadlock(st, shared);
                 }
                 drop(fib);
             }
@@ -1225,14 +1171,16 @@ fn maybe_fail_deadlock(mut st: parking_lot::MutexGuard<'_, SchedState>, shared: 
     shared.abort();
 }
 
-/// Transient multiplexed execution: spawn the worker threads for one
-/// run (the warm path keeps them alive in a team instead).
+/// Multiplexed execution: the caller runs the scheduler loop as worker
+/// 0 while `workers - 1` scoped helpers, carrying the caller's usage
+/// sink and cancel token, run it beside it. Returns once every rank has
+/// finished.
 pub(crate) fn run_multiplexed(shared: &WorldShared, body: &(dyn Fn(usize) + Sync)) {
     let sched = shared.sched.as_ref().expect("run_multiplexed without a scheduler");
     let sink = usage::current_sink();
     let token = cancel::current_token();
     std::thread::scope(|scope| {
-        for w in 0..sched.workers {
+        for w in 1..sched.workers {
             let sink = sink.clone();
             let token = token.clone();
             std::thread::Builder::new()
@@ -1245,5 +1193,6 @@ pub(crate) fn run_multiplexed(shared: &WorldShared, body: &(dyn Fn(usize) + Sync
                 })
                 .expect("failed to spawn mux worker");
         }
+        worker_loop(shared, body);
     });
 }

@@ -5,11 +5,18 @@ use crate::cost::CostModel;
 use crate::mailbox::Mailbox;
 use crate::sched::{self, Sched};
 use crate::sync::Semaphore;
-use crate::team::RankTeam;
 use parking_lot::Mutex;
 use pcg_core::cancel::CancelToken;
 use pcg_core::PcgError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
+
+/// The host's available parallelism, read once per process: the query
+/// reads cgroup files, which costs tens of microseconds per world.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
+}
 
 /// Shared state of one simulated world (internal).
 pub(crate) struct WorldShared {
@@ -24,9 +31,9 @@ pub(crate) struct WorldShared {
     pub(crate) cancel: Option<CancelToken>,
     /// Per-rank diagnostics set by the wait-for-graph detector when it
     /// proves the world quiescent; first reporter wins.
-    pub(crate) deadlock: std::sync::OnceLock<String>,
+    pub(crate) deadlock: OnceLock<String>,
     /// Set when a fiber overran its stack into the guard page.
-    pub(crate) overflow: std::sync::OnceLock<String>,
+    pub(crate) overflow: OnceLock<String>,
 }
 
 impl WorldShared {
@@ -100,8 +107,7 @@ impl World {
     /// compute-token pool sized to the physical parallelism.
     pub fn new(size: usize) -> World {
         assert!(size > 0, "world needs at least one rank");
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        World { size, cost: CostModel::default(), max_tokens: cores, force_mux: false }
+        World { size, cost: CostModel::default(), max_tokens: cores(), force_mux: false }
     }
 
     /// Override the cost model.
@@ -118,13 +124,12 @@ impl World {
         self
     }
 
-    /// Force this world onto the fiber scheduler regardless of the
-    /// process-global execution mode (no-op where fibers are
-    /// unsupported). Containment relies on this for hostile candidates:
-    /// the deadlock detector and stack guard pages only exist on the
-    /// multiplexed path, and a stack-hogging rank on a plain OS thread
-    /// would take the whole process down instead of producing a
-    /// verdict.
+    /// Force this world onto the fiber scheduler even when the warm path
+    /// is off (no-op where fibers are unsupported). Containment relies on
+    /// this for hostile candidates: the deadlock detector and stack guard
+    /// pages only exist on the multiplexed path, and a stack-hogging rank
+    /// on a plain OS thread would take the whole process down instead of
+    /// producing a verdict.
     pub fn multiplexed(mut self) -> World {
         self.force_mux = true;
         self
@@ -135,57 +140,29 @@ impl World {
         self.size
     }
 
-    /// Run `f` as an SPMD program: one invocation per rank, each on its
-    /// own thread with a private [`Comm`]. Returns per-rank results and
-    /// the simulated elapsed time, or the first rank failure.
+    /// Run `f` as an SPMD program: one invocation per rank, each with a
+    /// private [`Comm`]. Ranks run as fibers on the calling thread plus
+    /// one helper thread per further compute token when
+    /// [`sched::should_multiplex`] (or [`World::multiplexed`]) says so,
+    /// else each on its own thread. Returns per-rank results and the
+    /// simulated elapsed time, or the first rank failure.
     pub fn run<R, F>(&self, f: F) -> Result<SimOutcome<R>, PcgError>
     where
         R: Send,
         F: Fn(&Comm<'_>) -> R + Sync,
     {
-        self.run_impl(None, f)
-    }
-
-    /// Run `f` on a warm [`RankTeam`] instead of spawning fresh rank
-    /// threads. Identical semantics to [`World::run`]: all per-run state
-    /// (mailboxes, cost model, token semaphore) is rebuilt here, only
-    /// the OS threads are reused. The team size must equal the world
-    /// size.
-    pub fn run_on<R, F>(&self, team: &RankTeam, f: F) -> Result<SimOutcome<R>, PcgError>
-    where
-        R: Send,
-        F: Fn(&Comm<'_>) -> R + Sync,
-    {
-        assert_eq!(
-            team.size(),
-            self.size,
-            "rank team size must match world size"
-        );
-        self.run_impl(Some(team), f)
-    }
-
-    fn run_impl<R, F>(&self, team: Option<&RankTeam>, f: F) -> Result<SimOutcome<R>, PcgError>
-    where
-        R: Send,
-        F: Fn(&Comm<'_>) -> R + Sync,
-    {
         let wall_start = std::time::Instant::now();
-        // A warm team fixes the execution style at team construction;
-        // transient runs consult the process-global policy per run.
-        let mux_workers = match team {
-            Some(t) => t.mux_workers(),
-            None => (sched::should_multiplex(self.size)
-                || (self.force_mux && sched::supported()))
-            .then(sched::workers),
-        };
+        let tokens = self.max_tokens.min(self.size);
+        let mux = sched::should_multiplex() || (self.force_mux && sched::supported());
         let shared = WorldShared {
             mailboxes: (0..self.size).map(|_| Mailbox::new()).collect(),
             cost: self.cost.clone(),
-            tokens: Semaphore::new(self.max_tokens.min(self.size.max(1))),
-            sched: mux_workers.map(|w| Sched::new(self.size, w)),
+            tokens: Semaphore::new(tokens),
+            // One fiber worker per compute token: see `sched`.
+            sched: mux.then(|| Sched::new(self.size, tokens)),
             cancel: pcg_core::cancel::current_token(),
-            deadlock: std::sync::OnceLock::new(),
-            overflow: std::sync::OnceLock::new(),
+            deadlock: OnceLock::new(),
+            overflow: OnceLock::new(),
         };
         if shared.is_multiplexed() {
             sched::note_ranks_multiplexed(self.size as u64);
@@ -195,9 +172,9 @@ impl World {
         let failure: Mutex<Option<String>> = Mutex::new(None);
         let cancelled = std::sync::atomic::AtomicBool::new(false);
 
-        // The per-rank program, shared by the cold (scoped-spawn) and
-        // warm (persistent team) paths. Runs on a thread that already
-        // has the candidate's usage sink and cancel token installed.
+        // The per-rank program, shared by the fiber and thread-per-rank
+        // paths. Runs on a thread that already has the candidate's usage
+        // sink and cancel token installed.
         let rank_body = |rank: usize| {
             let shared = &shared;
             let comm = Comm::new(rank, shared.mailboxes.len(), shared);
@@ -238,45 +215,38 @@ impl World {
             }
         };
 
-        match team {
-            Some(team) => team.run(&shared, &rank_body),
-            None if shared.is_multiplexed() => {
-                // Oversubscribed world: run all ranks as fibers on a
-                // small transient worker pool instead of one OS thread
-                // per rank.
-                sched::run_multiplexed(&shared, &rank_body);
-            }
-            None => {
-                // Rank threads attribute their API usage to the
-                // candidate that launched the world, not to whoever else
-                // runs concurrently, and inherit its cancel token so a
-                // killed candidate's ranks (and any nested shmem pools
-                // they spawn) observe the kill.
-                let usage_sink = pcg_core::usage::current_sink();
-                let cancel_token = pcg_core::cancel::current_token();
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(self.size);
-                    for rank in 0..self.size {
-                        let rank_body = &rank_body;
-                        let usage_sink = usage_sink.clone();
-                        let cancel_token = cancel_token.clone();
-                        handles.push(
-                            std::thread::Builder::new()
-                                .name(format!("mpisim-rank-{rank}"))
-                                .stack_size(1 << 21)
-                                .spawn_scoped(scope, move || {
-                                    let _usage = pcg_core::usage::install_sink(usage_sink);
-                                    let _cancel = pcg_core::cancel::install_token(cancel_token);
-                                    rank_body(rank)
-                                })
-                                .expect("failed to spawn rank thread"),
-                        );
-                    }
-                    for h in handles {
-                        let _ = h.join();
-                    }
-                });
-            }
+        if shared.is_multiplexed() {
+            sched::run_multiplexed(&shared, &rank_body);
+        } else {
+            // Rank threads attribute their API usage to the
+            // candidate that launched the world, not to whoever else
+            // runs concurrently, and inherit its cancel token so a
+            // killed candidate's ranks (and any nested shmem pools
+            // they spawn) observe the kill.
+            let usage_sink = pcg_core::usage::current_sink();
+            let cancel_token = pcg_core::cancel::current_token();
+            std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(self.size);
+                for rank in 0..self.size {
+                    let rank_body = &rank_body;
+                    let usage_sink = usage_sink.clone();
+                    let cancel_token = cancel_token.clone();
+                    handles.push(
+                        std::thread::Builder::new()
+                            .name(format!("mpisim-rank-{rank}"))
+                            .stack_size(1 << 21)
+                            .spawn_scoped(scope, move || {
+                                let _usage = pcg_core::usage::install_sink(usage_sink);
+                                let _cancel = pcg_core::cancel::install_token(cancel_token);
+                                rank_body(rank)
+                            })
+                            .expect("failed to spawn rank thread"),
+                    );
+                }
+                for h in handles {
+                    let _ = h.join();
+                }
+            });
         }
 
         if cancelled.load(std::sync::atomic::Ordering::Acquire) {
@@ -588,9 +558,11 @@ mod tests {
 
     #[test]
     fn cancelled_world_unwinds_deadlocked_ranks() {
-        // Both ranks block on a receive the other never sends — the
-        // classic candidate deadlock. Cancelling the token must tear the
-        // world down and re-unwind with the Cancelled marker.
+        // Rank 0 blocks on a receive rank 1 never sends, while rank 1
+        // hangs computing (so the fiber scheduler's deadlock detector,
+        // which needs every rank parked, cannot step in). Cancelling the
+        // token must tear the world down and re-unwind with the
+        // Cancelled marker.
         let token = pcg_core::cancel::CancelToken::new();
         let _g = pcg_core::cancel::install_token(Some(token.clone()));
         let t = token.clone();
@@ -600,7 +572,14 @@ mod tests {
         });
         let result = catch_unwind(AssertUnwindSafe(|| {
             det_world(2).run(|comm| {
-                let _ = comm.recv::<i64>(Some(1 - comm.rank()), 9);
+                if comm.rank() == 0 {
+                    let _ = comm.recv::<i64>(Some(1), 9);
+                } else {
+                    loop {
+                        pcg_core::cancel::check_current();
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                }
             })
         }));
         timer.join().unwrap();
@@ -655,43 +634,6 @@ mod tests {
         for v in out.per_rank {
             assert_eq!(v, 1 << 12);
         }
-    }
-
-    #[test]
-    fn run_on_warm_team_matches_cold_semantics() {
-        let team = RankTeam::new(6);
-        // Successive runs reuse the same rank threads; per-run state
-        // (mailboxes, semaphore) is rebuilt each time.
-        for _ in 0..3 {
-            let warm = det_world(6)
-                .run_on(&team, |comm| comm.allreduce_one(comm.rank() as i64, ReduceOp::Sum))
-                .unwrap();
-            assert_eq!(warm.per_rank, vec![15; 6]);
-        }
-        // A failing run aborts cleanly...
-        let err = det_world(6)
-            .run_on(&team, |comm| {
-                if comm.rank() == 3 {
-                    panic!("deliberate failure");
-                }
-                let _ = comm.recv::<i64>(Some(3), 9);
-            })
-            .unwrap_err();
-        match err {
-            PcgError::Runtime(msg) => assert!(msg.contains("rank 3"), "{msg}"),
-            other => panic!("unexpected {other:?}"),
-        }
-        // ...and the team itself stays functional afterwards (the lease
-        // layer still discards poisoned teams out of caution).
-        let ok = det_world(6).run_on(&team, |comm| comm.rank()).unwrap();
-        assert_eq!(ok.per_rank, (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "team size must match")]
-    fn run_on_size_mismatch_panics() {
-        let team = RankTeam::new(2);
-        let _ = det_world(3).run_on(&team, |comm| comm.rank());
     }
 
     #[test]

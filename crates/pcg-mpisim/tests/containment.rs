@@ -73,6 +73,38 @@ fn containment_battery() {
     let after = sched::stats();
     assert_eq!(after.deadlocks_detected - base.deadlocks_detected, 1);
 
+    // --- waiting on a rank that already returned -----------------------
+    // The verdict must not depend on whether the waiter parks before or
+    // after its peer finishes. With one worker the waiter always parks
+    // first; with two it races the peer. A watchdog cancel turns a
+    // missed verdict into a failure instead of a hung test.
+    let token = pcg_core::cancel::CancelToken::new();
+    let cancel_guard = pcg_core::cancel::install_token(Some(token.clone()));
+    let watchdog = token.clone();
+    std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_secs(30));
+        watchdog.cancel();
+    });
+    for tokens in [1usize, 2] {
+        for i in 0..50 {
+            let run = World::new(2)
+                .with_max_tokens(tokens)
+                .multiplexed()
+                .run(|comm| {
+                    if comm.rank() == 0 {
+                        let _: Vec<f64> = comm.recv(Some(1), NEVER_SENT);
+                    }
+                })
+                .map(|_| ());
+            let msg = expect_deadlock(run);
+            assert!(
+                msg.contains("rank 0 waits recv(src=1"),
+                "tokens={tokens} iteration {i}: {msg}"
+            );
+        }
+    }
+    drop(cancel_guard);
+
     // --- detector toggle: off means no verdict, candidates hang --------
     // (Exercised indirectly: with detection off a deadlock world would
     // block forever, so instead verify the toggle round-trips and leave

@@ -8,10 +8,17 @@
 //! with `CostModel::deterministic()` the clock is a pure function of
 //! the message graph, which scheduling must not perturb.
 //!
-//! One `#[test]` only: the execution mode is process-global.
+//! Cold mode (`warm` off) is the thread-per-rank path; warm mode runs
+//! every world as fibers. A last cold phase checks that cancelling a
+//! deadlocked thread-per-rank world unwinds it.
+//!
+//! One `#[test]` only: the warm-path flag is process-global.
 
-use pcg_mpisim::sched::{self, ExecMode};
+use pcg_core::cancel::{self, CancelToken};
+use pcg_core::warm;
+use pcg_mpisim::sched;
 use pcg_mpisim::{block_range, CostModel, ReduceOp, World};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Every collective once, results folded into a comparable tuple.
 #[derive(Debug, PartialEq, Clone)]
@@ -112,15 +119,13 @@ fn collectives_identical_across_execution_paths() {
     for size in [3usize, 5, 7, 48] {
         let seed: Vec<f64> = (0..size * 3 + 1).map(|i| i as f64 * 0.5).collect();
 
-        sched::set_exec_mode(ExecMode::ForceThreads);
+        warm::set_enabled(false);
         let (threads_results, threads_clocks) = run_battery(size);
 
-        sched::set_exec_mode(ExecMode::ForceMux);
+        warm::set_enabled(true);
         let stats_before = sched::stats();
         let (mux_results, mux_clocks) = run_battery(size);
         let stats_after = sched::stats();
-
-        sched::set_exec_mode(ExecMode::Auto);
 
         check_oracle(size, &threads_results, &seed);
         check_oracle(size, &mux_results, &seed);
@@ -137,11 +142,44 @@ fn collectives_identical_across_execution_paths() {
         assert_eq!(
             stats_after.ranks_multiplexed - stats_before.ranks_multiplexed,
             size as u64,
-            "forced mux run must actually multiplex"
+            "warm run must actually multiplex"
         );
         assert!(
             stats_after.bytes_zero_copied > stats_before.bytes_zero_copied,
             "collective battery must forward at least some buffers by reference"
         );
     }
+
+    // Thread-per-rank has no deadlock detector: a world whose ranks all
+    // block on receives the other never sends stays blocked until the
+    // cancel token fires, and cancelling it must unwind every rank
+    // thread and re-raise the Cancelled marker.
+    warm::set_enabled(false);
+    let token = CancelToken::new();
+    let guard = cancel::install_token(Some(token.clone()));
+    let timer = std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        token.cancel();
+    });
+    let stats_before = sched::stats();
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        World::new(2).run(|comm| {
+            let _ = comm.recv::<i64>(Some(1 - comm.rank()), 9);
+        })
+    }));
+    let stats_after = sched::stats();
+    timer.join().unwrap();
+    drop(guard);
+    warm::set_enabled(true);
+    match result {
+        Err(payload) => assert!(
+            cancel::is_cancel_payload(payload.as_ref()),
+            "cold world must re-unwind with the Cancelled marker"
+        ),
+        Ok(out) => panic!("deadlocked cold world returned {:?}", out.map(|_| ())),
+    }
+    assert_eq!(
+        stats_after.ranks_multiplexed, stats_before.ranks_multiplexed,
+        "cold world must run thread-per-rank"
+    );
 }

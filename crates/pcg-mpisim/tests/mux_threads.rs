@@ -1,19 +1,22 @@
 //! Acceptance check for the rank multiplexer: a 512-rank world must run
-//! on a bounded worker pool — not 512 OS threads — while producing
-//! records byte-identical to the thread-per-rank path.
+//! on the calling thread plus one helper per further core — not 512 OS
+//! threads — while producing records byte-identical to the
+//! thread-per-rank path.
 //!
-//! The thread ceiling is observed externally via `/proc/self/status`
-//! (`Threads:` line) sampled by a monitor thread while the world runs,
-//! so the assertion covers every thread the simulator creates, not just
-//! the ones it admits to.
+//! The thread ceiling is observed via `/proc/self/status` (`Threads:`
+//! line), sampled by a monitor thread while the world runs and by every
+//! rank, so the assertion covers every thread the simulator creates,
+//! not just the ones it admits to.
 //!
-//! One `#[test]` only: the execution mode is process-global.
+//! One `#[test]` only: the warm-path flag is process-global, and a
+//! sibling test's threads would show up in the count.
 #![cfg(target_os = "linux")]
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pcg_mpisim::sched::{self, ExecMode};
+use pcg_core::warm;
+use pcg_mpisim::sched;
 use pcg_mpisim::{CostModel, ReduceOp, World};
 
 const RANKS: usize = 512;
@@ -27,10 +30,12 @@ fn os_thread_count() -> usize {
         .expect("Threads: line in /proc/self/status")
 }
 
-fn run_world(ranks: usize) -> (Vec<i64>, Vec<f64>) {
+/// Runs the world; every rank folds the thread count it sees into `peak`.
+fn run_world(ranks: usize, peak: &AtomicUsize) -> (Vec<i64>, Vec<f64>) {
     let out = World::new(ranks)
         .with_cost_model(CostModel::deterministic())
         .run(move |comm| {
+            peak.fetch_max(os_thread_count(), Ordering::Relaxed);
             let rank = comm.rank() as i64;
             let sum = comm.allreduce_one(rank, ReduceOp::Sum);
             let right = (comm.rank() + 1) % comm.size();
@@ -50,9 +55,7 @@ fn mpi512_runs_on_bounded_os_threads_with_identical_records() {
     assert!(sched::supported(), "multiplexer must be available on linux/x86_64");
 
     // --- Multiplexed run under a thread-count monitor. ---------------------
-    // Auto would *not* multiplex 512 ranks on a >=256-core host, so force it:
-    // the bound under test is the multiplexer's, not the policy's.
-    sched::set_exec_mode(ExecMode::ForceMux);
+    warm::set_enabled(true);
     let baseline = os_thread_count();
     let stats_before = sched::stats();
 
@@ -69,19 +72,24 @@ fn mpi512_runs_on_bounded_os_threads_with_identical_records() {
         })
     };
 
-    let (mux_results, mux_clocks) = run_world(RANKS);
+    let (mux_results, mux_clocks) = run_world(RANKS, &peak);
 
     stop.store(true, Ordering::Relaxed);
     monitor.join().unwrap();
     let stats_after = sched::stats();
 
     // The monitor itself is one of the extra threads we tolerate; the
-    // simulator may use at most `workers()` (one per core) on top of baseline.
+    // calling thread is fiber worker 0, so the simulator may add at most
+    // one helper per further core.
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
     let extra = peak.load(Ordering::Relaxed).saturating_sub(baseline);
     assert!(
-        extra <= sched::workers() + 1,
-        "512-rank world used {extra} extra OS threads; multiplexer allows {} workers",
-        sched::workers()
+        extra <= cores,
+        "512-rank world added {extra} OS threads (monitor included); \
+         the multiplexer allows {} helpers on {cores} cores",
+        cores - 1
     );
     assert_eq!(
         stats_after.ranks_multiplexed - stats_before.ranks_multiplexed,
@@ -90,9 +98,9 @@ fn mpi512_runs_on_bounded_os_threads_with_identical_records() {
     );
 
     // --- Thread-per-rank reference: records must be byte-identical. --------
-    sched::set_exec_mode(ExecMode::ForceThreads);
-    let (thr_results, thr_clocks) = run_world(RANKS);
-    sched::set_exec_mode(ExecMode::Auto);
+    warm::set_enabled(false);
+    let (thr_results, thr_clocks) = run_world(RANKS, &AtomicUsize::new(0));
+    warm::set_enabled(true);
 
     let expect_sum: i64 = (0..RANKS as i64).sum();
     for (rank, &v) in mux_results.iter().enumerate() {

@@ -1,12 +1,11 @@
 //! The problem abstraction and the candidate runner.
 
-use crate::lease::{self, LeaseKey};
 use crate::{corrupt, fallback, input_cache};
 use pcg_core::prompt::PromptSpec;
-use pcg_core::{warm, CandidateKind, ExecutionModel, Output, PcgError, ProblemId, Quality};
+use pcg_core::{CandidateKind, ExecutionModel, Output, PcgError, ProblemId, Quality};
 use pcg_gpusim::Gpu;
-use pcg_hybrid::{HybridCtx, HybridTeam, HybridWorld};
-use pcg_mpisim::{Comm, CostModel, RankTeam, SimOutcome, World};
+use pcg_hybrid::{HybridCtx, HybridWorld};
+use pcg_mpisim::{Comm, CostModel, World};
 use pcg_patterns::ExecSpace;
 use pcg_shmem::{Pool, ThreadCostModel};
 use std::sync::Arc;
@@ -364,35 +363,6 @@ fn cached_input<S: Spec>(spec: &S, seed: u64, size: usize) -> Arc<S::Input> {
     )
 }
 
-/// Run an MPI rank program on a warm team when one is leased, else on
-/// fresh per-run rank threads (identical semantics; see `World::run_on`).
-fn run_world<R, F>(world: &World, team: Option<&RankTeam>, f: F) -> Result<SimOutcome<R>, PcgError>
-where
-    R: Send,
-    F: Fn(&Comm<'_>) -> R + Sync,
-{
-    match team {
-        Some(team) => world.run_on(team, f),
-        None => world.run(f),
-    }
-}
-
-/// Hybrid analog of [`run_world`].
-fn run_hybrid<R, F>(
-    world: &HybridWorld,
-    team: Option<&HybridTeam>,
-    f: F,
-) -> Result<SimOutcome<R>, PcgError>
-where
-    R: Send,
-    F: Fn(&HybridCtx<'_>) -> R + Sync,
-{
-    match team {
-        Some(team) => world.run_on(team, f),
-        None => world.run(f),
-    }
-}
-
 fn run_correct<S: Spec>(
     spec: &S,
     model: ExecutionModel,
@@ -400,11 +370,10 @@ fn run_correct<S: Spec>(
     input: &S::Input,
     res: &Resources,
 ) -> Result<TimedRun, PcgError> {
-    // On the warm path the MPI, hybrid and GPU arms lease their substrate
-    // instead of building one; the `Lease` drop at the end of the arm
-    // returns it to the cache — or poisons it if the candidate unwinds
-    // (panic or cooperative cancellation), so a dirty substrate is never
-    // reused. Timed pools and spaces own no threads and are built per run.
+    // Every substrate is built per run and owns no threads: timed pools
+    // and spaces and GPU devices compute on this thread, and worlds run
+    // their ranks as fibers here (see `pcg_mpisim::sched`; thread per
+    // rank when the warm path is off).
     match model {
         ExecutionModel::Serial => {
             let t0 = Instant::now();
@@ -429,22 +398,9 @@ fn run_correct<S: Spec>(
         }
         ExecutionModel::Mpi => {
             let world = World::new(res.ranks).with_cost_model(CostModel::cluster());
-            // Oversized teams are never cached (see lease::parkable), and
-            // a fresh team per run costs more than the cold inline spawn,
-            // so only parkable shapes go through the lease at all. With
-            // rank multiplexing the paper-scale worlds (MPI-256/512)
-            // account at the fiber-worker count and are parkable too.
-            let key = LeaseKey::MpiTeam { ranks: res.ranks };
-            let lease;
-            let team: Option<&RankTeam> = if warm::enabled() && lease::parkable(key) {
-                lease = lease::checkout(key);
-                Some(lease.mpi_team())
-            } else {
-                None
-            };
             let outcome = match quality {
-                Quality::Efficient => run_world(&world, team, |comm| spec.solve_mpi(input, comm))?,
-                Quality::Inefficient => run_world(&world, team, |comm| {
+                Quality::Efficient => world.run(|comm| spec.solve_mpi(input, comm))?,
+                Quality::Inefficient => world.run(|comm| {
                     fallback::root_computes_mpi(comm, spec.input_bytes(input), || {
                         spec.serial(input)
                     })
@@ -460,20 +416,9 @@ fn run_correct<S: Spec>(
         }
         ExecutionModel::MpiOpenMp => {
             let world = HybridWorld::new(res.hybrid_ranks, res.hybrid_threads);
-            let key = LeaseKey::HybridTeam {
-                ranks: res.hybrid_ranks,
-                threads: res.hybrid_threads,
-            };
-            let lease;
-            let team: Option<&HybridTeam> = if warm::enabled() && lease::parkable(key) {
-                lease = lease::checkout(key);
-                Some(lease.hybrid_team())
-            } else {
-                None
-            };
             let outcome = match quality {
-                Quality::Efficient => run_hybrid(&world, team, |ctx| spec.solve_hybrid(input, ctx))?,
-                Quality::Inefficient => run_hybrid(&world, team, |ctx| {
+                Quality::Efficient => world.run(|ctx| spec.solve_hybrid(input, ctx))?,
+                Quality::Inefficient => world.run(|ctx| {
                     fallback::root_computes_hybrid(ctx, spec.input_bytes(input), || {
                         spec.serial(input)
                     })
@@ -485,24 +430,15 @@ fn run_correct<S: Spec>(
             Ok(TimedRun { output, seconds: outcome.elapsed })
         }
         ExecutionModel::Cuda | ExecutionModel::Hip => {
-            let lease;
-            let fresh;
-            let gpu: &Gpu = if warm::enabled() {
-                lease = lease::checkout(LeaseKey::Gpu { model });
-                lease.gpu()
+            let gpu = if model == ExecutionModel::Cuda {
+                pcg_gpusim::cuda::device()
             } else {
-                fresh = if model == ExecutionModel::Cuda {
-                    pcg_gpusim::cuda::device()
-                } else {
-                    pcg_gpusim::hip::device()
-                };
-                &fresh
+                pcg_gpusim::hip::device()
             };
-            gpu.reset_clock();
             let output = match quality {
-                Quality::Efficient => spec.solve_gpu(input, gpu),
+                Quality::Efficient => spec.solve_gpu(input, &gpu),
                 Quality::Inefficient => {
-                    fallback::single_thread_gpu(gpu, spec.input_bytes(input), || {
+                    fallback::single_thread_gpu(&gpu, spec.input_bytes(input), || {
                         spec.serial(input)
                     })
                 }

@@ -10,6 +10,10 @@
 //!
 //! A timed pool ([`Pool::new_timed`]) owns no workers: its regions run
 //! every member, or every loop chunk, on the caller (see [`crate::timing`]).
+//! The evaluation pipeline builds only timed pools. The threaded pool
+//! ([`Pool::new`], and `ExecSpace::new` on top of it) is the untimed
+//! reference that tests, examples and direct library users run; it is
+//! not a substrate any benchmark candidate runs on.
 
 use crate::barrier::Barrier;
 use crate::schedule::{LoopState, Schedule, StaticCursor};
@@ -55,16 +59,6 @@ struct Slot {
     job: Option<Job>,
 }
 
-/// The candidate the team currently works for: its usage sink and cancel
-/// token, published by [`Pool::retarget`] when a warm pool is leased to a
-/// new candidate. Workers re-apply it to their thread-locals whenever the
-/// epoch moves.
-struct Target {
-    epoch: u64,
-    sink: Option<Arc<usage::Sink>>,
-    token: Option<CancelToken>,
-}
-
 struct Shared {
     slot: Mutex<Slot>,
     work_ready: Condvar,
@@ -73,7 +67,6 @@ struct Shared {
     critical: Mutex<()>,
     panic_payload: Mutex<Option<PanicPayload>>,
     shutdown: AtomicBool,
-    target: Mutex<Target>,
 }
 
 /// A persistent team of threads supporting fork-join parallel regions and
@@ -153,11 +146,6 @@ impl Pool {
 
     fn build(nthreads: usize, timed: Option<TimedState>) -> Pool {
         assert!(nthreads > 0, "pool requires at least one thread");
-        // Workers inherit the creating candidate's usage sink so API
-        // calls they make attribute to that candidate, and its cancel
-        // token so candidate code they run can poll `check_current`.
-        // Both live in the retarget slot so a warm pool can be handed to
-        // a later candidate (see `Pool::retarget`).
         let shared = Arc::new(Shared {
             slot: Mutex::new(Slot { generation: 0, job: None }),
             work_ready: Condvar::new(),
@@ -166,39 +154,28 @@ impl Pool {
             critical: Mutex::new(()),
             panic_payload: Mutex::new(None),
             shutdown: AtomicBool::new(false),
-            target: Mutex::new(Target {
-                epoch: 1,
-                sink: usage::current_sink(),
-                token: cancel::current_token(),
-            }),
         });
+        // Workers inherit the creating candidate's usage sink so API
+        // calls they make attribute to that candidate, and its cancel
+        // token so candidate code they run can poll `check_current`.
+        let (sink, token) = (usage::current_sink(), cancel::current_token());
         // A timed team runs every member on the caller: it spawns no one.
         let spawned = if timed.is_some() { 1 } else { nthreads };
         let workers = (1..spawned)
             .map(|tid| {
                 let shared = Arc::clone(&shared);
+                let (sink, token) = (sink.clone(), token.clone());
                 std::thread::Builder::new()
                     .name(format!("pcg-shmem-{tid}"))
-                    .spawn(move || worker_loop(shared, tid, nthreads))
+                    .spawn(move || {
+                        let _usage = usage::install_sink(sink);
+                        let _cancel = cancel::install_token(token);
+                        worker_loop(shared, tid, nthreads)
+                    })
                     .expect("failed to spawn pool worker")
             })
             .collect();
         Pool { shared, nthreads, workers, timed }
-    }
-
-    /// Re-aim the team at the calling candidate: capture this thread's
-    /// usage sink and cancel token and have every worker install them
-    /// before its next region. Called by the substrate lease layer when a
-    /// warm pool is checked out, so a reused team attributes API calls to
-    /// — and observes the kill switch of — its *current* candidate, not
-    /// the one that created it. Must only be called while no region is in
-    /// flight (a leased pool is exclusively owned). A timed pool has no
-    /// workers: it always runs on its caller's sink and token.
-    pub fn retarget(&self) {
-        let mut t = self.shared.target.lock();
-        t.epoch += 1;
-        t.sink = usage::current_sink();
-        t.token = cancel::current_token();
     }
 
     /// Create a team that runs in **timed mode** and owns no OS threads:
@@ -445,7 +422,6 @@ impl Drop for Pool {
 
 fn worker_loop(shared: Arc<Shared>, tid: usize, nthreads: usize) {
     let mut last_generation = 0u64;
-    let mut applied_epoch = 0u64;
     loop {
         let job = {
             let mut slot = shared.slot.lock();
@@ -459,16 +435,6 @@ fn worker_loop(shared: Arc<Shared>, tid: usize, nthreads: usize) {
             return;
         }
         let Some(job) = job else { continue };
-        // Make sure this thread's sink/token match the candidate the
-        // team currently works for before running any of its code.
-        {
-            let t = shared.target.lock();
-            if t.epoch != applied_epoch {
-                applied_epoch = t.epoch;
-                usage::set_sink(t.sink.clone());
-                cancel::set_token(t.token.clone());
-            }
-        }
         // SAFETY: the launching thread blocks until we decrement
         // `remaining`, keeping both pointers alive for this scope.
         let (f, region) = unsafe { (&*job.f, &*job.region) };
@@ -787,24 +753,19 @@ mod tests {
     }
 
     #[test]
-    fn retarget_reaims_workers_at_new_candidate() {
+    fn workers_adopt_the_creating_candidate() {
         use pcg_core::usage::UsageScope;
-        // Built under candidate A's sink...
-        let sink_a = Arc::new(usage::Sink::default());
-        let ga = usage::install_sink(Some(Arc::clone(&sink_a)));
+        // Built under a candidate's sink and token, which every worker
+        // must install.
+        let scope = UsageScope::begin();
+        let token = CancelToken::new();
+        let guard = cancel::install_token(Some(token.clone()));
         let pool = Pool::new(4);
-        drop(ga);
-        // ...then leased to candidate B, whose sink and token the team
-        // must adopt.
-        let scope_b = UsageScope::begin();
-        let token_b = CancelToken::new();
-        let gb = cancel::install_token(Some(token_b.clone()));
-        pool.retarget();
         pool.parallel(|_| usage::record(ExecutionModel::OpenMp));
-        // Fire B's token with the caller's own thread-local cleared: the
+        // Fire the token with the caller's own thread-local cleared: the
         // unwind can only come from a worker that adopted the token.
-        drop(gb);
-        token_b.cancel();
+        drop(guard);
+        token.cancel();
         let err = catch_unwind(AssertUnwindSafe(|| {
             pool.parallel(|ctx| {
                 if ctx.tid() != 0 {
@@ -816,7 +777,7 @@ mod tests {
         assert!(cancel::is_cancel_payload(err.as_ref()));
         // 1 region entry + 4 explicit records from the first region, plus
         // the second region's entry record on the caller.
-        assert_eq!(scope_b.finish().calls(ExecutionModel::OpenMp), 6);
+        assert_eq!(scope.finish().calls(ExecutionModel::OpenMp), 6);
     }
 
     #[test]

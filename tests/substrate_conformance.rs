@@ -322,12 +322,19 @@ fn cancellation_unwinds_cooperatively_on_every_substrate() {
             Ok(())
         })),
         ("mpisim", Box::new(|| {
-            // Rank 0 posts a receive no rank will ever match: a classic
-            // deadlocked candidate. The mailbox wait checks the token.
+            // Rank 0 posts a receive no rank will ever match while rank 1
+            // spins on messages to itself, so no deadlock can be proved
+            // and only the token ends the world. Every receive checks
+            // the token.
             pcgbench::mpisim::World::new(2)
                 .run(|comm| {
                     if comm.rank() == 0 {
                         let _: Vec<f64> = comm.recv(Some(1), 7);
+                    } else {
+                        loop {
+                            comm.send_one(1, 8, 0i64);
+                            let _: i64 = comm.recv_one(Some(1), 8);
+                        }
                     }
                 })
                 .map(|_| ())
