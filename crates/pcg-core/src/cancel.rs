@@ -7,16 +7,14 @@
 //! the kill. The runner creates a [`CancelToken`] per candidate and
 //! installs it thread-locally (mirroring [`crate::usage`]'s sink
 //! plumbing); substrates capture it with [`current_token`], re-install
-//! it on any thread they spawn (MPI rank threads and fiber helpers; also
-//! the workers of an untimed shmem pool, which only tests and direct
-//! library users build), and poll it at natural progress points —
-//! shmem chunk boundaries and barrier spins, mpisim blocking waits,
-//! gpusim kernel blocks.
+//! it on any thread they spawn (MPI rank threads and fiber helpers), and
+//! poll it at natural progress points — shmem and Kokkos chunk
+//! boundaries, mpisim blocking waits, gpusim kernel blocks.
 //!
 //! A cancelled substrate unwinds by panicking with the [`Cancelled`]
-//! marker payload via [`panic_any`]. The unwind rides the substrates'
-//! existing panic-capture machinery (region join propagation, rank abort
-//! cascades, `catch_unwind` in the runner), so cancellation needs no new
+//! marker payload via [`std::panic::panic_any`]. The unwind rides the
+//! substrates' existing panic-capture machinery (rank abort cascades,
+//! `catch_unwind` in the runner), so cancellation needs no new
 //! control-flow paths — it is "a panic the harness asked for", and
 //! [`is_cancel_payload`] lets panic reporters label it as such.
 

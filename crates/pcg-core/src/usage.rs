@@ -12,9 +12,7 @@
 //! concurrently: [`UsageScope::begin`] installs a thread-local [`Sink`]
 //! that [`record`] feeds in addition to the process-global counters, and
 //! substrates that spawn their own threads (MPI rank threads and fiber
-//! helpers; also the workers of an untimed shmem pool, which only tests
-//! and direct library users build) re-install the creator's sink on
-//! those threads via
+//! helpers) re-install the creator's sink on those threads via
 //! [`current_sink`]/[`install_sink`]. The global counters remain for
 //! whole-process views ([`Snapshot`]).
 

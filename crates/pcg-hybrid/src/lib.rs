@@ -1,7 +1,7 @@
 //! # pcg-hybrid
 //!
 //! MPI+OpenMP-analog substrate: SPMD ranks from `pcg-mpisim`, each with a
-//! private `pcg-shmem` thread pool for its local compute.
+//! private `pcg-shmem` [`Pool`] for its local compute.
 //!
 //! ## Virtual-time model
 //!
@@ -9,10 +9,10 @@
 //! hardware threads than a single dev machine has. Measuring threaded
 //! sections naively would charge oversubscription stalls to the candidate.
 //! Instead, hybrid worlds disable the simulator's automatic compute
-//! measurement (`compute_scale = 0`) and each rank's local pool runs in
-//! `pcg-shmem` **timed mode**: loop chunks run one after another on the
-//! rank itself and are wall-timed, dynamic and guided chunks go to the
-//! member with the smallest virtual clock, and the modeled section time
+//! measurement (`compute_scale = 0`) and each rank's local pool models
+//! its team: loop chunks run one after another on the rank itself and
+//! are wall-timed, dynamic and guided chunks go to the member with the
+//! smallest virtual clock, and the modeled section time
 //! (critical path across the requested thread count, plus fork/join
 //! overheads) is charged to the rank's virtual clock by the [`HybridCtx`]
 //! wrappers. The world admits one computing rank at a time so chunk
@@ -26,7 +26,7 @@
 //! a world runs its ranks as fibers on the calling thread (see
 //! `pcg_mpisim::sched`), with records identical to thread-per-rank. A
 //! hybrid world holds one compute token, so it spawns no helper thread.
-//! A rank's timed compute pool owns no OS threads either: its sections
+//! A rank's compute pool owns no OS threads either: its sections
 //! compute on the rank's own fiber, so a 4 x 64 world runs entirely on
 //! its caller, and no rank ever waits on a pool.
 //!
@@ -47,7 +47,7 @@
 
 use pcg_core::{usage, ExecutionModel, PcgError};
 use pcg_mpisim::{Comm, CostModel, SimOutcome, World};
-use pcg_shmem::{Pool, Schedule, ThreadCostModel};
+use pcg_shmem::{Pool, Schedule};
 use std::ops::Range;
 
 /// A hybrid world: `ranks` SPMD ranks, each requesting
@@ -59,7 +59,7 @@ pub struct HybridWorld {
     force_mux: bool,
 }
 
-/// Per-rank context: the rank's communicator plus its thread pool.
+/// Per-rank context: the rank's communicator plus its compute pool.
 pub struct HybridCtx<'w> {
     comm: &'w Comm<'w>,
     pool: &'w Pool,
@@ -113,9 +113,9 @@ impl HybridWorld {
         self.world().run(|comm| self.on_rank(comm, &f))
     }
 
-    /// One rank's program: a fresh timed pool computing on the rank itself.
+    /// One rank's program: a fresh pool computing on the rank itself.
     fn on_rank<R>(&self, comm: &Comm<'_>, f: &impl Fn(&HybridCtx<'_>) -> R) -> R {
-        let pool = Pool::new_timed(self.threads_per_rank, ThreadCostModel::default());
+        let pool = Pool::new(self.threads_per_rank);
         f(&HybridCtx { comm, pool: &pool, threads_requested: self.threads_per_rank })
     }
 
@@ -130,12 +130,6 @@ impl<'w> HybridCtx<'w> {
     /// The rank's communicator.
     pub fn comm(&self) -> &'w Comm<'w> {
         self.comm
-    }
-
-    /// The rank's thread pool (for constructs without a timed wrapper;
-    /// virtual time is then *not* charged for the section).
-    pub fn pool(&self) -> &Pool {
-        self.pool
     }
 
     /// Requested thread count (the `OMP_NUM_THREADS` analog).
@@ -160,7 +154,7 @@ impl<'w> HybridCtx<'w> {
         out
     }
 
-    /// Timed threaded loop: executes on the rank's timed pool and charges
+    /// Timed threaded loop: executes on the rank's pool and charges
     /// the modeled section time to the rank's virtual clock.
     pub fn par_for<F>(&self, range: Range<usize>, body: F)
     where

@@ -41,7 +41,7 @@
 //!
 //! ## Cancellation and abort
 //!
-//! Idle workers tick at [`CANCEL_TICK`] when the launching candidate
+//! Idle workers tick at `CANCEL_TICK` (2 ms) when the launching candidate
 //! has a cancel token, and on observing a kill wake every parked fiber;
 //! resumed fibers hit their cancel check and unwind with the marker,
 //! exactly like parked rank threads do. `WorldShared::abort` likewise

@@ -6,8 +6,9 @@
 //! three core dispatch patterns (`parallel_for`, `parallel_reduce`,
 //! `parallel_scan`) over range, multidimensional-range, and team policies.
 //! This crate reproduces that abstraction level on top of the `pcg-shmem`
-//! thread pool (the analog of Kokkos' `Threads` execution space used in
-//! the paper's experiments):
+//! [`Pool`](pcg_shmem::Pool) (the analog of Kokkos' `Threads` execution
+//! space used in the paper's experiments), which computes on the caller
+//! and models the team's elapsed time:
 //!
 //! * [`View`] / [`View2D`] — shared, shallow-copy array containers with
 //!   Kokkos access semantics,

@@ -4,14 +4,17 @@
 //! `parallel_for` over `RangePolicy` and `MDRangePolicy`,
 //! `parallel_reduce` with a join operator, the two-pass `parallel_scan`,
 //! and a CPU-style `TeamPolicy` where each league entry is handled by one
-//! pool thread (team vector lanes execute serially, as Kokkos' `Threads`
+//! pool member (team vector lanes execute serially, as Kokkos' `Threads`
 //! backend commonly configures).
+//!
+//! Every dispatch runs on the space's [`Pool`], so it computes on the
+//! caller and accounts virtual time (see `pcg_shmem::timing`).
 
 use parking_lot::Mutex;
 use pcg_core::{usage, ExecutionModel};
-use pcg_shmem::{Pool, Schedule, ThreadCostModel};
+use pcg_shmem::{Pool, Schedule};
 
-/// A Kokkos-style execution space backed by a `pcg-shmem` thread pool.
+/// A Kokkos-style execution space backed by a `pcg-shmem` [`Pool`].
 pub struct ExecSpace {
     pool: Pool,
 }
@@ -52,19 +55,13 @@ impl TeamCtx {
 }
 
 impl ExecSpace {
-    /// Initialize an execution space with `nthreads` threads (the
+    /// Initialize an execution space of `nthreads` modelled threads (the
     /// `Kokkos::initialize` analog).
     pub fn new(nthreads: usize) -> ExecSpace {
         ExecSpace { pool: Pool::new(nthreads) }
     }
 
-    /// Initialize a timed execution space: dispatches account virtual
-    /// time on the underlying pool (see `pcg_shmem::timing`).
-    pub fn new_timed(nthreads: usize) -> ExecSpace {
-        ExecSpace { pool: Pool::new_timed(nthreads, ThreadCostModel::default()) }
-    }
-
-    /// Accumulated virtual time of all dispatches (timed spaces only).
+    /// Accumulated virtual time of all dispatches.
     pub fn virtual_elapsed(&self) -> f64 {
         self.pool.virtual_elapsed()
     }
@@ -140,7 +137,7 @@ impl ExecSpace {
         let per = n.div_ceil(nthreads).max(1);
 
         // Pass 1: per-thread block totals. Dispatched as a work-sharing
-        // loop over block indices so timed pools meter the work.
+        // loop over block indices so the pool meters the work.
         let block_totals: Mutex<Vec<Option<T>>> = Mutex::new(vec![None; nthreads]);
         self.pool.parallel_for(0..nthreads, Schedule::Static { chunk: 1 }, |b| {
             let lo = (per * b).min(n);
@@ -181,7 +178,7 @@ impl ExecSpace {
     }
 
     /// `parallel_for(TeamPolicy(league_size, 1), f)`: each league entry
-    /// runs on one pool thread with a [`TeamCtx`].
+    /// runs on one pool member with a [`TeamCtx`].
     pub fn parallel_for_teams<F>(&self, league_size: usize, f: F)
     where
         F: Fn(&TeamCtx) + Sync,
@@ -299,8 +296,8 @@ mod tests {
     }
 
     #[test]
-    fn timed_space_accounts_dispatches() {
-        let space = ExecSpace::new_timed(4);
+    fn space_accounts_dispatches() {
+        let space = ExecSpace::new(4);
         let x: View<f64> = View::new("x", 10_000);
         let x2 = x.clone();
         space.parallel_for(10_000, |i| unsafe { x2.set(i, i as f64) });

@@ -204,20 +204,4 @@ mod tests {
         let m: View2D<f64> = View2D::new("m", 2, 2);
         let _ = m.get(2, 0);
     }
-
-    #[test]
-    fn concurrent_disjoint_writes() {
-        let v: View<usize> = View::new("v", 1000);
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let v = v.clone();
-                s.spawn(move || {
-                    for i in (t..1000).step_by(4) {
-                        unsafe { v.set(i, i) };
-                    }
-                });
-            }
-        });
-        assert!(v.to_vec().iter().enumerate().all(|(i, &x)| x == i));
-    }
 }

@@ -102,7 +102,6 @@ mod tests {
     use pcg_core::usage::UsageScope;
     use pcg_core::ExecutionModel;
     use pcg_mpisim::{CostModel, World};
-    use pcg_shmem::ThreadCostModel;
 
     fn answer() -> Output {
         Output::F64(42.0)
@@ -111,7 +110,7 @@ mod tests {
     #[test]
     fn lopsided_shmem_returns_answer_and_uses_api() {
         let scope = UsageScope::begin();
-        let pool = Pool::new_timed(8, ThreadCostModel::default());
+        let pool = Pool::new(8);
         let out = lopsided_shmem(&pool, answer);
         assert!(out.approx_eq(&answer()));
         assert!(pool.virtual_elapsed() > 0.0);
@@ -128,7 +127,7 @@ mod tests {
             Output::I64(acc as i64)
         };
         let t = |threads: usize| {
-            let pool = Pool::new_timed(threads, ThreadCostModel::default());
+            let pool = Pool::new(threads);
             lopsided_shmem(&pool, slow);
             pool.virtual_elapsed()
         };
@@ -140,7 +139,7 @@ mod tests {
     #[test]
     fn lopsided_patterns_returns_answer() {
         let scope = UsageScope::begin();
-        let space = ExecSpace::new_timed(4);
+        let space = ExecSpace::new(4);
         let out = lopsided_patterns(&space, answer);
         assert!(out.approx_eq(&answer()));
         assert!(scope.finish().used_required_api(ExecutionModel::Kokkos));

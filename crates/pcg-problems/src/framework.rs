@@ -7,7 +7,7 @@ use pcg_gpusim::Gpu;
 use pcg_hybrid::{HybridCtx, HybridWorld};
 use pcg_mpisim::{Comm, CostModel, World};
 use pcg_patterns::ExecSpace;
-use pcg_shmem::{Pool, ThreadCostModel};
+use pcg_shmem::Pool;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -370,8 +370,8 @@ fn run_correct<S: Spec>(
     input: &S::Input,
     res: &Resources,
 ) -> Result<TimedRun, PcgError> {
-    // Every substrate is built per run and owns no threads: timed pools
-    // and spaces and GPU devices compute on this thread, and worlds run
+    // Every substrate is built per run and owns no threads: pools, spaces
+    // and GPU devices compute on this thread, and worlds run
     // their ranks as fibers here (see `pcg_mpisim::sched`; thread per
     // rank when the warm path is off).
     match model {
@@ -381,7 +381,7 @@ fn run_correct<S: Spec>(
             Ok(TimedRun { output, seconds: t0.elapsed().as_secs_f64() })
         }
         ExecutionModel::OpenMp => {
-            let pool = Pool::new_timed(res.threads, ThreadCostModel::default());
+            let pool = Pool::new(res.threads);
             let output = match quality {
                 Quality::Efficient => spec.solve_shmem(input, &pool),
                 Quality::Inefficient => fallback::lopsided_shmem(&pool, || spec.serial(input)),
@@ -389,7 +389,7 @@ fn run_correct<S: Spec>(
             Ok(TimedRun { output, seconds: pool.virtual_elapsed() })
         }
         ExecutionModel::Kokkos => {
-            let space = ExecSpace::new_timed(res.threads);
+            let space = ExecSpace::new(res.threads);
             let output = match quality {
                 Quality::Efficient => spec.solve_patterns(input, &space),
                 Quality::Inefficient => fallback::lopsided_patterns(&space, || spec.serial(input)),

@@ -65,42 +65,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_is_atomic_under_contention() {
-        let acc = AtomicF64::new(0.0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..10_000 {
-                        acc.fetch_add(1.0);
-                    }
-                });
-            }
-        });
-        assert_eq!(acc.load(), 80_000.0);
-    }
-
-    #[test]
-    fn max_and_min() {
-        let m = AtomicF64::new(f64::NEG_INFINITY);
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let m = &m;
-                s.spawn(move || {
-                    for i in 0..1000 {
-                        m.fetch_max((t * 1000 + i) as f64);
-                    }
-                });
-            }
-        });
-        assert_eq!(m.load(), 3999.0);
-
-        let m = AtomicF64::new(f64::INFINITY);
-        m.fetch_min(3.5);
-        m.fetch_min(7.0);
-        assert_eq!(m.load(), 3.5);
-    }
-
-    #[test]
     fn store_load_roundtrip() {
         let a = AtomicF64::new(1.5);
         assert_eq!(a.load(), 1.5);

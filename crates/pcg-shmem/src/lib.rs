@@ -1,25 +1,25 @@
 //! # pcg-shmem
 //!
 //! OpenMP-analog shared-memory substrate for PCGBench-rs, built from
-//! scratch on `std::thread` + `parking_lot`/`crossbeam` primitives.
+//! scratch.
 //!
 //! The paper's OpenMP prompts exercise fork-join loop parallelism:
 //! `#pragma omp parallel for` with optional `schedule(...)` and
-//! `reduction(...)` clauses, plus `critical`/`atomic` for irregular
-//! updates. This crate provides the same constructs:
+//! `reduction(...)` clauses, plus `atomic` for irregular updates. This
+//! crate provides the same constructs:
 //!
-//! * [`Pool`] — a persistent team of worker threads (the OpenMP thread
-//!   team); regions fork onto the team and join at the end. A timed
-//!   pool ([`Pool::new_timed`]) models the team instead: it owns no
-//!   threads and runs every chunk on the caller (see [`timing`]),
+//! * [`Pool`] — the OpenMP thread team, modelled: it owns no threads,
+//!   runs every loop chunk on the caller and charges each region's
+//!   critical path plus fork/join to a virtual clock (see [`timing`]),
 //! * [`Pool::parallel_for`] — work-sharing loops with
 //!   [`Schedule::Static`], [`Schedule::Dynamic`], and [`Schedule::Guided`],
 //! * [`Pool::parallel_for_reduce`] — the reduction clause,
-//! * [`ThreadCtx::barrier`] / [`ThreadCtx::critical`] — team barrier and
-//!   critical sections inside an explicit [`Pool::parallel`] region,
 //! * [`AtomicF64`] — `#pragma omp atomic` analog for floating point,
 //! * [`UnsafeSlice`] — disjoint-index shared writes, the implicit idiom of
 //!   every OpenMP loop that fills an output array.
+//!
+//! Loop bodies are `Fn + Sync`, so candidate code is written as if its
+//! members ran concurrently.
 //!
 //! Every public entry point records usage via `pcg_core::usage`, which the
 //! harness uses to detect candidates that silently fall back to sequential
@@ -35,20 +35,17 @@
 //! ```
 
 mod atomicf64;
-mod barrier;
 mod pool;
 mod schedule;
 pub mod timing;
 mod unsafe_slice;
 
 pub use atomicf64::AtomicF64;
-pub use barrier::Barrier;
-pub use pool::{Pool, ThreadCtx};
+pub use pool::Pool;
 pub use schedule::Schedule;
-pub use timing::ThreadCostModel;
 pub use unsafe_slice::UnsafeSlice;
 
 /// Convenient glob import for candidate implementations.
 pub mod prelude {
-    pub use crate::{AtomicF64, Pool, Schedule, ThreadCtx, UnsafeSlice};
+    pub use crate::{AtomicF64, Pool, Schedule, UnsafeSlice};
 }

@@ -1,14 +1,12 @@
 //! Loop iteration scheduling policies, mirroring OpenMP's `schedule` clause.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 /// How a [`crate::Pool::parallel_for`] distributes iterations to threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// Contiguous blocks assigned round-robin by chunk; `chunk = 0` means
     /// one block per thread (OpenMP's default `schedule(static)`).
     Static { chunk: usize },
-    /// Threads grab fixed-size chunks from a shared counter
+    /// Members grab fixed-size chunks from a shared counter
     /// (`schedule(dynamic, chunk)`); `chunk = 0` means chunk size 1.
     Dynamic { chunk: usize },
     /// Chunk size decays with remaining work (`schedule(guided)`), with a
@@ -22,23 +20,24 @@ impl Default for Schedule {
     }
 }
 
-/// Shared per-loop state that threads pull chunks from.
+/// Per-loop state that team members pull chunks from.
 pub(crate) struct LoopState {
     pub start: usize,
     pub end: usize,
     pub schedule: Schedule,
     pub nthreads: usize,
-    next: AtomicUsize,
+    /// Start of the next dynamic or guided chunk.
+    next: usize,
 }
 
 impl LoopState {
     pub fn new(start: usize, end: usize, schedule: Schedule, nthreads: usize) -> LoopState {
-        LoopState { start, end, schedule, nthreads, next: AtomicUsize::new(start) }
+        LoopState { start, end, schedule, nthreads, next: start }
     }
 
-    /// The next chunk `[lo, hi)` for thread `tid`, or `None` when the loop
-    /// is exhausted for that thread.
-    pub fn next_chunk(&self, tid: usize, cursor: &mut StaticCursor) -> Option<(usize, usize)> {
+    /// The next chunk `[lo, hi)` for member `tid`, or `None` when the loop
+    /// is exhausted for that member.
+    pub fn next_chunk(&mut self, tid: usize, cursor: &mut StaticCursor) -> Option<(usize, usize)> {
         let n = self.end - self.start;
         if n == 0 {
             return None;
@@ -69,36 +68,29 @@ impl LoopState {
                 Some((lo, (lo + chunk).min(self.end)))
             }
             Schedule::Dynamic { chunk } => {
-                let chunk = chunk.max(1);
-                let lo = self.next.fetch_add(chunk, Ordering::Relaxed);
+                let lo = self.next;
                 if lo >= self.end {
                     return None;
                 }
-                Some((lo, (lo + chunk).min(self.end)))
+                let hi = lo + chunk.max(1).min(self.end - lo);
+                self.next = hi;
+                Some((lo, hi))
             }
             Schedule::Guided { min_chunk } => {
-                let min_chunk = min_chunk.max(1);
-                loop {
-                    let lo = self.next.load(Ordering::Relaxed);
-                    if lo >= self.end {
-                        return None;
-                    }
-                    let remaining = self.end - lo;
-                    let chunk = (remaining / (2 * self.nthreads)).max(min_chunk).min(remaining);
-                    if self
-                        .next
-                        .compare_exchange_weak(lo, lo + chunk, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        return Some((lo, lo + chunk));
-                    }
+                let lo = self.next;
+                if lo >= self.end {
+                    return None;
                 }
+                let remaining = self.end - lo;
+                let chunk = (remaining / (2 * self.nthreads)).max(min_chunk.max(1)).min(remaining);
+                self.next = lo + chunk;
+                Some((lo, lo + chunk))
             }
         }
     }
 }
 
-/// Per-thread cursor for static scheduling (no shared state needed).
+/// Per-member cursor for static scheduling (no shared state needed).
 #[derive(Default)]
 pub(crate) struct StaticCursor {
     block_done: bool,
@@ -109,7 +101,7 @@ pub(crate) struct StaticCursor {
 mod tests {
     use super::*;
 
-    fn collect_all(state: &LoopState) -> Vec<usize> {
+    fn collect_all(mut state: LoopState) -> Vec<usize> {
         let mut seen = vec![];
         for tid in 0..state.nthreads {
             let mut cur = StaticCursor::default();
@@ -124,14 +116,14 @@ mod tests {
     #[test]
     fn static_default_covers_range_once() {
         let s = LoopState::new(3, 103, Schedule::Static { chunk: 0 }, 4);
-        assert_eq!(collect_all(&s), (3..103).collect::<Vec<_>>());
+        assert_eq!(collect_all(s), (3..103).collect::<Vec<_>>());
     }
 
     #[test]
     fn static_chunked_covers_range_once() {
         for chunk in [1, 3, 7, 200] {
             let s = LoopState::new(0, 100, Schedule::Static { chunk }, 3);
-            assert_eq!(collect_all(&s), (0..100).collect::<Vec<_>>(), "chunk={chunk}");
+            assert_eq!(collect_all(s), (0..100).collect::<Vec<_>>(), "chunk={chunk}");
         }
     }
 
@@ -139,7 +131,7 @@ mod tests {
     fn dynamic_covers_range_once() {
         for chunk in [0, 1, 8, 1000] {
             let s = LoopState::new(5, 205, Schedule::Dynamic { chunk }, 4);
-            assert_eq!(collect_all(&s), (5..205).collect::<Vec<_>>(), "chunk={chunk}");
+            assert_eq!(collect_all(s), (5..205).collect::<Vec<_>>(), "chunk={chunk}");
         }
     }
 
@@ -147,7 +139,7 @@ mod tests {
     fn guided_covers_range_once() {
         for min_chunk in [0, 1, 4] {
             let s = LoopState::new(0, 500, Schedule::Guided { min_chunk }, 4);
-            assert_eq!(collect_all(&s), (0..500).collect::<Vec<_>>());
+            assert_eq!(collect_all(s), (0..500).collect::<Vec<_>>());
         }
     }
 
@@ -159,19 +151,19 @@ mod tests {
             Schedule::Guided { min_chunk: 1 },
         ] {
             let s = LoopState::new(10, 10, sched, 4);
-            assert!(collect_all(&s).is_empty());
+            assert!(collect_all(s).is_empty());
         }
     }
 
     #[test]
     fn more_threads_than_iterations() {
         let s = LoopState::new(0, 3, Schedule::Static { chunk: 0 }, 8);
-        assert_eq!(collect_all(&s), vec![0, 1, 2]);
+        assert_eq!(collect_all(s), vec![0, 1, 2]);
     }
 
     #[test]
     fn guided_chunks_decay() {
-        let s = LoopState::new(0, 1024, Schedule::Guided { min_chunk: 1 }, 2);
+        let mut s = LoopState::new(0, 1024, Schedule::Guided { min_chunk: 1 }, 2);
         let mut cur = StaticCursor::default();
         let (a_lo, a_hi) = s.next_chunk(0, &mut cur).unwrap();
         let (_, b_hi) = s.next_chunk(0, &mut cur).unwrap();

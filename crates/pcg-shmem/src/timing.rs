@@ -1,11 +1,10 @@
 //! Virtual-time accounting for work-sharing loops.
 //!
-//! A [`crate::Pool`] created with [`crate::Pool::new_timed`] owns no
-//! worker threads. Each work-sharing region runs every chunk on the
-//! calling thread, one after another, and wall-times it. Because only
-//! one chunk runs at a time, the measurement reflects the chunk's true
-//! work even on a single-core host (no oversubscription stalls are
-//! charged). Each team member keeps a virtual clock, charged per chunk
+//! A [`crate::Pool`] owns no worker threads. Each work-sharing region
+//! runs every chunk on the calling thread, one after another, and
+//! wall-times it. Because only one chunk runs at a time, the measurement
+//! reflects the chunk's true work even on a single-core host (no
+//! oversubscription stalls are charged). Each team member keeps a virtual clock, charged per chunk
 //! with the chunk's wall time plus `chunk_dispatch`. Static chunks go to
 //! their fixed member; a dynamic or guided chunk goes to the member with
 //! the smallest virtual clock (lowest id on ties), so which member runs
@@ -58,7 +57,7 @@ impl ThreadCostModel {
     }
 }
 
-/// Per-pool timed-mode state.
+/// Per-pool virtual-time state.
 pub(crate) struct TimedState {
     pub model: ThreadCostModel,
     /// Accumulated virtual time across regions.
@@ -92,7 +91,7 @@ impl TimedState {
 /// return each member's virtual clock: the sum of `cost(tid, chunk)`
 /// over the chunks it was assigned.
 pub(crate) fn run_chunks(
-    state: &LoopState,
+    state: &mut LoopState,
     mut cost: impl FnMut(usize, Range<usize>) -> f64,
 ) -> Vec<f64> {
     let mut clocks = vec![0.0f64; state.nthreads];
@@ -153,9 +152,9 @@ mod tests {
     }
 
     fn assignment(schedule: Schedule, n: usize, threads: usize) -> (Vec<usize>, Vec<f64>) {
-        let state = LoopState::new(0, n, schedule, threads);
+        let mut state = LoopState::new(0, n, schedule, threads);
         let mut tids = Vec::new();
-        let clocks = run_chunks(&state, |tid, chunk| {
+        let clocks = run_chunks(&mut state, |tid, chunk| {
             tids.push(tid);
             synthetic(tid, chunk)
         });
@@ -175,9 +174,9 @@ mod tests {
         for schedule in [Schedule::Dynamic { chunk: 3 }, Schedule::Guided { min_chunk: 2 }] {
             // Unequal costs, so the assignment is not a plain round robin.
             let run = || {
-                let state = LoopState::new(0, 500, schedule, 5);
+                let mut state = LoopState::new(0, 500, schedule, 5);
                 let mut tids = Vec::new();
-                let clocks = run_chunks(&state, |tid, chunk| {
+                let clocks = run_chunks(&mut state, |tid, chunk| {
                     tids.push(tid);
                     (chunk.start % 7) as f64 + 1.0
                 });
@@ -206,9 +205,9 @@ mod tests {
     #[test]
     fn guided_chunks_cover_range_once() {
         for (n, threads, min_chunk) in [(500, 4, 0), (1000, 3, 7), (17, 8, 1), (0, 4, 2)] {
-            let state = LoopState::new(5, 5 + n, Schedule::Guided { min_chunk }, threads);
+            let mut state = LoopState::new(5, 5 + n, Schedule::Guided { min_chunk }, threads);
             let mut seen = Vec::new();
-            run_chunks(&state, |tid, chunk| {
+            run_chunks(&mut state, |tid, chunk| {
                 seen.extend(chunk.clone());
                 synthetic(tid, chunk)
             });

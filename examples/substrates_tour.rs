@@ -17,10 +17,11 @@ fn main() {
     let want: f64 = xs.iter().map(|x| x * x).sum();
     println!("reference sum of squares = {want:.4}\n");
 
-    // 1. pcg-shmem: the OpenMP analog (work-sharing thread pool).
+    // 1. pcg-shmem: the OpenMP analog (a work-sharing team of 4 members,
+    // run on this thread, with a modelled elapsed time).
     let pool = Pool::new(4);
     let shmem = pool.parallel_for_reduce(0..n, 0.0, |a, i| a + xs[i] * xs[i], |a, b| a + b);
-    println!("shmem     (4 threads):           {shmem:.4}");
+    println!("shmem     (4-member team):       {shmem:.4}  [modelled {:.2e}s]", pool.virtual_elapsed());
 
     // ... with an output array and a schedule clause.
     let mut doubled = vec![0.0; n];
@@ -36,7 +37,7 @@ fn main() {
     let space = ExecSpace::new(4);
     let view = View::from_slice("xs", &xs);
     let kokkos = space.parallel_reduce(n, 0.0, |i| view.get(i) * view.get(i), |a, b| a + b);
-    println!("patterns  (4 threads):           {kokkos:.4}");
+    println!("patterns  (4-member team):       {kokkos:.4}  [modelled {:.2e}s]", space.virtual_elapsed());
 
     // 3. pcg-mpisim: the MPI analog (virtual-time message passing).
     let world = World::new(8).with_cost_model(CostModel::cluster());

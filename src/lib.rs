@@ -11,7 +11,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`core`] | `pcg-core` | tasks, execution models, prompts, usage instrumentation |
-//! | [`shmem`] | `pcg-shmem` | OpenMP-analog work-sharing thread pool |
+//! | [`shmem`] | `pcg-shmem` | OpenMP-analog work-sharing team, modelled on the caller |
 //! | [`patterns`] | `pcg-patterns` | Kokkos-analog views + parallel patterns |
 //! | [`mpisim`] | `pcg-mpisim` | virtual-time MPI simulator |
 //! | [`hybrid`] | `pcg-hybrid` | MPI+OpenMP composition |

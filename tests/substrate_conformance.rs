@@ -152,11 +152,15 @@ fn assert_still_serviceable(runner: &SharedRunner) {
 fn candidate_panics_are_captured_on_every_substrate() {
     let panicky: Vec<HostileCandidate> = vec![
         ("shmem", Box::new(|| {
-            pcgbench::shmem::Pool::new(4).parallel(|ctx| {
-                if ctx.tid() == 2 {
-                    panic!("candidate bug on thread 2");
-                }
-            });
+            pcgbench::shmem::Pool::new(4).parallel_for(
+                0..4,
+                pcgbench::shmem::Schedule::default(),
+                |i| {
+                    if i == 2 {
+                        panic!("candidate bug at i=2");
+                    }
+                },
+            );
             Ok(())
         })),
         ("kokkos", Box::new(|| {
@@ -235,11 +239,15 @@ fn hanging_candidates_time_out_on_every_substrate() {
     let hang = || std::thread::sleep(Duration::from_secs(2));
     let hangs: Vec<HostileCandidate> = vec![
         ("shmem", Box::new(move || {
-            pcgbench::shmem::Pool::new(2).parallel(|ctx| {
-                if ctx.tid() == 1 {
-                    hang();
-                }
-            });
+            pcgbench::shmem::Pool::new(2).parallel_for(
+                0..2,
+                pcgbench::shmem::Schedule::default(),
+                |i| {
+                    if i == 1 {
+                        hang();
+                    }
+                },
+            );
             Ok(())
         })),
         ("kokkos", Box::new(move || {
@@ -321,6 +329,12 @@ fn cancellation_unwinds_cooperatively_on_every_substrate() {
             );
             Ok(())
         })),
+        ("kokkos", Box::new(|| {
+            // An effectively infinite league: team dispatch deals dynamic
+            // chunks of one, so the token is checked for every team.
+            pcgbench::patterns::ExecSpace::new(2).parallel_for_teams(usize::MAX, |_| {});
+            Ok(())
+        })),
         ("mpisim", Box::new(|| {
             // Rank 0 posts a receive no rank will ever match while rank 1
             // spins on messages to itself, so no deadlock can be proved
@@ -382,7 +396,7 @@ fn cancellation_unwinds_cooperatively_on_every_substrate() {
 /// The usage check must attribute API calls to the candidate that made
 /// them even while other candidates run concurrently on the scheduler.
 /// With process-global snapshot deltas (the pre-parallel design), the
-/// noisy neighbor's `Pool::parallel` calls would leak into the fallback
+/// noisy neighbor's `Pool::parallel_for` calls would leak into the fallback
 /// candidate's delta and flip its verdict to correct.
 #[test]
 fn sequential_fallback_is_flagged_despite_concurrent_parallel_candidates() {
@@ -392,7 +406,11 @@ fn sequential_fallback_is_flagged_despite_concurrent_parallel_candidates() {
     std::thread::scope(|s| {
         s.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
-                pcgbench::shmem::Pool::new(2).parallel(|_| {});
+                pcgbench::shmem::Pool::new(2).parallel_for(
+                    0..2,
+                    pcgbench::shmem::Schedule::default(),
+                    |_| {},
+                );
             }
         });
         let task = ProblemId::new(ProblemType::Transform, 0).task(ExecutionModel::OpenMp);
