@@ -27,6 +27,9 @@
 //!
 //! Decoding never allocates: a [`Frame`] borrows its payload from the
 //! input buffer, which the journal reads in one buffered `fs::read`.
+//! Encoding builds no payload buffer either: [`encode_frame_with`]
+//! lets the payload codec write straight into the output after a
+//! reserved header.
 //!
 //! This module lives in `pcg-core` next to `plan.rs`'s FNV-1a for the
 //! same reason cell addressing does: every process that touches a
@@ -84,31 +87,70 @@ pub fn is_claim_payload(payload: &[u8]) -> bool {
     payload.len() >= CLAIM_MAGIC.len() && payload[..CLAIM_MAGIC.len()] == CLAIM_MAGIC
 }
 
-/// CRC-32 (IEEE 802.3, polynomial `0xEDB88320` reflected) lookup table,
-/// built at first use.
-fn crc_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
+/// Slicing-by-16 lookup tables for CRC-32 (IEEE 802.3, polynomial
+/// `0xEDB88320` reflected), after Kounavis & Berry (ISCC 2005).
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so one lookup per
+/// byte of a 16-byte block, XORed together, advances the CRC past the
+/// whole block.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        table
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// Fold `bytes` into a running CRC-32 accumulator (start from
 /// [`crc32_start`], finish with [`crc32_finish`]). Chaining is
-/// concatenation, like [`crate::plan::fnv1a_extend`].
+/// concatenation, like [`crate::plan::fnv1a_extend`]. Whole 16-byte
+/// blocks take 16 independent table lookups each; the tail goes a byte
+/// at a time. The result is bit-identical to zlib's `crc32`.
 pub fn crc32_extend(mut crc: u32, bytes: &[u8]) -> u32 {
-    let table = crc_table();
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let t = &CRC_TABLES;
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let b: &[u8; 16] = block.try_into().expect("chunks_exact yields 16-byte blocks");
+        let x = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
+    }
+    for &b in blocks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
 }
@@ -185,17 +227,30 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// Append one encoded frame for `(cell, payload)` to `out`.
-pub fn encode_frame_into(out: &mut Vec<u8>, cell: u64, payload: &[u8]) {
-    let len = u32::try_from(payload.len()).expect("frame payload must fit in u32");
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&cell.to_le_bytes());
+/// Append one frame for `cell` to `out`, with `payload` writing the
+/// payload bytes in place: the 16-byte header is reserved first, the
+/// payload goes straight after it, then `len` and `crc` are patched in.
+/// No intermediate payload buffer is built.
+pub fn encode_frame_with(out: &mut Vec<u8>, cell: u64, payload: impl FnOnce(&mut ByteWriter)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_OVERHEAD]);
+    let mut w = ByteWriter { buf: std::mem::take(out) };
+    payload(&mut w);
+    *out = w.buf;
+    let body = start + FRAME_OVERHEAD;
+    let len = u32::try_from(out.len() - body).expect("frame payload must fit in u32");
     let crc = crc32_finish(crc32_extend(
         crc32_extend(crc32_start(), &cell.to_le_bytes()),
-        payload,
+        &out[body..],
     ));
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(payload);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 12].copy_from_slice(&cell.to_le_bytes());
+    out[start + 12..body].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Append one encoded frame for `(cell, payload)` to `out`.
+pub fn encode_frame_into(out: &mut Vec<u8>, cell: u64, payload: &[u8]) {
+    encode_frame_with(out, cell, |w| w.buf.extend_from_slice(payload));
 }
 
 /// Encode one frame for `(cell, payload)`.
@@ -300,6 +355,24 @@ impl ByteWriter {
         self.put_len(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
+
+    /// Append a `u32`-length-prefixed run of bools, one byte (`0`/`1`)
+    /// each.
+    pub fn put_bools(&mut self, v: &[bool]) {
+        self.put_len(v.len());
+        self.buf.extend(v.iter().map(|&b| u8::from(b)));
+    }
+
+    /// Append a `u32`-length-prefixed run of `f64`s, each as its raw
+    /// bits, little-endian.
+    pub fn put_f64s(&mut self, v: &[f64]) {
+        self.put_len(v.len());
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * v.len(), 0);
+        for (dst, x) in self.buf[start..].chunks_exact_mut(8).zip(v) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+    }
 }
 
 /// Payload decoding failure: what was expected, at which payload byte.
@@ -400,6 +473,31 @@ impl<'a> ByteReader<'a> {
         std::str::from_utf8(self.take(n, "string bytes")?)
             .map_err(|_| CodecError { at, what: "UTF-8 string" })
     }
+
+    /// Read a `u32`-length-prefixed run of bools written by
+    /// [`ByteWriter::put_bools`]. The bytes are taken at once, then
+    /// checked: any byte other than 0 or 1 is an error at its own
+    /// offset, exactly as [`ByteReader::bool`] would report it.
+    pub fn bools(&mut self) -> Result<Vec<bool>, CodecError> {
+        let n = self.len(1)?;
+        let at = self.pos;
+        let bytes = self.take(n, "bool")?;
+        if let Some(i) = bytes.iter().position(|&b| b > 1) {
+            return Err(CodecError { at: at + i, what: "bool (0 or 1)" });
+        }
+        Ok(bytes.iter().map(|&b| b == 1).collect())
+    }
+
+    /// Read a `u32`-length-prefixed run of `f64`s written by
+    /// [`ByteWriter::put_f64s`], taking all `8 × n` bytes at once.
+    pub fn f64s(&mut self) -> Result<Vec<f64>, CodecError> {
+        let n = self.len(8)?;
+        let bytes = self.take(8 * n, "f64")?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact yields 8-byte words")))
+            .collect())
+    }
 }
 
 #[cfg(test)]
@@ -415,6 +513,11 @@ mod tests {
         let chained =
             crc32_finish(crc32_extend(crc32_extend(crc32_start(), b"1234"), b"56789"));
         assert_eq!(chained, 0xCBF4_3926);
+        // Long enough to run the 16-byte block loop and the tail.
+        let fox = b"The quick brown fox jumps over the lazy dog";
+        assert_eq!(crc32(fox), 0x414F_A339);
+        let (a, b) = fox.split_at(21);
+        assert_eq!(crc32_finish(crc32_extend(crc32_extend(crc32_start(), a), b)), 0x414F_A339);
     }
 
     #[test]
@@ -534,6 +637,34 @@ mod tests {
     }
 
     #[test]
+    fn bulk_helpers_match_the_elementwise_encoding() {
+        let flags = [true, false, false, true, true];
+        let floats = [0.1 + 0.2, -0.0, f64::NAN, f64::INFINITY, 1e-310];
+        let mut bulk = ByteWriter::new();
+        bulk.put_bools(&flags);
+        bulk.put_f64s(&floats);
+        bulk.put_bools(&[]);
+        bulk.put_f64s(&[]);
+        let mut each = ByteWriter::new();
+        each.put_len(flags.len());
+        flags.iter().for_each(|&b| each.put_bool(b));
+        each.put_len(floats.len());
+        floats.iter().for_each(|&x| each.put_f64(x));
+        each.put_len(0);
+        each.put_len(0);
+        let bytes = bulk.into_bytes();
+        assert_eq!(bytes, each.into_bytes());
+
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.bools().unwrap(), flags);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&r.f64s().unwrap()), bits(&floats));
+        assert!(r.bools().unwrap().is_empty());
+        assert!(r.f64s().unwrap().is_empty());
+        assert!(r.is_exhausted());
+    }
+
+    #[test]
     fn byte_reader_rejects_truncation_and_junk() {
         let mut w = ByteWriter::new();
         w.put_str("abc");
@@ -541,9 +672,15 @@ mod tests {
         // Truncated string body.
         let mut r = ByteReader::new(&bytes[..5]);
         assert!(r.str().is_err());
-        // Non-0/1 bool byte.
+        // Non-0/1 bool byte, alone or inside a run (reported at its
+        // own offset: 4 length bytes, then index 2 of the run).
         let mut r = ByteReader::new(&[2]);
         assert!(r.bool().is_err());
+        let mut r = ByteReader::new(&[4, 0, 0, 0, 1, 0, 2, 1]);
+        assert_eq!(r.bools().unwrap_err().at, 6);
+        // A run longer than the bytes left.
+        let mut r = ByteReader::new(&[3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert!(r.f64s().is_err());
         // Implausible sequence length cannot demand a huge allocation.
         let mut w = ByteWriter::new();
         w.put_u32(u32::MAX);

@@ -15,10 +15,13 @@
 //!    bytes.
 //!
 //! Plus the byte-codec law: every primitive written by `ByteWriter` is
-//! read back bit-exactly by `ByteReader`.
+//! read back bit-exactly by `ByteReader`; and the checksum law: the
+//! table-driven `crc32` equals a plain bytewise CRC-32 on any input,
+//! whole or chained through `crc32_extend` at any split.
 
 use pcg_core::frame::{
-    decode_frame, encode_frame, encode_frame_into, ByteReader, ByteWriter, Frame, FrameError,
+    crc32, crc32_extend, crc32_finish, crc32_start, decode_frame, encode_frame, encode_frame_into,
+    ByteReader, ByteWriter, Frame, FrameError,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -39,8 +42,38 @@ fn decode_all(buf: &[u8]) -> (Vec<(u64, Vec<u8>)>, Option<FrameError>) {
     }
 }
 
+/// CRC-32 (IEEE, reflected polynomial `0xEDB88320`) one bit at a
+/// time: the definition, with no tables to get wrong.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference(
+        seed in vec(0u8..=255, 0..4112),
+        start in 0usize..16,
+        len in 0usize..=4096,
+        split in 0usize..=4096,
+    ) {
+        // A random start offset shifts the 16-byte blocks against the
+        // input, so every alignment of block loop and tail is covered.
+        let start = start.min(seed.len());
+        let data = &seed[start..(start + len).min(seed.len())];
+        let want = crc32_bitwise(data);
+        prop_assert_eq!(crc32(data), want);
+        let (a, b) = data.split_at(split.min(data.len()));
+        prop_assert_eq!(crc32_finish(crc32_extend(crc32_extend(crc32_start(), a), b)), want);
+    }
 
     #[test]
     fn law1_frame_sequences_roundtrip(

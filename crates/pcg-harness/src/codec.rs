@@ -34,69 +34,63 @@
 //! only mean corruption), and trailing bytes are an error. A CRC-valid
 //! frame whose payload fails any of these checks is rejected loudly —
 //! the same policy as a CRC failure — never silently misread.
+//!
+//! The journal writes entries in place into its frame buffer
+//! (`put_entry` inside `frame::encode_frame_with`); [`encode_entry`]
+//! is the standalone form. Each `bool` and `f64` run is written and
+//! read as one block, with every bool byte still checked.
 
 use crate::record::TaskRecord;
-use pcg_core::frame::{ByteReader, ByteWriter};
+use pcg_core::frame::{ByteReader, ByteWriter, CodecError};
 use pcg_core::TaskId;
 use pcg_metrics::TaskSamples;
 use std::collections::BTreeMap;
 
 fn put_samples(w: &mut ByteWriter, s: &TaskSamples) {
-    w.put_len(s.built.len());
-    for &b in &s.built {
-        w.put_bool(b);
-    }
-    w.put_len(s.correct.len());
-    for &b in &s.correct {
-        w.put_bool(b);
-    }
-    w.put_len(s.ratio.len());
-    for &r in &s.ratio {
-        w.put_f64(r);
-    }
+    w.put_bools(&s.built);
+    w.put_bools(&s.correct);
+    w.put_f64s(&s.ratio);
 }
 
-fn get_samples(r: &mut ByteReader<'_>) -> Result<TaskSamples, String> {
-    let err = |e: pcg_core::frame::CodecError| e.to_string();
-    let n = r.len(1).map_err(err)?;
-    let mut built = Vec::with_capacity(n);
-    for _ in 0..n {
-        built.push(r.bool().map_err(err)?);
-    }
-    let n = r.len(1).map_err(err)?;
-    let mut correct = Vec::with_capacity(n);
-    for _ in 0..n {
-        correct.push(r.bool().map_err(err)?);
-    }
-    let n = r.len(8).map_err(err)?;
-    let mut ratio = Vec::with_capacity(n);
-    for _ in 0..n {
-        ratio.push(r.f64().map_err(err)?);
-    }
-    Ok(TaskSamples { built, correct, ratio })
+fn get_samples(r: &mut ByteReader<'_>) -> Result<TaskSamples, CodecError> {
+    Ok(TaskSamples { built: r.bools()?, correct: r.bools()?, ratio: r.f64s()? })
 }
 
-/// Encode one `(model, record)` cell into a v3 frame payload.
-pub fn encode_entry(model: &str, record: &TaskRecord) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// Write one `(model, record)` cell's v3 frame payload into `w`, in
+/// place (see [`pcg_core::frame::encode_frame_with`]).
+pub(crate) fn put_entry(w: &mut ByteWriter, model: &str, record: &TaskRecord) {
     w.put_str(model);
     w.put_u32(u32::try_from(record.task.index()).expect("task index fits in u32"));
-    put_samples(&mut w, &record.low);
+    put_samples(w, &record.low);
     match &record.high {
         Some(high) => {
             w.put_bool(true);
-            put_samples(&mut w, high);
+            put_samples(w, high);
         }
         None => w.put_bool(false),
     }
     w.put_len(record.sweep.len());
     for (&k, ratios) in &record.sweep {
         w.put_u32(k);
-        w.put_len(ratios.len());
-        for &r in ratios {
-            w.put_f64(r);
-        }
+        w.put_f64s(ratios);
     }
+}
+
+/// The exact number of bytes [`put_entry`] writes for `(model, record)`,
+/// so a single frame can be allocated once at its final size.
+pub(crate) fn entry_len(model: &str, record: &TaskRecord) -> usize {
+    let samples = |s: &TaskSamples| 12 + s.built.len() + s.correct.len() + 8 * s.ratio.len();
+    let high = record.high.as_ref().map_or(0, samples);
+    let sweep: usize = record.sweep.values().map(|r| 8 + 8 * r.len()).sum();
+    // model, task, low, high_present, high, sweep_len, sweep entries
+    (4 + model.len()) + 4 + samples(&record.low) + 1 + high + 4 + sweep
+}
+
+/// Encode one `(model, record)` cell into a standalone v3 frame
+/// payload.
+pub fn encode_entry(model: &str, record: &TaskRecord) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    put_entry(&mut w, model, record);
     w.into_bytes()
 }
 
@@ -119,7 +113,6 @@ pub fn decode_claim(payload: &[u8]) -> Option<u32> {
 /// out-of-order sweep keys, trailing bytes — is an error describing
 /// what failed and where.
 pub fn decode_entry(payload: &[u8]) -> Result<(String, TaskRecord), String> {
-    let err = |e: pcg_core::frame::CodecError| e.to_string();
     if pcg_core::frame::is_claim_payload(payload) {
         // Belt and braces: the claim magic would also fail the model
         // name length check below (the bytes read as a ~1.1-billion
@@ -132,8 +125,8 @@ pub fn decode_entry(payload: &[u8]) -> Result<(String, TaskRecord), String> {
     let task_index = r.u32().map_err(err)? as usize;
     let task = TaskId::from_index(task_index)
         .ok_or_else(|| format!("task index {task_index} out of range (0..{})", pcg_core::NUM_TASKS))?;
-    let low = get_samples(&mut r)?;
-    let high = if r.bool().map_err(err)? { Some(get_samples(&mut r)?) } else { None };
+    let low = get_samples(&mut r).map_err(err)?;
+    let high = if r.bool().map_err(err)? { Some(get_samples(&mut r).map_err(err)?) } else { None };
     let sweep_len = r.len(8).map_err(err)?;
     let mut sweep = BTreeMap::new();
     let mut last_key: Option<u32> = None;
@@ -143,17 +136,16 @@ pub fn decode_entry(payload: &[u8]) -> Result<(String, TaskRecord), String> {
             return Err(format!("sweep keys out of order: {k} after {}", last_key.unwrap()));
         }
         last_key = Some(k);
-        let n = r.len(8).map_err(err)?;
-        let mut ratios = Vec::with_capacity(n);
-        for _ in 0..n {
-            ratios.push(r.f64().map_err(err)?);
-        }
-        sweep.insert(k, ratios);
+        sweep.insert(k, r.f64s().map_err(err)?);
     }
     if !r.is_exhausted() {
         return Err("trailing bytes after a complete entry".to_string());
     }
     Ok((model, TaskRecord { task, low, high, sweep }))
+}
+
+fn err(e: CodecError) -> String {
+    e.to_string()
 }
 
 #[cfg(test)]
@@ -229,5 +221,50 @@ mod tests {
         let model_len = 4 + "CodeLlama-34B".len();
         bad[model_len..model_len + 4].copy_from_slice(&9999u32.to_le_bytes());
         assert!(decode_entry(&bad).is_err());
+    }
+
+    #[test]
+    fn every_bool_byte_set_to_2_is_rejected_at_its_own_offset() {
+        let record = rec();
+        let payload = encode_entry("GPT-4", &record);
+        // Walk the layout to the offset of every bool byte: the built
+        // and correct runs of `low` and `high`, and the high_present
+        // flag between the two sets.
+        let mut runs = Vec::new();
+        let walk_set = |at: &mut usize, s: &TaskSamples, runs: &mut Vec<usize>| {
+            for n in [s.built.len(), s.correct.len()] {
+                *at += 4;
+                runs.extend(*at..*at + n);
+                *at += n;
+            }
+            *at += 4 + 8 * s.ratio.len();
+        };
+        let mut at = 4 + "GPT-4".len() + 4;
+        walk_set(&mut at, &record.low, &mut runs);
+        let flag = at;
+        at += 1;
+        walk_set(&mut at, record.high.as_ref().unwrap(), &mut runs);
+        let found: Vec<u8> = runs.iter().map(|&i| payload[i]).collect();
+        assert_eq!(found, [1, 1, 0, 1, 0, 0, 1, 0], "the walk must land on the bool bytes");
+        assert_eq!(payload[flag], 1, "the walk must land on high_present");
+
+        for i in runs.into_iter().chain([flag]) {
+            let mut bad = payload.clone();
+            bad[i] = 2;
+            let err = decode_entry(&bad).unwrap_err();
+            assert!(
+                err.contains(&format!("at byte {i}: expected bool (0 or 1)")),
+                "a 2 at byte {i} must be reported there, got: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn entry_len_is_the_encoded_length() {
+        let mut r = rec();
+        assert_eq!(entry_len("GPT-4", &r), encode_entry("GPT-4", &r).len());
+        r.high = None;
+        r.sweep.clear();
+        assert_eq!(entry_len("", &r), encode_entry("", &r).len());
     }
 }

@@ -146,14 +146,12 @@ impl Header {
         Header { config_hash: plan.config_hash(), shard: ShardSpec::WHOLE, priors_hash: 0 }
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+    fn put(&self, w: &mut ByteWriter) {
         w.put_u32(VERSION);
         w.put_u64(self.config_hash);
         w.put_u32(self.shard.index);
         w.put_u32(self.shard.count);
         w.put_u64(self.priors_hash);
-        w.into_bytes()
     }
 
     /// Decode a header payload. A pre-priors header (written before the
@@ -173,7 +171,7 @@ impl Header {
     /// The magic and header frame that open every journal.
     fn file_prefix(&self) -> Vec<u8> {
         let mut bytes = JOURNAL_MAGIC.to_vec();
-        frame::encode_frame_into(&mut bytes, HEADER_CELL, &self.encode());
+        frame::encode_frame_with(&mut bytes, HEADER_CELL, |w| self.put(w));
         bytes
     }
 
@@ -474,7 +472,8 @@ impl Journal {
     /// crash loses at most the frames written since the last
     /// `fdatasync` started.
     pub fn append(&self, cell: CellId, model: &str, record: &TaskRecord) -> std::io::Result<()> {
-        let bytes = frame::encode_frame(cell.0, &codec::encode_entry(model, record));
+        let mut bytes = Vec::with_capacity(FRAME_OVERHEAD + codec::entry_len(model, record));
+        put_entry_frame(&mut bytes, cell, model, record);
         self.shared.write(&bytes).map(drop)
     }
 
@@ -778,9 +777,15 @@ fn write_frames<'a>(
 ) -> std::io::Result<()> {
     let mut bytes = header.file_prefix();
     for (id, (model, record)) in cells {
-        frame::encode_frame_into(&mut bytes, id.0, &codec::encode_entry(model, record));
+        put_entry_frame(&mut bytes, id, model, record);
     }
     crate::pipeline::atomic_write(path, &bytes)
+}
+
+/// Append one entry frame for `(model, record)` at `cell` to `out`,
+/// encoding the payload in place.
+fn put_entry_frame(out: &mut Vec<u8>, cell: CellId, model: &str, record: &TaskRecord) {
+    frame::encode_frame_with(out, cell.0, |w| codec::put_entry(w, model, record));
 }
 
 /// Byte offsets of each entry frame (frame 1 onward) in a v3 journal,

@@ -5,11 +5,19 @@
 //! the prompt-variant axis. The constants below were captured from the
 //! pre-refactor tree; if one of these asserts fires, a default-path
 //! artifact (journal, cache, shard partition) has silently re-keyed.
+//!
+//! The v3 frame bytes themselves are pinned too: a committed records
+//! cache and one appended journal frame, for fixed synthetic records,
+//! must hash to the values the byte-at-a-time encoder wrote.
 
-use pcg_core::plan::fnv1a;
+use pcg_core::plan::{fnv1a, PlanCell, ShardSpec};
 use pcg_core::PromptVariant;
 use pcg_harness::config::EvalConfig;
+use pcg_harness::journal::Journal;
+use pcg_harness::record::TaskRecord;
 use pcg_harness::{eval, journal, record, SharedRunner};
+use pcg_metrics::TaskSamples;
+use std::collections::BTreeMap;
 use pcg_models::{CandidateSource, SyntheticSource};
 
 /// FNV-1a of the canonical config JSON, captured pre-refactor.
@@ -31,6 +39,15 @@ const JSON_SMOKE: &str = "{\"seed\":20240501,\"samples_low\":6,\"samples_high\":
 /// (The raw record JSON is *not* pinned: it embeds measured timing
 /// ratios, which are machine- and run-dependent by design.)
 const PROJ_SMOKE_ZOO: u64 = 0x72f9b3782c8e40e1;
+
+/// FNV-1a of the records cache [`journal::commit_record`] writes for
+/// [`golden_record`] over the smoke plan, captured from the
+/// byte-at-a-time frame encoder.
+const GOLDEN_COMMIT: u64 = 0x0866eaa12aaa7a24;
+
+/// FNV-1a of the one frame [`Journal::append`] writes for the plan's
+/// first cell, captured alongside [`GOLDEN_COMMIT`].
+const GOLDEN_APPEND: u64 = 0x1141da8fc366c3e9;
 
 #[test]
 fn config_hashes_and_bytes_match_the_pre_refactor_capture() {
@@ -117,4 +134,57 @@ fn default_variant_source_samples_exactly_like_the_zoo() {
             );
         }
     }
+}
+
+/// A fixed record for plan cell `c`: sample sets of varied lengths,
+/// `high` both present and absent, empty and non-empty sweeps, and
+/// floats whose exact bits matter (`0.1 + 0.2`, `-0.0`, infinity).
+fn golden_record(c: &PlanCell) -> TaskRecord {
+    let i = c.model * 1000 + c.task_idx;
+    let samples = |n: usize, salt: usize| TaskSamples {
+        built: (0..n).map(|k| !(i + k + salt).is_multiple_of(3)).collect(),
+        correct: (0..n).map(|k| (i * 7 + k + salt).is_multiple_of(4)).collect(),
+        ratio: (0..n).map(|k| ((i * 13 + k * 5 + salt) % 97) as f64 * 0.371 - 1.5).collect(),
+    };
+    TaskRecord {
+        task: c.task,
+        low: samples(i % 7, 0),
+        high: i.is_multiple_of(2).then(|| samples(9 + i % 5, 1)),
+        sweep: if i.is_multiple_of(3) {
+            BTreeMap::from([(2, vec![0.1 + 0.2, -0.0]), (8, vec![f64::INFINITY])])
+        } else {
+            BTreeMap::new()
+        },
+    }
+}
+
+#[test]
+fn frame_bytes_match_the_golden_capture() {
+    let cfg = EvalConfig::smoke();
+    let plan = eval::plan_for(&cfg, pcg_models::zoo().as_slice(), Some(&eval::smoke_tasks()));
+    let rec = eval::assemble(&cfg, &plan, golden_record);
+    let dir = std::env::temp_dir().join(format!("pcg-golden-frames-{}", std::process::id()));
+
+    let cache = dir.join("records.rec");
+    journal::commit_record(&cache, &plan, &rec).unwrap();
+    let committed = std::fs::read(&cache).unwrap();
+
+    let first = plan.cells().next().unwrap();
+    let jpath = dir.join("append.journal");
+    let j = Journal::create_sourced(&jpath, &cfg, &[], ShardSpec::WHOLE, 0).unwrap();
+    j.append(first.id, &plan.models()[first.model], &golden_record(&first)).unwrap();
+    j.sync().unwrap();
+    drop(j);
+    let appended = std::fs::read(&jpath).unwrap();
+    let frame_start = journal::entry_offsets(&jpath)[0] as usize;
+    let _ = std::fs::remove_dir_all(&dir);
+
+    println!(
+        "commit {:#018x} ({} bytes), append {:#018x}",
+        fnv1a(&committed),
+        committed.len(),
+        fnv1a(&appended[frame_start..])
+    );
+    assert_eq!(fnv1a(&committed), GOLDEN_COMMIT, "committed cache bytes drifted");
+    assert_eq!(fnv1a(&appended[frame_start..]), GOLDEN_APPEND, "appended frame bytes drifted");
 }

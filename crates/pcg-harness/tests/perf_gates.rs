@@ -1,4 +1,4 @@
-//! Performance gates: the eight A/B measurements the harness's speed
+//! Performance gates: the nine A/B measurements the harness's speed
 //! claims rest on, each asserted at the bound it was accepted at.
 //!
 //! 1. Timeout overlap: 8 hanging cells, `--jobs 8` vs `--jobs 1`, ≥4×.
@@ -9,6 +9,7 @@
 //! 6. Scheduling balance: weighted LPT vs unweighted `id % 3`, ≥1.5×.
 //! 7. Work stealing: steal vs static sharding behind a stalled victim, ≥1.5×.
 //! 8. Containment: deadlock fail-fast vs timeout-only, ratio <0.5.
+//! 9. Frame checksum: slicing-by-16 CRC-32 vs a bytewise table, ≥3×.
 //!
 //! Every gate is ignored in debug builds: the bounds were set on
 //! optimized code, and a debug build measures a different program. Run
@@ -608,4 +609,47 @@ fn deadlock_fail_fast_beats_timeouts() {
         "containment: timeout-only {baseline:.3}s, fail-fast {failfast:.3}s, ratio {ratio:.4}"
     );
     assert!(ratio < 0.5, "fail-fast must beat timeout-only by >=2x, got ratio {ratio:.3}");
+}
+
+// ---- 9. frame checksum -------------------------------------------------
+
+/// CRC-32 (IEEE) a byte at a time from one 256-entry table: the classic
+/// kernel, and the one every frame check ran on before slicing-by-16.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut table = [0u32; 256];
+    for (i, slot) in table.iter_mut().enumerate() {
+        *slot = (0..8).fold(i as u32, |c, _| if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 });
+    }
+    !bytes.iter().fold(0xFFFF_FFFFu32, |c, &b| table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8))
+}
+
+/// Checksum 4 MiB, about one whole-grid records cache, with the frame
+/// codec's CRC and with the bytewise reference.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "bounds hold for optimized builds only")]
+fn frame_crc_beats_bytewise() {
+    let _gate = serial();
+    let data: Vec<u8> = (0..4u32 << 20).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8).collect();
+    let want = crc32_bytewise(&data);
+    assert_eq!(pcg_core::frame::crc32(&data), want, "both kernels must compute the same CRC");
+    let seconds = |crc: fn(&[u8]) -> u32| {
+        let t0 = Instant::now();
+        let got = crc(std::hint::black_box(&data));
+        let dt = t0.elapsed().as_secs_f64();
+        assert_eq!(std::hint::black_box(got), want);
+        dt
+    };
+    // Best of 3 each, the two kernels alternating, so a burst of host
+    // noise lands on both sides rather than on all three runs of one.
+    let (mut bytewise_s, mut sliced_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        bytewise_s = bytewise_s.min(seconds(crc32_bytewise));
+        sliced_s = sliced_s.min(seconds(pcg_core::frame::crc32));
+    }
+    let speedup = bytewise_s / sliced_s;
+    println!(
+        "frame crc: {} MiB, bytewise {bytewise_s:.4}s, slicing-by-16 {sliced_s:.4}s, {speedup:.2}x",
+        data.len() >> 20
+    );
+    assert!(speedup >= 3.0, "slicing-by-16 must beat bytewise CRC-32 by >=3x, got {speedup:.2}x");
 }
