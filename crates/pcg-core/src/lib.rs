@@ -44,7 +44,6 @@ pub mod priors;
 pub mod problem_type;
 pub mod prompt;
 pub mod rng;
-pub mod stage;
 pub mod task;
 pub mod usage;
 pub mod warm;
@@ -58,7 +57,6 @@ pub use plan::{CellId, PlanCell, ShardSpec, WorkPlan};
 pub use priors::CostPriors;
 pub use problem_type::ProblemType;
 pub use prompt::PromptVariant;
-pub use stage::Stage;
 pub use task::{ProblemId, TaskId};
 
 /// Number of problem types in the benchmark (Table 1).

@@ -290,19 +290,10 @@ fn prompt_variants_flag() -> Option<String> {
     None
 }
 
-/// The `PCG_STEAL` switch (env fallback for `--steal`/`--no-steal`):
-/// whether shard workers steal whole cells from lagging siblings.
-/// Like [`priors_source`], deliberately outside the config hash —
-/// stealing relocates evaluations between processes, it never changes
-/// the bytes they produce.
-pub fn steal_source() -> Option<String> {
-    std::env::var("PCG_STEAL").ok().filter(|s| !s.is_empty())
-}
-
 /// The `PCG_REPLAY_POOL` directory (env fallback for `--replay-pool`):
 /// score a dumped candidate pool from this directory instead of
 /// sampling the synthetic zoo. Not an [`EvalConfig`] field, but —
-/// unlike priors or stealing — it *does* enter the config hash: the
+/// unlike priors — it *does* enter the config hash: the
 /// pool's content hash arrives as the source's config salt, so a
 /// resumed or sharded run can never splice cells from different pools.
 pub fn replay_pool_source() -> Option<String> {

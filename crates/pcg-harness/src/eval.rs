@@ -29,7 +29,7 @@ use crate::runner::{Outcome, SharedRunner};
 use crate::scheduler;
 use pcg_core::plan::{CellId, PlanCell, WorkPlan};
 use pcg_core::task::all_tasks;
-use pcg_core::{CandidateKind, CostPriors, ExecutionModel, Stage, TaskId};
+use pcg_core::{CandidateKind, CostPriors, ExecutionModel, TaskId};
 use pcg_metrics::TaskSamples;
 use pcg_models::{CandidateSource, SampleSpec};
 use std::collections::BTreeMap;
@@ -254,37 +254,10 @@ pub fn evaluate_cells_priors<S: CandidateSource + Sync + ?Sized>(
     let stats = EvalStats {
         jobs: jobs.max(1),
         cells: n_cells,
-        executions: runner.executions(),
-        cache_hits: runner.cache_hits(),
-        panics: runner.panics(),
-        timeouts: runner.timeouts(),
-        cancelled: runner.cancelled(),
-        abandoned: runner.abandoned(),
-        retries: runner.retries(),
-        flaky: runner.flaky(),
         resumed_cells,
-        quarantined: runner.quarantined(),
-        baseline_s: runner.stage_seconds(Stage::Baseline),
-        run_s: runner.stage_seconds(Stage::Run),
-        validate_s: runner.stage_seconds(Stage::Validate),
         wall_s,
-        lease_hits: 0,
-        lease_misses: 0,
-        input_cache_hits: runner.input_cache_hits(),
-        pool_setup_s: 0.0,
-        ranks_multiplexed: runner.ranks_multiplexed(),
-        bytes_zero_copied: runner.bytes_zero_copied(),
-        journal_compactions: 0,
-        journal_frames_rejected: 0,
-        deadlocks_detected: runner.deadlocks_detected(),
-        stack_overflows_caught: runner.stack_overflows_caught(),
-        guard_faults: runner.guard_faults(),
-        leak_budget_exhausted: runner.leak_budget_exhausted(),
-        cells_stolen: 0,
-        steal_conflicts: 0,
-        steal_scans: 0,
         cell_walls,
-        shard_walls: Vec::new(),
+        ..runner.stats()
     };
     SubsetRun { cells, stats }
 }
@@ -548,7 +521,8 @@ mod tests {
         let t = p.task(ExecutionModel::OpenMp);
         let runner = SharedRunner::new(cfg.clone());
         evaluate_task(&cfg, &runner, &models[..], 0, t);
-        let requests = runner.executions() - runner.retries() + runner.cache_hits();
+        let stats = runner.stats();
+        let requests = stats.executions - stats.retries + stats.cache_hits;
         let mut asked = Vec::new();
         reference_task(&cfg, &runner, &models, 0, t, &mut asked);
         let mut distinct: Vec<(CandidateKind, u32)> = Vec::new();

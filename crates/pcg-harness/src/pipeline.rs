@@ -24,7 +24,7 @@
 use crate::config::EvalConfig;
 use crate::eval::{self, evaluate_resumable_priors};
 use crate::journal::{self, Journal};
-use crate::record::{EvalRecord, EvalStats};
+use crate::record::{EvalRecord, EvalStats, TaskRecord};
 use crate::runner::SharedRunner;
 use crate::scheduler;
 use pcg_core::plan::{CellId, ShardSpec, WorkPlan};
@@ -51,7 +51,9 @@ pub fn stats_path(cfg: &EvalConfig) -> PathBuf {
 }
 
 /// How a pipeline run is driven, as parsed from a figure binary's
-/// command line.
+/// command line. Every run keeps a write-ahead journal, and shard
+/// workers of a multi-shard run always steal from lagging siblings;
+/// neither is an option.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Worker count for the evaluation grid.
@@ -59,9 +61,6 @@ pub struct RunOptions {
     /// Replay a matching write-ahead journal left by an interrupted
     /// run, evaluating only the missing cells (`--resume`).
     pub resume: bool,
-    /// Keep a write-ahead journal while running (`--no-journal`
-    /// disables it, giving up crash safety).
-    pub journal: bool,
     /// Run only the cells of one shard (`--shard k/N`) into a shard
     /// journal, then exit — worker mode for multi-process evaluation.
     pub shard: Option<ShardSpec>,
@@ -74,13 +73,6 @@ pub struct RunOptions {
     /// `default` for the committed analytic profile. `None` dispatches
     /// cells in plan order and shards by `id % count`.
     pub priors: Option<String>,
-    /// Let shard workers steal whole cells from lagging siblings after
-    /// draining their own partition (`--steal` / `--no-steal`, env
-    /// `PCG_STEAL`). On by default; only effective in worker mode — a
-    /// single-process run has no siblings to steal from. Like priors,
-    /// deliberately outside the config hash: stealing moves cells
-    /// between processes, never changes what they compute.
-    pub steal: bool,
     /// Keep the per-shard journals and stats sidecars after a
     /// successful merge instead of deleting them (`--keep-shards` /
     /// `PCG_KEEP_SHARDS`), for post-mortem inspection of who evaluated
@@ -95,51 +87,38 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Options for `jobs` workers with journaling on and resume off.
+    /// Options for `jobs` workers, resume off, unsharded, no priors.
     pub fn new(jobs: usize) -> RunOptions {
         RunOptions {
             jobs,
             resume: false,
-            journal: true,
             shard: None,
             merge_shards: None,
             priors: None,
-            steal: true,
             keep_shards: false,
             replay_pool: None,
         }
     }
 
-    /// Parse `--jobs N`, `--resume`, `--no-journal`, `--shard k/N`
-    /// (env fallback `PCG_SHARD`), `--merge-shards N` (env fallback
+    /// Parse `--jobs N`, `--resume`, `--shard k/N` (env fallback
+    /// `PCG_SHARD`), `--merge-shards N` (env fallback
     /// `PCG_MERGE_SHARDS`), `--priors SRC` (env fallback `PCG_PRIORS`),
-    /// `--steal`/`--no-steal` (env fallback `PCG_STEAL`, default on),
-    /// and `--keep-shards` (env fallback `PCG_KEEP_SHARDS`) from the
+    /// `--keep-shards` (env fallback `PCG_KEEP_SHARDS`) and
+    /// `--replay-pool DIR` (env fallback `PCG_REPLAY_POOL`) from the
     /// process arguments (exits with code 2 on a malformed value, like
-    /// [`scheduler::jobs_from_cli`]).
+    /// [`scheduler::jobs_from_cli`]). Other arguments are ignored.
     pub fn from_cli() -> RunOptions {
-        let has = |flag: &str| std::env::args().any(|a| a == flag);
         RunOptions {
             jobs: scheduler::jobs_from_cli(),
-            resume: has("--resume"),
-            journal: !has("--no-journal"),
+            resume: std::env::args().any(|a| a == "--resume"),
             shard: shard_from_cli(),
             merge_shards: merge_from_cli(),
             priors: flag_value("--priors").or_else(crate::config::priors_source),
-            steal: steal_from_cli(),
             keep_shards: keep_shards_from_cli(),
             replay_pool: flag_value("--replay-pool")
                 .or_else(crate::config::replay_pool_source),
         }
     }
-
-    /// The options with a priors source swapped in (builder-style, for
-    /// tests).
-    pub fn with_priors(mut self, src: impl Into<String>) -> RunOptions {
-        self.priors = Some(src.into());
-        self
-    }
-
 }
 
 /// The candidate source a pipeline run scores: the synthetic zoo
@@ -326,7 +305,8 @@ fn merge_from_cli() -> Option<u32> {
 
 /// Parse a boolean switch value (`1/true/on/yes` vs `0/false/off/no`,
 /// case-insensitive). Exits with code 2 on anything else — a typo'd
-/// `PCG_STEAL=ture` silently defaulting would be worse than stopping.
+/// `PCG_KEEP_SHARDS=ture` silently defaulting would be worse than
+/// stopping.
 fn switch(raw: &str, what: &str) -> bool {
     match raw.trim().to_ascii_lowercase().as_str() {
         "1" | "true" | "on" | "yes" => true,
@@ -336,19 +316,6 @@ fn switch(raw: &str, what: &str) -> bool {
             std::process::exit(2);
         }
     }
-}
-
-/// `--steal` / `--no-steal` from the arguments (explicit flags win),
-/// else the `PCG_STEAL` environment variable, else on.
-fn steal_from_cli() -> bool {
-    let has = |flag: &str| std::env::args().any(|a| a == flag);
-    if has("--no-steal") {
-        return false;
-    }
-    if has("--steal") {
-        return true;
-    }
-    crate::config::steal_source().is_none_or(|raw| switch(&raw, "PCG_STEAL"))
 }
 
 /// `--keep-shards` from the arguments, else the `PCG_KEEP_SHARDS`
@@ -421,36 +388,19 @@ pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions
     let priors = load_priors(opts);
     let priors_hash = priors.as_ref().map_or(0, |p| p.hash());
     let jpath = journal::journal_path(&path);
-    let resumed = if opts.resume {
-        resume_journal(&jpath, cfg, &salt, ShardSpec::WHOLE, priors_hash)
-    } else {
-        ResumedJournal::default()
-    };
-    let replay = resumed.replay;
-    if !replay.is_empty() {
+    let (resumed, wal) =
+        open_journal(&jpath, cfg, &salt, ShardSpec::WHOLE, priors_hash, opts.resume);
+    if !resumed.replay.is_empty() {
         eprintln!(
             "[pcgbench] resuming: {} cell{} replayed from {}",
-            replay.len(),
-            if replay.len() == 1 { "" } else { "s" },
+            resumed.replay.len(),
+            if resumed.replay.len() == 1 { "" } else { "s" },
             jpath.display(),
         );
     }
-    let wal = if opts.journal {
-        let opened = if replay.is_empty() || resumed.recreate {
-            Journal::create_sourced(&jpath, cfg, &salt, ShardSpec::WHOLE, priors_hash)
-        } else {
-            Journal::open_append(&jpath)
-        };
-        match opened {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("[pcgbench] warning: could not open journal: {e}");
-                None
-            }
-        }
-    } else {
-        None
-    };
+    // The journal is crash insurance here: without it the run still
+    // produces its records, it just cannot be resumed.
+    let wal = wal.map_err(|e| eprintln!("[pcgbench] warning: could not open journal: {e}")).ok();
 
     let runner = SharedRunner::new(cfg.clone());
     let (record, mut stats) = evaluate_resumable_priors(
@@ -460,38 +410,18 @@ pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions
         opts.jobs,
         priors.as_ref(),
         &runner,
-        &replay,
-        |cell, model, rec| {
-            if let Some(j) = &wal {
-                if let Err(e) = j.append(cell, model, rec) {
-                    eprintln!("[pcgbench] warning: journal append failed: {e}");
-                }
-            }
-        },
+        &resumed.replay,
+        append_to(wal.as_ref()),
     );
-    if let Some(j) = &wal {
-        if let Err(e) = j.sync() {
-            eprintln!("[pcgbench] warning: journal sync failed: {e}");
-        }
+    if let Some(Err(e)) = wal.as_ref().map(Journal::sync) {
+        eprintln!("[pcgbench] warning: journal sync failed: {e}");
     }
     stats.journal_compactions = resumed.compacted;
     stats.journal_frames_rejected = resumed.rejected;
     eprintln!("[pcgbench] evaluation finished in {:.1}s", stats.wall_s);
     eprint!("{}", crate::report::stats_summary(&stats));
 
-    let committed = match journal::commit_record(&path, &plan, &record) {
-        Ok(()) => {
-            eprintln!("[pcgbench] cached records at {}", path.display());
-            true
-        }
-        Err(e) => {
-            eprintln!("[pcgbench] warning: could not cache records: {e}");
-            false
-        }
-    };
-    write_stats(cfg, &stats);
-    if committed {
-        write_cols_sidecar(&path, &record, &stats, &salt);
+    if commit_run(&path, &plan, &record, &stats) {
         // The cache now holds everything the journal was protecting.
         journal::remove(&jpath);
     }
@@ -512,30 +442,54 @@ pub fn read_cache(path: &Path, cfg: &EvalConfig, plan: &WorkPlan) -> Option<Eval
     fits.then(|| eval::assemble(cfg, plan, |_| cells.next().expect("the cache covers the plan")))
 }
 
-/// Commit the columnar projection sidecar next to a freshly written
-/// records cache, with the run's measured per-cell walls folded into
-/// the wall column (the next run's `--priors` source). Best-effort:
-/// without it, `--priors` falls back to the default cost profile.
-pub(crate) fn write_cols_sidecar(
+/// Commit a finished run's records next to `cache`: the records cache
+/// in frame format ([`journal::commit_record`]), the stats sidecar,
+/// and — once the cache has landed — the `.cols` sidecar, with the
+/// run's measured per-cell walls in its wall column (the next run's
+/// `--priors` source). Returns whether the cache landed; the journals
+/// the record was assembled from may be deleted only then.
+pub(crate) fn commit_run(
     cache: &Path,
+    plan: &WorkPlan,
     record: &EvalRecord,
     stats: &EvalStats,
-    salt: &[u8],
-) {
+) -> bool {
+    let committed = journal::commit_record(cache, plan, record);
+    match &committed {
+        Ok(()) => eprintln!("[pcgbench] cached records at {}", cache.display()),
+        Err(e) => eprintln!("[pcgbench] warning: could not cache records: {e}"),
+    }
+    if let Ok(bytes) = serde_json::to_vec(stats) {
+        let _ = atomic_write(&stats_path(&record.config), &bytes);
+    }
+    if committed.is_err() {
+        return false;
+    }
     let mut cols = crate::colstats::ColumnarStats::from_record(record);
     if !stats.cell_walls.is_empty() {
-        let chash = journal::config_hash_with(&record.config, salt);
         let walls: HashMap<CellId, f64> =
             stats.cell_walls.iter().map(|w| (CellId(w.cell), w.secs)).collect();
-        cols.set_walls(chash, &walls);
+        cols.set_walls(plan.config_hash(), &walls);
     }
     if let Err(e) = atomic_write(&crate::colstats::cols_path(cache), &cols.to_bytes()) {
         eprintln!("[pcgbench] warning: could not write columnar sidecar: {e}");
     }
+    true
 }
 
-/// What [`resume_journal`] recovered and how the journal must be
-/// reopened for further appends (the default: nothing replayed).
+/// The `on_cell` hook that journals each freshly evaluated cell into
+/// `wal`, warning when an append fails (that cell is then simply not
+/// replayable; the run goes on).
+pub(crate) fn append_to(wal: Option<&Journal>) -> impl Fn(CellId, &str, &TaskRecord) + '_ {
+    move |cell, model, rec| {
+        if let Some(Err(e)) = wal.map(|j| j.append(cell, model, rec)) {
+            eprintln!("[pcgbench] warning: journal append failed: {e}");
+        }
+    }
+}
+
+/// What [`open_journal`] replayed from a run's journal (the default:
+/// nothing).
 #[derive(Default)]
 pub(crate) struct ResumedJournal {
     /// Replayable cells (empty without `--resume`).
@@ -546,58 +500,58 @@ pub(crate) struct ResumedJournal {
     /// Corrupt frames refused during replay (the
     /// `journal_frames_rejected` stat).
     pub rejected: u64,
-    /// When true the on-disk file could not be compacted and MUST be
-    /// recreated rather than appended to — frames appended after a
-    /// stale tail would never replay. The replay above is still valid
-    /// in memory.
-    pub recreate: bool,
 }
 
-/// Load a journal for resume: report every rejected frame with its
-/// byte offset / frame index / cell id, then compact when the file
-/// carries stale frames. A journal that replays nothing (missing, not
-/// v3, or written for another config, shard or priors) is left for the
-/// caller to recreate.
-pub(crate) fn resume_journal(
+/// Open the write-ahead journal of a run, or of one shard of it, at
+/// `path`. With `resume`, first replay it — reporting every rejected
+/// frame with its byte offset, frame index and cell id — and compact it
+/// when it carries stale frames. A journal that replays nothing
+/// (missing, not v3, or written for another config, shard or priors)
+/// is created afresh, and so is one whose compaction failed: frames
+/// appended after a stale tail would never replay. Otherwise it is
+/// reopened for appends. Each caller applies its own policy to an
+/// open error.
+pub(crate) fn open_journal(
     path: &Path,
     cfg: &EvalConfig,
     salt: &[u8],
     shard: ShardSpec,
     priors_hash: u64,
-) -> ResumedJournal {
-    let loaded = journal::load_counting_sourced(path, cfg, salt, shard, priors_hash);
-    for r in &loaded.rejects {
-        eprintln!("[pcgbench] warning: journal {}: rejected {r}", path.display());
-    }
-    let rejected = loaded.rejects.len() as u64;
-    if !loaded.needs_compaction() {
-        return ResumedJournal { replay: loaded.replay, compacted: 0, rejected, recreate: false };
-    }
-    match journal::compact_sourced(path, cfg, salt, shard, priors_hash, &loaded.replay) {
-        Ok(_) => {
-            eprintln!(
-                "[pcgbench] compacted journal: {} stale frame{} folded away",
-                loaded.stale_frames,
-                if loaded.stale_frames == 1 { "" } else { "s" },
-            );
-            ResumedJournal {
-                replay: loaded.replay,
-                compacted: loaded.stale_frames as u64,
-                rejected,
-                recreate: false,
+    resume: bool,
+) -> (ResumedJournal, std::io::Result<Journal>) {
+    let mut resumed = ResumedJournal::default();
+    let mut recreate = true;
+    if resume {
+        let loaded = journal::load_counting_sourced(path, cfg, salt, shard, priors_hash);
+        for r in &loaded.rejects {
+            eprintln!("[pcgbench] warning: journal {}: rejected {r}", path.display());
+        }
+        resumed.rejected = loaded.rejects.len() as u64;
+        recreate = loaded.replay.is_empty();
+        if loaded.needs_compaction() {
+            match journal::compact_sourced(path, cfg, salt, shard, priors_hash, &loaded.replay) {
+                Ok(_) => {
+                    eprintln!(
+                        "[pcgbench] compacted journal: {} stale frame{} folded away",
+                        loaded.stale_frames,
+                        if loaded.stale_frames == 1 { "" } else { "s" },
+                    );
+                    resumed.compacted = loaded.stale_frames as u64;
+                }
+                Err(e) => {
+                    eprintln!("[pcgbench] warning: journal compaction failed: {e}");
+                    recreate = true;
+                }
             }
         }
-        Err(e) => {
-            eprintln!("[pcgbench] warning: journal compaction failed: {e}");
-            ResumedJournal { replay: loaded.replay, compacted: 0, rejected, recreate: true }
-        }
+        resumed.replay = loaded.replay;
     }
-}
-
-fn write_stats(cfg: &EvalConfig, stats: &EvalStats) {
-    if let Ok(bytes) = serde_json::to_vec(stats) {
-        let _ = atomic_write(&stats_path(cfg), &bytes);
-    }
+    let wal = if recreate {
+        Journal::create_sourced(path, cfg, salt, shard, priors_hash)
+    } else {
+        Journal::open_append(path)
+    };
+    (resumed, wal)
 }
 
 /// A process-unique temp-file suffix: `.{tag}.{pid}.{seq}`. The PID
@@ -675,14 +629,13 @@ mod tests {
     }
 
     #[test]
-    fn run_options_default_to_journal_on_resume_off_unsharded() {
+    fn run_options_default_to_resume_off_unsharded() {
         let o = RunOptions::new(3);
         assert_eq!(o.jobs, 3);
-        assert!(o.journal);
         assert!(!o.resume);
         assert!(o.shard.is_none());
         assert!(o.merge_shards.is_none());
-        assert!(o.steal, "stealing defaults on (harmless outside worker mode)");
+        assert!(o.priors.is_none());
         assert!(!o.keep_shards, "merge cleans up its inputs by default");
     }
 

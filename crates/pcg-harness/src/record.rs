@@ -62,7 +62,7 @@ impl AsRef<[ModelRecord]> for EvalRecord {
 /// the record is required to be byte-identical for a given config
 /// regardless of `--jobs`. The pipeline writes stats to a sidecar file
 /// instead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EvalStats {
     /// Worker count the grid ran with.
     pub jobs: usize,

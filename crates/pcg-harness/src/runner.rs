@@ -25,12 +25,11 @@
 //! same runner from one thread.
 
 use crate::config::EvalConfig;
+use crate::record::EvalStats;
 use crate::scheduler::panic_message;
 use pcg_core::cancel::{self, CancelToken};
 use pcg_core::usage::UsageScope;
-use pcg_core::{
-    warm, CandidateKind, Corruption, Output, PcgError, ProblemId, Quality, Stage, TaskId,
-};
+use pcg_core::{warm, CandidateKind, Corruption, Output, PcgError, ProblemId, Quality, TaskId};
 use pcg_problems::framework::fixed_verdict;
 use pcg_problems::input_cache::{self, InputCacheStats};
 use pcg_problems::{corrupt, registry, Resources};
@@ -757,115 +756,49 @@ impl SharedRunner {
         }
     }
 
-    /// Candidate runs actually performed: one per distinct computation
-    /// (plus retries). Fixed-verdict kinds run nothing.
-    pub fn executions(&self) -> u64 {
-        self.counters.executions.load(Ordering::Relaxed)
-    }
-
-    /// Outcome requests answered by a run this request did not execute.
-    /// Fixed-verdict kinds count as neither a hit nor an execution.
-    pub fn cache_hits(&self) -> u64 {
-        self.counters.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Candidates whose body panicked (captured, not propagated).
-    pub fn panics(&self) -> u64 {
-        self.counters.panics.load(Ordering::Relaxed)
-    }
-
-    /// Candidates that blew the time limit (whether they then unwound
-    /// cooperatively or had to be abandoned).
-    pub fn timeouts(&self) -> u64 {
-        self.counters.timeouts.load(Ordering::Relaxed)
-    }
-
-    /// Timed-out workers that unwound cooperatively within the grace
-    /// period after their cancel token fired.
-    pub fn cancelled(&self) -> u64 {
-        self.counters.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// Timed-out workers that ignored cancellation past the grace
-    /// period and were abandoned (leaked until they unwind).
-    pub fn abandoned(&self) -> u64 {
-        self.counters.abandoned.load(Ordering::Relaxed)
-    }
-
-    /// Hard-failed candidates re-executed under `cfg.retry_flaky`.
-    pub fn retries(&self) -> u64 {
-        self.counters.retries.load(Ordering::Relaxed)
-    }
-
-    /// Retried candidates whose second attempt did not hard-fail.
-    pub fn flaky(&self) -> u64 {
-        self.counters.flaky.load(Ordering::Relaxed)
+    /// A snapshot of every counter this runner owns, as an
+    /// [`EvalStats`] whose remaining fields (grid shape, wall clock,
+    /// journal and steal counters) are left at their defaults for the
+    /// caller to fill. Stage seconds are summed across workers; the
+    /// input-cache and fiber-scheduler counts are process-global, so
+    /// they are reported as deltas since the runner was constructed.
+    pub fn stats(&self) -> EvalStats {
+        let c = &self.counters;
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let secs = |a: &AtomicU64| get(a) as f64 / 1e9;
+        let sched = pcg_mpisim::sched::stats();
+        let base = &self.warm_base.sched;
+        EvalStats {
+            executions: get(&c.executions),
+            cache_hits: get(&c.cache_hits),
+            panics: get(&c.panics),
+            timeouts: get(&c.timeouts),
+            cancelled: get(&c.cancelled),
+            abandoned: get(&c.abandoned),
+            retries: get(&c.retries),
+            flaky: get(&c.flaky),
+            quarantined: self.quarantined(),
+            baseline_s: secs(&c.baseline_ns),
+            run_s: secs(&c.run_ns),
+            validate_s: secs(&c.validate_ns),
+            input_cache_hits: input_cache::stats()
+                .hits
+                .saturating_sub(self.warm_base.input.hits),
+            ranks_multiplexed: sched.ranks_multiplexed.saturating_sub(base.ranks_multiplexed),
+            bytes_zero_copied: sched.bytes_zero_copied.saturating_sub(base.bytes_zero_copied),
+            deadlocks_detected: sched.deadlocks_detected.saturating_sub(base.deadlocks_detected),
+            stack_overflows_caught: sched
+                .stack_overflows_caught
+                .saturating_sub(base.stack_overflows_caught),
+            guard_faults: sched.guard_faults.saturating_sub(base.guard_faults),
+            leak_budget_exhausted: self.leaks.was_exhausted(),
+            ..EvalStats::default()
+        }
     }
 
     /// Abandoned worker threads that have not yet unwound.
     pub fn leaked_workers(&self) -> usize {
         self.leaks.live()
-    }
-
-    /// Cumulative seconds attributed to `stage`, summed across workers.
-    pub fn stage_seconds(&self, stage: Stage) -> f64 {
-        let ns = match stage {
-            Stage::Baseline => self.counters.baseline_ns.load(Ordering::Relaxed),
-            Stage::Run => self.counters.run_ns.load(Ordering::Relaxed),
-            Stage::Validate => self.counters.validate_ns.load(Ordering::Relaxed),
-        };
-        ns as f64 / 1e9
-    }
-
-    /// Input-instance lookups served by the memoization cache.
-    pub fn input_cache_hits(&self) -> u64 {
-        input_cache::stats().hits.saturating_sub(self.warm_base.input.hits)
-    }
-
-    /// Simulated MPI ranks run as multiplexed fibers rather than OS
-    /// threads during this evaluation.
-    pub fn ranks_multiplexed(&self) -> u64 {
-        pcg_mpisim::sched::stats()
-            .ranks_multiplexed
-            .saturating_sub(self.warm_base.sched.ranks_multiplexed)
-    }
-
-    /// Payload bytes moved by reference (`Arc` forward) instead of
-    /// copied during this evaluation's simulated message transport.
-    pub fn bytes_zero_copied(&self) -> u64 {
-        pcg_mpisim::sched::stats()
-            .bytes_zero_copied
-            .saturating_sub(self.warm_base.sched.bytes_zero_copied)
-    }
-
-    /// Worlds failed fast by the wait-for-graph deadlock detector
-    /// during this evaluation.
-    pub fn deadlocks_detected(&self) -> u64 {
-        pcg_mpisim::sched::stats()
-            .deadlocks_detected
-            .saturating_sub(self.warm_base.sched.deadlocks_detected)
-    }
-
-    /// Fiber stack overflows converted into verdicts by the guard page
-    /// during this evaluation.
-    pub fn stack_overflows_caught(&self) -> u64 {
-        pcg_mpisim::sched::stats()
-            .stack_overflows_caught
-            .saturating_sub(self.warm_base.sched.stack_overflows_caught)
-    }
-
-    /// SIGSEGV faults classified as guard-page hits during this
-    /// evaluation.
-    pub fn guard_faults(&self) -> u64 {
-        pcg_mpisim::sched::stats()
-            .guard_faults
-            .saturating_sub(self.warm_base.sched.guard_faults)
-    }
-
-    /// Whether the abandoned-worker budget was exhausted at least once
-    /// (spawners had to block until leaks unwound).
-    pub fn leak_budget_exhausted(&self) -> bool {
-        self.leaks.was_exhausted()
     }
 }
 
@@ -946,10 +879,10 @@ mod tests {
         let r = runner();
         let t = mk_task(ExecutionModel::Cuda);
         let a = r.outcome(t, CandidateKind::Correct(Quality::Efficient), 0);
-        let hits_before = r.cache_hits();
+        let hits_before = r.stats().cache_hits;
         let b = r.outcome(t, CandidateKind::Correct(Quality::Efficient), 0);
         assert_eq!(a.seconds, b.seconds, "second call must be the cached run");
-        assert_eq!(r.cache_hits(), hits_before + 1);
+        assert_eq!(r.stats().cache_hits, hits_before + 1);
     }
 
     #[test]
@@ -970,7 +903,7 @@ mod tests {
         let out = r.run_isolated::<(), _>(|| panic!("candidate exploded"));
         assert!(!out.correct);
         assert_eq!(out.error, Some("panic"));
-        assert_eq!(r.panics(), 1);
+        assert_eq!(r.stats().panics, 1);
         // The runner is still serviceable after a panic.
         let ok = r.run_isolated(|| Ok::<_, PcgError>(42));
         assert!(ok.correct, "{ok:?}");
@@ -990,9 +923,9 @@ mod tests {
         });
         assert!(!out.correct);
         assert_eq!(out.error, Some("timeout"));
-        assert_eq!(r.timeouts(), 1);
-        assert_eq!(r.abandoned(), 1);
-        assert_eq!(r.cancelled(), 0);
+        assert_eq!(r.stats().timeouts, 1);
+        assert_eq!(r.stats().abandoned, 1);
+        assert_eq!(r.stats().cancelled, 0);
         assert_eq!(r.leaked_workers(), 1, "the sleeper holds a leak slot");
     }
 
@@ -1010,9 +943,9 @@ mod tests {
         });
         assert!(!out.correct);
         assert_eq!(out.error, Some("timeout"));
-        assert_eq!(r.timeouts(), 1);
-        assert_eq!(r.cancelled(), 1);
-        assert_eq!(r.abandoned(), 0, "cooperative unwind must not leak");
+        assert_eq!(r.stats().timeouts, 1);
+        assert_eq!(r.stats().cancelled, 1);
+        assert_eq!(r.stats().abandoned, 0, "cooperative unwind must not leak");
         assert_eq!(r.leaked_workers(), 0);
     }
 
@@ -1030,9 +963,9 @@ mod tests {
             Ok::<_, PcgError>(())
         });
         assert_eq!(out.error, Some("timeout"));
-        assert_eq!(r.abandoned(), 1);
+        assert_eq!(r.stats().abandoned, 1);
         assert!(
-            !r.leak_budget_exhausted(),
+            !r.stats().leak_budget_exhausted,
             "abandonment alone must not trip the flag — only blocking does"
         );
         // Second execution must wait for the slot, then run normally.
@@ -1045,7 +978,7 @@ mod tests {
         );
         assert_eq!(r.leaked_workers(), 0, "the sleeper released its slot on unwind");
         assert!(
-            r.leak_budget_exhausted(),
+            r.stats().leak_budget_exhausted,
             "blocking on the exhausted budget must latch the sidecar flag"
         );
     }
@@ -1061,11 +994,11 @@ mod tests {
                 (0..8).map(|_| s.spawn(|| r.outcome(t, kind, 4))).collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(r.executions(), 1, "one execution, {} cache hits", r.cache_hits());
+        assert_eq!(r.stats().executions, 1, "one execution, {} cache hits", r.stats().cache_hits);
         for o in &outs {
             assert!(o.correct);
             assert_eq!(o.seconds, outs[0].seconds);
         }
-        assert!(r.stage_seconds(Stage::Run) > 0.0);
+        assert!(r.stats().run_s > 0.0);
     }
 }

@@ -32,11 +32,11 @@
 //! Static partitioning (even cost-weighted) cannot anticipate a worker
 //! that is slow for *unpredicted* reasons — a noisy neighbor, one
 //! flaky retry storm — and the merge gate is the max shard wall, so
-//! one straggler stalls the whole fleet. With `--steal` (the default
-//! for shard workers), a worker that drains its own partition turns
-//! thief: it peeks sibling journals for cells with neither a result
-//! nor a claim on disk, durably appends **claim frames** for a batch
-//! to its *own* journal ([`Journal::append_claims`],
+//! one straggler stalls the whole fleet. So every worker of a
+//! multi-shard run that drains its own partition turns thief: it peeks
+//! sibling journals for cells with neither a result nor a claim on
+//! disk, durably appends **claim frames** for a batch to its *own*
+//! journal ([`Journal::append_claims`],
 //! claim-before-evaluate), evaluates the stolen cells, and journals
 //! the results locally. Victims pre-scan siblings before evaluating so
 //! a worker waking from a stall skips everything already taken from
@@ -210,29 +210,13 @@ pub fn steal_from_siblings(
     out
 }
 
-/// Fold the stats of one stolen-batch evaluation into the worker's
-/// running total. [`SharedRunner`] counters are **cumulative across
-/// calls** on one runner, so the latest snapshot replaces the total
-/// wholesale; the genuinely per-call fields (cells, measured walls,
-/// resumed count) accumulate.
-fn absorb_steal_stats(total: &mut EvalStats, fill: EvalStats, stolen_cells: usize) {
-    let cells = total.cells + stolen_cells;
-    let resumed_cells = total.resumed_cells;
-    let mut cell_walls = std::mem::take(&mut total.cell_walls);
-    cell_walls.extend(fill.cell_walls.iter().copied());
-    *total = fill;
-    total.cells = cells;
-    total.resumed_cells = resumed_cells;
-    total.cell_walls = cell_walls;
-}
-
 /// Run one shard of the full evaluation grid as a worker process.
 ///
 /// The shard's journal (created fresh, or resumed and compacted when
 /// `opts.resume` is set) is the output artifact: it is *not* deleted on
 /// completion — `merge` consumes it. A stats sidecar is committed
-/// atomically next to it. Journaling cannot be disabled in worker mode
-/// (a worker without a journal would produce nothing).
+/// atomically next to it. In a multi-shard run the worker then steals
+/// from lagging siblings ([`steal_from_siblings`]).
 pub fn run_shard(
     path: Option<&Path>,
     cfg: &EvalConfig,
@@ -249,31 +233,22 @@ pub fn run_shard(
     let priors = pipeline::load_priors(opts);
     let priors_hash = priors.as_ref().map_or(0, |p| p.hash());
 
-    let resumed = if opts.resume {
-        pipeline::resume_journal(&jpath, cfg, &salt, shard, priors_hash)
-    } else {
-        pipeline::ResumedJournal::default()
-    };
+    let (resumed, wal) =
+        pipeline::open_journal(&jpath, cfg, &salt, shard, priors_hash, opts.resume);
     let replay = resumed.replay;
+    let wal = wal.unwrap_or_else(|e| {
+        // Unlike the single-process pipeline (where the journal is
+        // crash insurance), a shard worker exists to produce its
+        // journal; running on without one would only burn CPU to
+        // produce nothing.
+        eprintln!("[pcgbench] error: could not open shard journal: {e}");
+        std::process::exit(1);
+    });
+    let append = pipeline::append_to(Some(&wal));
 
-    let wal = if replay.is_empty() || resumed.recreate {
-        Journal::create_sourced(&jpath, cfg, &salt, shard, priors_hash)
-    } else {
-        Journal::open_append(&jpath)
-    };
-    let wal = match wal {
-        Ok(j) => j,
-        Err(e) => {
-            // Unlike the single-process pipeline (where the journal is
-            // optional crash insurance), a shard worker exists to
-            // produce its journal; running on without one would only
-            // burn CPU to produce nothing.
-            eprintln!("[pcgbench] error: could not open shard journal: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    let steal_on = opts.steal && shard.count > 1;
+    // A shard of a multi-shard run steals; the whole grid has no
+    // siblings to steal from.
+    let steal_on = shard.count > 1;
     let mut owned = plan.shard_with(shard, priors.as_ref());
     let mut scans_before = 0u64;
     if steal_on {
@@ -313,13 +288,11 @@ pub fn run_shard(
         priors.as_ref(),
         &runner,
         &replay,
-        |cell, model, rec| {
-            if let Err(e) = wal.append(cell, model, rec) {
-                eprintln!("[pcgbench] warning: journal append failed: {e}");
-            }
-        },
+        &append,
     );
-    let mut stats = run.stats;
+    let resumed_cells = run.stats.resumed_cells;
+    let mut cells = run.cells.len();
+    let mut cell_walls = run.stats.cell_walls;
 
     let mut steal = StealOutcome::default();
     if steal_on {
@@ -336,7 +309,6 @@ pub fn run_shard(
             opts.jobs.max(1),
             done,
             |batch| {
-                let stolen = batch.len();
                 let fill = eval::evaluate_cells_priors(
                     cfg,
                     &source,
@@ -345,26 +317,32 @@ pub fn run_shard(
                     priors.as_ref(),
                     &runner,
                     &journal::Replay::new(),
-                    |cell, model, rec| {
-                        if let Err(e) = wal.append(cell, model, rec) {
-                            eprintln!("[pcgbench] warning: journal append failed: {e}");
-                        }
-                    },
+                    &append,
                 );
-                absorb_steal_stats(&mut stats, fill.stats, stolen);
+                cells += fill.cells.len();
+                cell_walls.extend(fill.stats.cell_walls);
             },
         );
     }
     if let Err(e) = wal.sync() {
         eprintln!("[pcgbench] warning: journal sync failed: {e}");
     }
-    stats.cells_stolen = steal.stolen;
-    stats.steal_conflicts = steal.conflicts;
-    stats.steal_scans = steal.scans + scans_before;
-    stats.cell_walls.sort_by_key(|w| w.cell);
-    stats.wall_s = t0.elapsed().as_secs_f64();
-    stats.journal_compactions = resumed.compacted;
-    stats.journal_frames_rejected = resumed.rejected;
+    cell_walls.sort_by_key(|w| w.cell);
+    // The runner's counters are cumulative over every evaluation it
+    // served, so one snapshot after the last stolen batch covers them all.
+    let stats = EvalStats {
+        jobs: opts.jobs.max(1),
+        cells,
+        resumed_cells,
+        wall_s: t0.elapsed().as_secs_f64(),
+        journal_compactions: resumed.compacted,
+        journal_frames_rejected: resumed.rejected,
+        cells_stolen: steal.stolen,
+        steal_conflicts: steal.conflicts,
+        steal_scans: steal.scans + scans_before,
+        cell_walls,
+        ..runner.stats()
+    };
     eprintln!("[pcgbench] shard {shard} finished in {:.1}s", stats.wall_s);
     eprint!("{}", crate::report::stats_summary(&stats));
     if let Ok(bytes) = serde_json::to_vec(&stats) {
@@ -480,21 +458,9 @@ pub fn merge_shards(
     stats.journal_frames_rejected += rejected;
     eprint!("{}", crate::report::stats_summary(&stats));
 
-    let committed = match journal::commit_record(&cache, &plan, &record) {
-        Ok(()) => {
-            eprintln!("[pcgbench] merge: cached records at {}", cache.display());
-            true
-        }
-        Err(e) => {
-            eprintln!("[pcgbench] warning: could not cache merged records: {e}");
-            false
-        }
-    };
-    if let Ok(bytes) = serde_json::to_vec(&stats) {
-        let _ = pipeline::atomic_write(&pipeline::stats_path(cfg), &bytes);
-    }
-    if committed {
-        pipeline::write_cols_sidecar(&cache, &record, &stats, &salt);
+    // A failed commit keeps every shard journal and sidecar, so the
+    // merge can simply be rerun.
+    if pipeline::commit_run(&cache, &plan, &record, &stats) {
         if opts.keep_shards {
             // Post-mortem mode: the per-worker journals (claim frames
             // included) and sidecars are the only record of who
@@ -614,41 +580,7 @@ mod tests {
     }
 
     fn base_stats() -> EvalStats {
-        EvalStats {
-            jobs: 1,
-            cells: 0,
-            executions: 0,
-            cache_hits: 0,
-            panics: 0,
-            timeouts: 0,
-            cancelled: 0,
-            abandoned: 0,
-            retries: 0,
-            flaky: 0,
-            resumed_cells: 0,
-            quarantined: Vec::new(),
-            baseline_s: 0.0,
-            run_s: 0.0,
-            validate_s: 0.0,
-            wall_s: 0.0,
-            lease_hits: 0,
-            lease_misses: 0,
-            input_cache_hits: 0,
-            pool_setup_s: 0.0,
-            ranks_multiplexed: 0,
-            bytes_zero_copied: 0,
-            journal_compactions: 0,
-            journal_frames_rejected: 0,
-            deadlocks_detected: 0,
-            stack_overflows_caught: 0,
-            guard_faults: 0,
-            leak_budget_exhausted: false,
-            cells_stolen: 0,
-            steal_conflicts: 0,
-            steal_scans: 0,
-            cell_walls: Vec::new(),
-            shard_walls: Vec::new(),
-        }
+        EvalStats { jobs: 1, ..EvalStats::default() }
     }
 
     #[test]

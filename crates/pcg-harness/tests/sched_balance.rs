@@ -12,7 +12,7 @@
 //! the byte comparisons are exact (the same discipline `shard_merge`
 //! uses); interleaving phases would split the cache.
 
-use pcg_core::plan::ShardSpec;
+use pcg_core::plan::{PlanCell, ShardSpec};
 use pcg_core::CostPriors;
 use pcg_harness::colstats::{cols_path, ColumnarStats};
 use pcg_harness::eval::{self, evaluate_with, smoke_tasks};
@@ -21,6 +21,7 @@ use pcg_harness::pipeline::{self, RunOptions};
 use pcg_harness::record::{projection, EvalStats};
 use pcg_harness::shard::{merge_shards, shard_stats_path};
 use pcg_harness::{EvalConfig, SharedRunner};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 fn tmp_cache() -> PathBuf {
@@ -104,11 +105,12 @@ fn priors_reorder_execution_without_touching_a_byte() {
     // merge. Byte-identical reassembly, one wall entry per worker, and
     // the committed cols sidecar must carry walls usable as the next
     // run's priors.
+    let default_priors = RunOptions { priors: Some("default".into()), ..RunOptions::new(2) };
     write_shard_journals(&cache, &cfg, &models, &tasks, &runner, Some(&priors));
     let merged = merge_shards(
         Some(&cache),
         &cfg,
-        &RunOptions::new(2).with_priors("default"),
+        &default_priors,
         3,
         Some(&tasks),
     );
@@ -131,6 +133,33 @@ fn priors_reorder_execution_without_touching_a_byte() {
         .expect("a merged sidecar with measured walls must yield a priors table");
     assert!(!next_priors.is_empty());
 
+    // The next run's `--priors` loads those walls from disk, given the
+    // merged cache or its `.cols` file: one measured cost per merged
+    // cell wall, equal to the wall. A missing path degrades to the
+    // default profile.
+    let from_disk = |src: &Path| {
+        let opts = RunOptions { priors: Some(src.display().to_string()), ..RunOptions::new(1) };
+        pipeline::load_priors(&opts).expect("a named priors source always yields a table")
+    };
+    let loaded = from_disk(&cache);
+    assert_eq!(loaded.len(), stats.cell_walls.len(), "one measured entry per merged cell wall");
+    let cells: HashMap<u64, PlanCell> = plan.cells().map(|c| (c.id.0, c)).collect();
+    for w in &stats.cell_walls {
+        let c = cells[&w.cell];
+        assert_eq!(
+            loaded.cost(&plan.models()[c.model], c.task),
+            w.secs,
+            "cell {} must load its measured wall as its cost",
+            w.cell
+        );
+    }
+    assert_eq!(from_disk(&cols_path(&cache)).hash(), loaded.hash(), "cache and .cols paths load alike");
+    assert_eq!(
+        from_disk(&cache.with_extension("missing")).hash(),
+        CostPriors::default_profile().hash(),
+        "a missing priors source falls back to the default profile"
+    );
+
     // ------- Phase 4: workers journaled WITHOUT priors, merge runs
     // WITH them. Every journal must be rejected on its hash stamp and
     // the grid re-evaluated — same projection, no silent mixing.
@@ -138,7 +167,7 @@ fn priors_reorder_execution_without_touching_a_byte() {
     let remerged = merge_shards(
         Some(&cache),
         &cfg,
-        &RunOptions::new(2).with_priors("default"),
+        &default_priors,
         3,
         Some(&tasks),
     );

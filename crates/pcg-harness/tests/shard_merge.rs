@@ -206,5 +206,36 @@ fn merged_shards_match_the_unsharded_run() {
     );
     assert_eq!(stats_projection(&resumed_stats), stats_projection(&ref_stats));
 
+    // ------- Phase 5: a merge whose cache commit fails (a directory
+    // sits at the cache path) must keep every shard journal and stats
+    // sidecar: they are all there is of the run. Once the path is free,
+    // a second merge commits the cache and only then consumes them.
+    write_shard_journals(&cache, &cfg, &models, &tasks, &runner);
+    std::fs::remove_file(&cache).unwrap();
+    std::fs::create_dir(&cache).unwrap();
+    let blocked = merge_shards(Some(&cache), &cfg, &RunOptions::new(2), 3, Some(&tasks));
+    assert_eq!(serde_json::to_string(&blocked).unwrap(), ref_json);
+    for k in 0..3 {
+        let spec = ShardSpec::new(k, 3);
+        assert!(
+            journal::shard_journal_path(&cache, spec).exists(),
+            "a merge whose commit failed must keep shard {spec}'s journal"
+        );
+        assert!(shard_stats_path(&cache, spec).exists(), "and shard {spec}'s stats sidecar");
+    }
+    std::fs::remove_dir(&cache).unwrap();
+    let retried = merge_shards(Some(&cache), &cfg, &RunOptions::new(2), 3, Some(&tasks));
+    assert_eq!(serde_json::to_string(&retried).unwrap(), ref_json);
+    let read_back = pipeline::read_cache(&cache, &cfg, &plan).expect("the retried merge commits");
+    assert_eq!(serde_json::to_string(&read_back).unwrap(), ref_json);
+    for k in 0..3 {
+        let spec = ShardSpec::new(k, 3);
+        assert!(
+            !journal::shard_journal_path(&cache, spec).exists(),
+            "the committed merge must consume shard {spec}'s journal"
+        );
+        assert!(!shard_stats_path(&cache, spec).exists());
+    }
+
     let _ = std::fs::remove_file(&cache);
 }

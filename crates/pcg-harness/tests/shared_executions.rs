@@ -90,8 +90,8 @@ fn efficient_path_and_its_wrong_modes_run_once() {
         let out = runner.outcome(t, CandidateKind::WrongOutput(mode), 512);
         assert_eq!(out.error, Some("wrong"), "{mode:?}");
     }
-    assert_eq!(runner.executions(), 1);
-    assert_eq!(runner.cache_hits(), 4, "wrong modes are answered by the shared run");
+    assert_eq!(runner.stats().executions, 1);
+    assert_eq!(runner.stats().cache_hits, 4, "wrong modes are answered by the shared run");
 }
 
 #[test]
@@ -105,7 +105,7 @@ fn gpu_kinds_run_once_across_n() {
             assert!(low.correct && out.correct, "{model} at n={n}");
             assert_eq!(low.seconds, out.seconds, "{model}: n={n} reuses the n=0 run");
         }
-        assert_eq!(runner.executions(), 1, "{model}");
+        assert_eq!(runner.stats().executions, 1, "{model}");
     }
 }
 
@@ -117,7 +117,7 @@ fn sequential_fallback_runs_once_per_task() {
         let out = runner.outcome(t, CandidateKind::SequentialFallback, n);
         assert_eq!(out.error, Some("sequential"), "n={n}");
     }
-    assert_eq!(runner.executions(), 1);
+    assert_eq!(runner.stats().executions, 1);
 }
 
 #[test]
@@ -133,7 +133,7 @@ fn fixed_verdicts_run_nothing() {
         let out = runner.outcome(t, kind, 512);
         assert_eq!((out.built, out.correct, out.error), (built, false, Some(code)));
     }
-    assert_eq!(runner.executions(), 0);
+    assert_eq!(runner.stats().executions, 0);
     assert!(runner.quarantined().is_empty(), "a fixed verdict is not a hard failure");
 }
 
@@ -162,8 +162,8 @@ fn concurrent_members_share_one_run() {
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    assert_eq!(runner.executions(), 1);
-    assert_eq!(runner.cache_hits(), 7);
+    assert_eq!(runner.stats().executions, 1);
+    assert_eq!(runner.stats().cache_hits, 7);
     for (&(kind, n), out) in members.iter().zip(&outs) {
         assert_eq!(out.correct, kind == EFFICIENT, "{} at n={n}", kind.tag());
     }
@@ -190,7 +190,7 @@ fn hard_failed_shared_run_quarantines_each_requested_kind() {
         let out = runner.outcome(t, kind, 512);
         assert_eq!(out.error, Some("timeout"), "{}", kind.tag());
     }
-    assert_eq!(runner.executions(), 1, "the members share the timed-out run");
+    assert_eq!(runner.stats().executions, 1, "the members share the timed-out run");
     let q = runner.quarantined();
     let tags: BTreeSet<&str> = q.iter().map(|e| e.kind.as_str()).collect();
     assert_eq!(tags, BTreeSet::from(["correct", "wrong-perturb", "wrong-truncate"]));
@@ -237,8 +237,8 @@ fn repeated_and_concurrent_requests_quarantine_once() {
         assert_eq!(runner.outcome(t, perturb, 512).error, Some("timeout"));
     }
 
-    assert_eq!(runner.executions(), 1);
-    assert_eq!(runner.cache_hits(), 2 + 8 * 3, "every request after the first is a hit");
+    assert_eq!(runner.stats().executions, 1);
+    assert_eq!(runner.stats().cache_hits, 2 + 8 * 3, "every request after the first is a hit");
     let q = runner.quarantined();
     let tags: Vec<&str> = q.iter().map(|e| e.kind.as_str()).collect();
     assert_eq!(tags, ["correct", "wrong-perturb", "wrong-truncate"], "{q:?}");

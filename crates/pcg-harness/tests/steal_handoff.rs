@@ -9,11 +9,12 @@
 //! wakes up after the fleet drained its partition must evaluate zero
 //! cells.
 //!
-//! One `#[test]`: phases share a [`SharedRunner`] execution cache so
-//! the byte comparisons are exact (the same discipline `shard_merge`
-//! uses). Where the merge re-measures with its own runner (gap fill),
-//! the comparison is the deterministic projection, exactly as across
-//! real processes.
+//! The handoff phases are one `#[test]`: they share a [`SharedRunner`]
+//! execution cache so the byte comparisons are exact (the same
+//! discipline `shard_merge` uses). Where the merge re-measures with its
+//! own runner (gap fill), the comparison is the deterministic
+//! projection, exactly as across real processes. A second test drives
+//! a thief through the worker entry point and checks its stats.
 
 use pcg_core::plan::ShardSpec;
 use pcg_harness::eval::{self, evaluate_with, smoke_tasks};
@@ -205,4 +206,41 @@ fn stolen_cells_merge_byte_identically() {
 
     let _ = std::fs::remove_file(&cache);
     let _ = std::fs::remove_file(pcg_harness::colstats::cols_path(&cache));
+}
+
+/// A thief through the real worker entry point. In a 2-shard run whose
+/// shard 0 never got past its journal header, `run_shard` for shard 1
+/// drains its own partition, steals all of shard 0's, and reports every
+/// cell it evaluated, the last stolen batch included, in its stats.
+#[test]
+fn run_shard_thief_reports_every_stolen_batch() {
+    let cfg = EvalConfig::smoke();
+    let tasks: Vec<_> = smoke_tasks().into_iter().take(4).collect();
+    let models = pcg_models::zoo();
+    let dir = std::env::temp_dir().join("pcgbench-steal-handoff-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = dir.join(format!("thief-{}.rec", std::process::id()));
+    let plan = eval::plan_for(&cfg, &models, Some(&tasks));
+    let (spec0, spec1) = (ShardSpec::new(0, 2), ShardSpec::new(1, 2));
+    let victim = plan.shard_with(spec0, None).len();
+    let own = plan.shard_with(spec1, None).len();
+    assert!(victim > 2 && own > 0, "degenerate 2-shard plan: {victim} + {own} cells");
+    let jpath0 = journal::shard_journal_path(&cache, spec0);
+    drop(Journal::create_sourced(&jpath0, &cfg, &[], spec0, 0).unwrap());
+
+    // Two workers steal in batches of two, so the victim's partition
+    // takes several batches.
+    let opts = RunOptions { shard: Some(spec1), ..RunOptions::new(2) };
+    let stats = run_shard(Some(&cache), &cfg, &opts, spec1, Some(&tasks));
+    assert_eq!(stats.cells_stolen as usize, victim, "the thief drains shard 0's whole partition");
+    assert_eq!(stats.cells, own + victim, "cells counts the worker's own cells plus the stolen ones");
+    assert_eq!(stats.cell_walls.len(), stats.cells, "one measured wall per evaluated cell");
+    let walled: Vec<u64> = stats.cell_walls.iter().map(|w| w.cell).collect();
+    let mut every: Vec<u64> = plan.cells().map(|c| c.id.0).collect();
+    every.sort_unstable();
+    assert_eq!(walled, every, "the walls cover the whole grid, sorted by cell id");
+
+    journal::remove(&jpath0);
+    journal::remove(&journal::shard_journal_path(&cache, spec1));
+    let _ = std::fs::remove_file(shard_stats_path(&cache, spec1));
 }

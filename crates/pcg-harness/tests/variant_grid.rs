@@ -60,13 +60,13 @@ fn variant_grid_survives_shard_steal_merge_with_distinct_profiles() {
         "the expert tier keeps the bare (default-variant) label"
     );
 
-    // Three shard workers, stealing on. Run sequentially: worker 0
+    // Three shard workers, which always steal. Run sequentially: worker 0
     // drains its partition, then steals everything its never-started
     // siblings own; workers 1 and 2 wake up to find their cells taken.
     let mut stolen_total = 0u64;
     for k in 0..3 {
         let spec = ShardSpec::new(k, 3);
-        let opts = RunOptions { steal: true, shard: Some(spec), ..RunOptions::new(4) };
+        let opts = RunOptions { shard: Some(spec), ..RunOptions::new(4) };
         let stats = run_shard(Some(&cache), &cfg, &opts, spec, Some(&tasks));
         stolen_total += stats.cells_stolen;
     }

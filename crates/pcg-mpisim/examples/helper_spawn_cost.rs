@@ -55,7 +55,7 @@ fn world_s(tokens: usize) -> f64 {
 }
 
 fn main() {
-    assert!(sched::should_multiplex(), "needs the warm fiber path (unset PCG_COLD)");
+    assert!(sched::should_multiplex(), "needs the warm fiber path (an x86-64 unix target)");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("host: {cores} cores; medians of {REPS} runs");
     let mut tokens: Vec<usize> = vec![cores, 16, 32, 64];

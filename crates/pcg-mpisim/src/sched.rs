@@ -64,9 +64,9 @@ pub fn supported() -> bool {
 }
 
 /// Whether worlds run their ranks as fibers: on every supported target
-/// while the warm path is on. Cold mode (`PCG_COLD=1`) and unsupported
-/// targets run one OS thread per rank, the reference path the fiber
-/// scheduler is checked against.
+/// while the warm path is on. Cold mode (`warm::set_enabled(false)`)
+/// and unsupported targets run one OS thread per rank, the reference
+/// path the fiber scheduler is checked against.
 pub fn should_multiplex() -> bool {
     supported() && warm::enabled()
 }

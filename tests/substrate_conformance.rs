@@ -301,11 +301,11 @@ fn hanging_candidates_time_out_on_every_substrate() {
             "{substrate}: hang must be abandoned at the limit"
         );
     }
-    assert_eq!(runner.timeouts(), 6);
+    assert_eq!(runner.stats().timeouts, 6);
     // A raw `sleep` never observes the cancel token, so every one of
     // these hangs exhausts the grace period and is abandoned.
-    assert_eq!(runner.abandoned(), 6);
-    assert_eq!(runner.cancelled(), 0);
+    assert_eq!(runner.stats().abandoned, 6);
+    assert_eq!(runner.stats().cancelled, 0);
     assert_still_serviceable(&runner);
 }
 
@@ -383,11 +383,11 @@ fn cancellation_unwinds_cooperatively_on_every_substrate() {
             "{substrate}: stuck candidate must time out"
         );
         assert_eq!(
-            runner.cancelled(),
+            runner.stats().cancelled,
             (i + 1) as u64,
             "{substrate}: must unwind via the cancel token"
         );
-        assert_eq!(runner.abandoned(), 0, "{substrate}: cooperative path must not leak");
+        assert_eq!(runner.stats().abandoned, 0, "{substrate}: cooperative path must not leak");
     }
     assert_eq!(runner.leaked_workers(), 0);
     assert_still_serviceable(&runner);
