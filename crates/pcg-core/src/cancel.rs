@@ -72,6 +72,21 @@ pub fn is_cancel_payload(payload: &(dyn std::any::Any + Send)) -> bool {
     payload.is::<Cancelled>()
 }
 
+/// Render a caught panic payload the way the test harness would: the
+/// message of a `&str` or `String` payload, `"cancelled"` for the
+/// [`Cancelled`] marker, and a fixed label for anything else.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if is_cancel_payload(payload) {
+        "cancelled".to_string()
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic (non-string payload)".to_string()
+    }
+}
+
 thread_local! {
     static CURRENT: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
 }
@@ -136,6 +151,16 @@ mod tests {
         t.cancel();
         let err = std::panic::catch_unwind(|| t.check()).unwrap_err();
         assert!(is_cancel_payload(err.as_ref()));
+    }
+
+    #[test]
+    fn panic_message_names_every_payload_kind() {
+        let caught = |f: fn()| std::panic::catch_unwind(f).unwrap_err();
+        assert_eq!(panic_message(caught(|| panic!("boom")).as_ref()), "boom");
+        assert_eq!(panic_message(caught(|| panic!("{}", 7)).as_ref()), "7");
+        assert_eq!(panic_message(caught(|| panic_cancelled()).as_ref()), "cancelled");
+        let other = caught(|| std::panic::panic_any(3u8));
+        assert_eq!(panic_message(other.as_ref()), "panic (non-string payload)");
     }
 
     #[test]

@@ -294,38 +294,36 @@ impl WorkPlan {
     }
 
     /// The order a thief should try to steal `shard`'s cells: the
-    /// exact **reverse** of the victim's own dispatch order, so the
+    /// exact **reverse** of the victim's own [`dispatch_order`], so the
     /// thief starts from the cells the victim would reach *last* and
     /// the victim keeps its in-flight (heaviest-first under LPT) work.
-    ///
-    /// With priors the victim dispatches descending cost with ties on
-    /// ascending cell id, so thieves enumerate ascending cost with
-    /// ties on descending id — "cheapest-last cells first". Without
-    /// priors the victim walks its slice in plan order, so thieves
-    /// walk it reversed. Costs are clamped exactly like
-    /// [`WorkPlan::shard_weighted`] so both sides rank identically.
     pub fn steal_order(
         &self,
         shard: ShardSpec,
         priors: Option<&crate::priors::CostPriors>,
     ) -> Vec<PlanCell> {
-        let mut owned = self.shard_with(shard, priors);
-        match priors {
-            Some(p) => {
-                let weight = |c: &PlanCell| {
-                    let w = p.cost(&self.models[c.model], c.task);
-                    if w.is_finite() && w > 0.0 {
-                        w
-                    } else {
-                        0.0
-                    }
-                };
-                owned.sort_by(|a, b| weight(a).total_cmp(&weight(b)).then(b.id.cmp(&a.id)));
-            }
-            None => owned.reverse(),
-        }
-        owned
+        let owned = self.shard_with(shard, priors);
+        dispatch_order(&owned, &self.models, priors).into_iter().rev().map(|i| owned[i]).collect()
     }
+}
+
+/// The order a worker hands `cells` to its threads, as indices into
+/// `cells`: with priors, LPT list scheduling — descending expected
+/// cost, ties broken by ascending cell id, so every process holding an
+/// identically-stamped table derives the same order; without priors,
+/// the cells' own (plan) order. `models` are the row labels the
+/// cells' `model` indices name.
+pub fn dispatch_order(
+    cells: &[PlanCell],
+    models: &[String],
+    priors: Option<&crate::priors::CostPriors>,
+) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    if let Some(p) = priors {
+        let cost: Vec<f64> = cells.iter().map(|c| p.cost(&models[c.model], c.task)).collect();
+        order.sort_by(|&a, &b| cost[b].total_cmp(&cost[a]).then(cells[a].id.cmp(&cells[b].id)));
+    }
+    order
 }
 
 #[cfg(test)]
@@ -523,14 +521,7 @@ mod tests {
             let mut got: Vec<CellId> = order.iter().map(|c| c.id).collect();
             got.sort();
             assert_eq!(got, want, "steal order must be a permutation of the owned slice");
-            let cost = |c: &PlanCell| {
-                let w = priors.cost(&p.models()[c.model], c.task);
-                if w.is_finite() && w > 0.0 {
-                    w
-                } else {
-                    0.0
-                }
-            };
+            let cost = |c: &PlanCell| priors.cost(&p.models()[c.model], c.task);
             assert!(
                 order.windows(2).all(|w| {
                     cost(&w[0]) < cost(&w[1])

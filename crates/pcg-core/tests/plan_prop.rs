@@ -14,8 +14,12 @@
 //!    yields exactly the unweighted `id % count` partition.
 //! 5. Steal order is a permutation of the owned slice (a thief can
 //!    never enumerate a cell the victim does not own).
+//! 6. Steal order is the exact reverse of the victim's dispatch order
+//!    ([`dispatch_order`], the order `evaluate_cells_priors` hands a
+//!    shard's cells to its workers), with and without priors, and
+//!    under tables whose costs tie.
 
-use pcg_core::plan::{CellId, PlanCell, ShardSpec, WorkPlan};
+use pcg_core::plan::{dispatch_order, CellId, PlanCell, ShardSpec, WorkPlan};
 use proptest::prelude::*;
 
 fn arb_plan(models: usize, tasks: usize) -> WorkPlan {
@@ -106,6 +110,40 @@ proptest! {
                 owned.sort();
                 steal.sort();
                 prop_assert_eq!(owned, steal);
+            }
+        }
+    }
+
+    #[test]
+    fn steal_order_reverses_the_dispatch_order(
+        models in 1usize..4,
+        tasks in 1usize..24,
+        count in 1u32..8,
+        seed in 0u64..=u64::MAX,
+    ) {
+        let plan = arb_plan(models, tasks);
+        // Three distinct measured costs, so most cells tie with others
+        // and the id tie-break decides their order.
+        let measured = pcg_core::CostPriors::from_entries(
+            "three-costs",
+            plan.cells().map(|c| {
+                let cost = 1.0 + ((seed ^ c.id.0) % 3) as f64;
+                (plan.models()[c.model].clone(), c.task.index() as u32, cost)
+            }),
+        );
+        let default = pcg_core::CostPriors::default_profile();
+        for withp in [None, Some(&default), Some(&measured)] {
+            for k in 0..count {
+                let spec = ShardSpec::new(k, count);
+                let owned = plan.shard_with(spec, withp);
+                let dispatched: Vec<CellId> = dispatch_order(&owned, plan.models(), withp)
+                    .into_iter()
+                    .map(|i| owned[i].id)
+                    .collect();
+                let mut stolen: Vec<CellId> =
+                    plan.steal_order(spec, withp).iter().map(|c| c.id).collect();
+                stolen.reverse();
+                prop_assert_eq!(stolen, dispatched);
             }
         }
     }

@@ -5,53 +5,23 @@
 //! the low-temperature set always, the high-temperature set as long as
 //! `skip_high_temp` is off — is sampled once and written in the
 //! `pcg-candidate-pool-v1` text format. Re-running any binary with
-//! `--replay-pool <dir>` (or `PCG_REPLAY_POOL=<dir>`) then scores those
-//! exact candidates instead of drawing fresh ones, which is how CI
-//! proves the dump → re-score loop reproduces the reference verdicts.
+//! `--replay-pool DIR` then scores those exact candidates instead of
+//! drawing fresh ones, which is how CI proves the dump → re-score loop
+//! reproduces the reference verdicts.
 //!
-//! Usage: `dump_pool <dir> [--smoke]` with the usual `PCG_*` config
-//! environment. `--smoke` restricts the task list to the smoke subset
-//! (one problem per type); the default is the full grid.
+//! Usage: `dump_pool DIR` plus the flags of `pipeline::parse_args`;
+//! the config flags pick the pools, and `--replay-pool` re-dumps a
+//! pool. The dump covers the full task grid.
 
-use pcg_harness::config::EvalConfig;
-use pcg_harness::{eval, pipeline};
+use pcg_harness::pipeline;
 use pcg_models::SampleSpec;
+use std::path::PathBuf;
 
 fn main() {
-    let cfg = EvalConfig::from_env();
-    let mut dir = None;
-    let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            // Already consumed by EvalConfig::from_env.
-            "--prompt-variants" => {
-                args.next();
-            }
-            s if s.starts_with("--prompt-variants=") => {}
-            s if !s.starts_with("--") && dir.is_none() => {
-                dir = Some(std::path::PathBuf::from(s));
-            }
-            s => {
-                eprintln!("dump_pool: unexpected argument {s}");
-                eprintln!("usage: dump_pool <dir> [--smoke] [--prompt-variants LIST]");
-                std::process::exit(2);
-            }
-        }
-    }
-    let dir = dir.unwrap_or_else(|| {
-        eprintln!("usage: dump_pool <dir> [--smoke] [--prompt-variants LIST]");
-        std::process::exit(2);
-    });
-
-    let opts = pipeline::RunOptions::new(1);
-    let source = pipeline::resolve_source(&cfg, &opts);
-    let tasks = if smoke {
-        eval::smoke_tasks()
-    } else {
-        pcg_core::task::all_tasks().collect()
-    };
+    let cli = pipeline::from_cli(&["DIR"]);
+    let (cfg, dir) = (&cli.cfg, PathBuf::from(&cli.positional[0]));
+    let source = pipeline::resolve_source(cfg, &cli.opts);
+    let tasks: Vec<_> = pcg_core::task::all_tasks().collect();
     // Pools carry candidates only; chaos is injected (or not) by the
     // run that scores them, so the dump always samples chaos-free.
     let specs = [

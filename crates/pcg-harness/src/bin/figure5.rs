@@ -1,10 +1,9 @@
-//! Regenerate Figure 5. Set PCG_FULL=1 for paper-scale settings.
+//! Regenerate Figure 5 (flags: `pipeline::parse_args`; `--full` for paper-scale settings).
 
-use pcg_harness::{pipeline, report, EvalConfig};
+use pcg_harness::{pipeline, report};
 
 fn main() {
-    let cfg = EvalConfig::from_env();
-    let opts = pipeline::RunOptions::from_cli();
-    let record = pipeline::load_or_run_opts(None, &cfg, &opts);
+    let cli = pipeline::from_cli(&[]);
+    let record = pipeline::load_or_run_opts(None, &cli.cfg, &cli.opts);
     print!("{}", report::figure5(&record));
 }

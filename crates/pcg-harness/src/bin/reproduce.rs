@@ -1,20 +1,20 @@
 //! Run the full PCGBench evaluation and print every table and figure
-//! plus the paper-vs-measured summary. Set PCG_FULL=1 for paper-scale
-//! settings; the evaluation record is cached under target/pcgbench/.
+//! plus the paper-vs-measured summary. Flags as in
+//! `pipeline::parse_args`; pass `--full` for paper-scale settings. The
+//! evaluation record is cached under target/pcgbench/.
 //!
-//! Multi-process evaluation: `reproduce --shard k/N` (or `PCG_SHARD`)
-//! runs one deterministic slice of the grid into a shard journal and
-//! exits; after all N workers finish, `reproduce --merge-shards N` (or
-//! `PCG_MERGE_SHARDS`) stitches the shard journals into the records
-//! cache and prints the figures from it. `--jobs`, `--resume`, and the
+//! Multi-process evaluation: `reproduce --shard k/N` runs one
+//! deterministic slice of the grid into a shard journal and exits;
+//! after all N workers finish, `reproduce --merge-shards N` stitches
+//! the shard journals into the records cache and prints the figures
+//! from it. `--jobs`, `--resume`, and the
 //! warm path all compose with both modes.
 
-use pcg_harness::{pipeline, report, EvalConfig};
+use pcg_harness::{pipeline, report};
 
 fn main() {
-    let cfg = EvalConfig::from_env();
-    let opts = pipeline::RunOptions::from_cli();
-    let record = pipeline::load_or_run_opts(None, &cfg, &opts);
+    let cli = pipeline::from_cli(&[]);
+    let record = pipeline::load_or_run_opts(None, &cli.cfg, &cli.opts);
     print!("{}", report::table1());
     print!("{}", report::table2());
     print!("{}", report::figure1(&record));
@@ -24,7 +24,7 @@ fn main() {
     print!("{}", report::figure5(&record));
     print!("{}", report::figure6(&record));
     print!("{}", report::figure7(&record));
-    if cfg.prompt_variants.len() > 1 {
+    if cli.cfg.prompt_variants.len() > 1 {
         print!("{}", report::variant_summary(&record));
     }
     print!("{}", report::experiments_summary(&record));

@@ -1,4 +1,5 @@
-//! Evaluation configuration.
+//! Evaluation configuration. The harness binaries build it from their
+//! command line with [`crate::pipeline::parse_args`].
 
 use pcg_core::PromptVariant;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -201,110 +202,10 @@ impl EvalConfig {
         }
     }
 
-    /// Pick quick/full from the `PCG_FULL` environment variable.
-    ///
-    /// `PCG_SEED` overrides the seed. `PCG_TIMEOUT` (whole seconds)
-    /// overrides the per-candidate time limit — multi-process CI runs
-    /// set it so that wall-clock verdicts stay load-independent when N
-    /// worker processes contend for the same cores (the timeout is part
-    /// of the config, so workers, merge, and the reference run must all
-    /// share one value).
-    pub fn from_env() -> EvalConfig {
-        let mut cfg = if std::env::var_os("PCG_FULL").is_some() {
-            EvalConfig::full()
-        } else {
-            EvalConfig::quick()
-        };
-        if let Ok(seed) = std::env::var("PCG_SEED") {
-            if let Ok(seed) = seed.parse() {
-                cfg.seed = seed;
-            }
-        }
-        if let Ok(secs) = std::env::var("PCG_TIMEOUT") {
-            if let Ok(secs) = secs.parse() {
-                cfg.timeout = Duration::from_secs(secs);
-            }
-        }
-        if let Ok(rate) = std::env::var("PCG_DEADLOCK_RATE") {
-            if let Ok(rate) = rate.parse() {
-                cfg.deadlock_rate = rate;
-            }
-        }
-        if let Ok(rate) = std::env::var("PCG_STACK_HOG_RATE") {
-            if let Ok(rate) = rate.parse() {
-                cfg.stack_hog_rate = rate;
-            }
-        }
-        // `--prompt-variants naive,expert,rag` on any binary's command
-        // line beats the `PCG_PROMPT_VARIANTS` env fallback. Unlike the
-        // numeric overrides, a malformed variant list is fatal:
-        // silently ignoring it would run (and hash) a different grid
-        // than the one asked for.
-        let variants = prompt_variants_flag()
-            .or_else(|| std::env::var("PCG_PROMPT_VARIANTS").ok().filter(|s| !s.is_empty()));
-        if let Some(list) = variants {
-            match parse_variants(&list) {
-                Ok(vs) => cfg.prompt_variants = vs,
-                Err(e) => {
-                    eprintln!("--prompt-variants: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        cfg
-    }
-
     /// The workload size used for a problem's default size.
     pub fn size_for(&self, default_size: usize) -> usize {
         (default_size / self.size_divisor.max(1)).max(64)
     }
-}
-
-/// The cost-priors source requested via the `PCG_PRIORS` environment
-/// variable (the env fallback for `--priors`): a records cache or
-/// `.cols` sidecar path, or the literal `default` for the committed
-/// analytic profile.
-///
-/// Deliberately **not** a field of [`EvalConfig`]: priors steer *when
-/// and where* cells run, never what they compute, so they must stay
-/// out of the config hash — otherwise switching priors would re-key
-/// every [`pcg_core::plan::CellId`] and invalidate caches and journals
-/// whose bytes are in fact still exactly right.
-pub fn priors_source() -> Option<String> {
-    std::env::var("PCG_PRIORS").ok().filter(|s| !s.is_empty())
-}
-
-/// The value of `--prompt-variants` on this process's command line, in
-/// either `--prompt-variants naive,rag` or `--prompt-variants=naive,rag`
-/// form.
-fn prompt_variants_flag() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--prompt-variants" {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix("--prompt-variants=") {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-/// The `PCG_REPLAY_POOL` directory (env fallback for `--replay-pool`):
-/// score a dumped candidate pool from this directory instead of
-/// sampling the synthetic zoo. Not an [`EvalConfig`] field, but —
-/// unlike priors — it *does* enter the config hash: the
-/// pool's content hash arrives as the source's config salt, so a
-/// resumed or sharded run can never splice cells from different pools.
-pub fn replay_pool_source() -> Option<String> {
-    std::env::var("PCG_REPLAY_POOL").ok().filter(|s| !s.is_empty())
-}
-
-/// The `PCG_KEEP_SHARDS` switch (env fallback for `--keep-shards`):
-/// whether `--merge-shards` preserves the consumed shard journals and
-/// stats sidecars for post-mortem inspection instead of deleting them.
-pub fn keep_shards_source() -> Option<String> {
-    std::env::var("PCG_KEEP_SHARDS").ok().filter(|s| !s.is_empty())
 }
 
 #[cfg(test)]

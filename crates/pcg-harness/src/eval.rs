@@ -27,7 +27,7 @@ use crate::journal::Replay;
 use crate::record::{CellWall, EvalRecord, EvalStats, ModelRecord, TaskRecord};
 use crate::runner::{Outcome, SharedRunner};
 use crate::scheduler;
-use pcg_core::plan::{CellId, PlanCell, WorkPlan};
+use pcg_core::plan::{self, CellId, PlanCell, WorkPlan};
 use pcg_core::task::all_tasks;
 use pcg_core::{CandidateKind, CostPriors, ExecutionModel, TaskId};
 use pcg_metrics::TaskSamples;
@@ -151,10 +151,11 @@ pub fn evaluate_resumable_priors<S: CandidateSource + Sync + ?Sized>(
 /// one cell at a time — for each of them. Results come back in `owned`
 /// order regardless of completion order.
 ///
-/// With a priors table, pending cells are handed to workers in
-/// descending expected-cost order (ties broken by cell id): the classic
-/// LPT list-scheduling discipline. Every cell computes exactly what it
-/// would under any other dispatch order. Shard workers must also pass
+/// Pending cells are handed to workers in [`plan::dispatch_order`]:
+/// with a priors table, descending expected cost (ties broken by cell
+/// id), the classic LPT list-scheduling discipline, which thieves
+/// reverse ([`WorkPlan::steal_order`]). Every cell computes exactly
+/// what it would under any other dispatch order. Shard workers must also pass
 /// the table to [`WorkPlan::shard_with`], where it changes **which**
 /// cells a shard owns; every cooperating worker must use a table with
 /// the same hash stamp (or none at all), which the journal header
@@ -194,29 +195,14 @@ pub fn evaluate_cells_priors<S: CandidateSource + Sync + ?Sized>(
     let resumed_cells = n_cells - pending.len();
     let pending_cells = pending.clone();
 
-    // LPT dispatch order: hand workers the expected-longest cells
-    // first so no straggler starts near the end of the grid. Ties
-    // break by cell id, making the order identical in every process
-    // that holds an identically-stamped priors table.
-    let order = priors.map(|p| {
-        let weights: Vec<f64> = pending
-            .iter()
-            .map(|c| p.cost(&names[c.model], c.task))
-            .collect();
-        let mut idx: Vec<usize> = (0..pending.len()).collect();
-        idx.sort_by(|&a, &b| {
-            weights[b]
-                .total_cmp(&weights[a])
-                .then(pending[a].id.cmp(&pending[b].id))
-        });
-        idx
-    });
-
+    // LPT dispatch with priors: hand workers the expected-longest
+    // cells first so no straggler starts near the end of the grid.
+    let order = plan::dispatch_order(&pending, &names, priors);
     let t0 = Instant::now();
     let results = scheduler::run_grid_prioritized(
         pending,
         jobs,
-        order,
+        Some(order),
         |_, cell| evaluate_task(cfg, runner, source, cell.model, cell.task),
         |local, cell| {
             if let Ok(rec) = &cell.value {

@@ -20,13 +20,14 @@
 //!   (the paper's super-linear-speedup footnote).
 //!
 //! Figure/table regenerators live in `src/bin/` — one binary per paper
-//! artifact — all driven by [`pipeline::load_or_run_opts`] which caches
-//! the full evaluation record in the write-ahead journal's frame format.
+//! artifact — all parsing flags with [`pipeline::parse_args`] and driven
+//! by [`pipeline::load_or_run_opts`], which caches the full evaluation
+//! record in the write-ahead journal's frame format.
 //!
 //! Evaluation fans the (model × task) grid over a worker pool fed by
-//! one shared queue ([`scheduler`]); `--jobs N` / `PCG_JOBS` picks the worker
-//! count, and records are byte-identical at any setting because every
-//! sample stream is keyed by grid coordinates, never worker identity.
+//! one shared queue ([`scheduler`]); `--jobs N` picks the worker count,
+//! and records are byte-identical at any setting because every sample
+//! stream is keyed by grid coordinates, never worker identity.
 //!
 //! The grid itself is **cell-addressed** (`pcg_core::plan`): every
 //! (config, model, task) cell has a globally stable [`pcg_core::CellId`],

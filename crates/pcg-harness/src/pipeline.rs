@@ -26,7 +26,6 @@ use crate::eval::{self, evaluate_resumable_priors};
 use crate::journal::{self, Journal};
 use crate::record::{EvalRecord, EvalStats, TaskRecord};
 use crate::runner::SharedRunner;
-use crate::scheduler;
 use pcg_core::plan::{CellId, ShardSpec, WorkPlan};
 use pcg_core::{CandidateKind, CostPriors, TaskId};
 use pcg_models::{CandidateSource, ReplaySource, SampleSpec, SyntheticSource};
@@ -50,13 +49,14 @@ pub fn stats_path(cfg: &EvalConfig) -> PathBuf {
     PathBuf::from("target").join("pcgbench").join(format!("records-{tag}.stats.json"))
 }
 
-/// How a pipeline run is driven, as parsed from a figure binary's
-/// command line. Every run keeps a write-ahead journal, and shard
-/// workers of a multi-shard run always steal from lagging siblings;
-/// neither is an option.
+/// How a pipeline run is driven, as parsed from a harness binary's
+/// command line by [`parse_args`]. Every run keeps a write-ahead
+/// journal, and shard workers of a multi-shard run always steal from
+/// lagging siblings; neither is an option.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Worker count for the evaluation grid.
+    /// Worker count for the evaluation grid (`--jobs N`; the machine's
+    /// available parallelism when absent).
     pub jobs: usize,
     /// Replay a matching write-ahead journal left by an interrupted
     /// run, evaluating only the missing cells (`--resume`).
@@ -67,22 +67,24 @@ pub struct RunOptions {
     /// Merge N shard journals into the records cache instead of
     /// evaluating (`--merge-shards N`).
     pub merge_shards: Option<u32>,
-    /// Cost-priors source for adaptive scheduling (`--priors <path>` /
-    /// `PCG_PRIORS`): a records cache or `.cols` sidecar whose measured
-    /// cell walls become the scheduling cost table, or the literal
-    /// `default` for the committed analytic profile. `None` dispatches
-    /// cells in plan order and shards by `id % count`.
+    /// Cost-priors source for adaptive scheduling (`--priors SRC`): a
+    /// records cache or `.cols` sidecar whose measured cell walls
+    /// become the scheduling cost table, or the literal `default` for
+    /// the committed analytic profile. `None` dispatches cells in plan
+    /// order and shards by `id % count`. Not an [`EvalConfig`] field:
+    /// priors steer when and where cells run, never what they compute,
+    /// so they stay out of the config hash and switching them keeps
+    /// every cache and journal valid.
     pub priors: Option<String>,
     /// Keep the per-shard journals and stats sidecars after a
-    /// successful merge instead of deleting them (`--keep-shards` /
-    /// `PCG_KEEP_SHARDS`), for post-mortem inspection of who evaluated
-    /// — and who stole — what.
+    /// successful merge instead of deleting them (`--keep-shards`), for
+    /// post-mortem inspection of who evaluated — and who stole — what.
     pub keep_shards: bool,
     /// Score a dumped candidate pool from this directory instead of
-    /// sampling the synthetic zoo (`--replay-pool <dir>` /
-    /// `PCG_REPLAY_POOL`). The pool's content hash enters the config
-    /// hash as the source's salt, so replay runs cache, journal,
-    /// shard, and merge under their own cell ids.
+    /// sampling the synthetic zoo (`--replay-pool DIR`). The pool's
+    /// content hash enters the config hash as the source's salt, so
+    /// replay runs cache, journal, shard, and merge under their own
+    /// cell ids.
     pub replay_pool: Option<String>,
 }
 
@@ -99,26 +101,154 @@ impl RunOptions {
             replay_pool: None,
         }
     }
+}
 
-    /// Parse `--jobs N`, `--resume`, `--shard k/N` (env fallback
-    /// `PCG_SHARD`), `--merge-shards N` (env fallback
-    /// `PCG_MERGE_SHARDS`), `--priors SRC` (env fallback `PCG_PRIORS`),
-    /// `--keep-shards` (env fallback `PCG_KEEP_SHARDS`) and
-    /// `--replay-pool DIR` (env fallback `PCG_REPLAY_POOL`) from the
-    /// process arguments (exits with code 2 on a malformed value, like
-    /// [`scheduler::jobs_from_cli`]). Other arguments are ignored.
-    pub fn from_cli() -> RunOptions {
-        RunOptions {
-            jobs: scheduler::jobs_from_cli(),
-            resume: std::env::args().any(|a| a == "--resume"),
-            shard: shard_from_cli(),
-            merge_shards: merge_from_cli(),
-            priors: flag_value("--priors").or_else(crate::config::priors_source),
-            keep_shards: keep_shards_from_cli(),
-            replay_pool: flag_value("--replay-pool")
-                .or_else(crate::config::replay_pool_source),
+/// A harness binary's parsed command line.
+#[derive(Debug)]
+pub struct Cli {
+    /// [`EvalConfig::quick`], or [`EvalConfig::full`] with `--full`,
+    /// with the config flags applied on top.
+    pub cfg: EvalConfig,
+    /// The run options.
+    pub opts: RunOptions,
+    /// The arguments that are not flags, in order.
+    pub positional: Vec<String>,
+}
+
+/// Every flag [`parse_args`] accepts, with the placeholder of its
+/// value (`None` for a switch), in usage-line order.
+const FLAGS: [(&str, Option<&str>); 12] = [
+    ("full", None),
+    ("timeout", Some("SECS")),
+    ("deadlock-rate", Some("R")),
+    ("stack-hog-rate", Some("R")),
+    ("prompt-variants", Some("LIST")),
+    ("jobs", Some("N")),
+    ("resume", None),
+    ("shard", Some("K/N")),
+    ("merge-shards", Some("N")),
+    ("priors", Some("SRC")),
+    ("keep-shards", None),
+    ("replay-pool", Some("DIR")),
+];
+
+/// Parse a harness binary's arguments (program name excluded) into the
+/// run's config, options and positional arguments.
+///
+/// Flags come in any order, each at most once. `--full` picks the
+/// paper-scale base config and every other config flag overrides a
+/// field of that base, so `--timeout 5 --full` is the full config with
+/// a 5 s timeout. `--timeout SECS` (whole seconds) exists for
+/// multi-process runs: when N workers contend for the same cores, one
+/// generous limit keeps wall-clock verdicts load-independent, and
+/// since the timeout is part of the config hash, the workers, the
+/// merge and any reference run must all pass the same value.
+/// `--deadlock-rate R` and `--stack-hog-rate R` set the chaos-injection
+/// weights. An unknown flag, a repeated one, a flag missing its value
+/// and a malformed value are errors. An argument that does not start
+/// with `--` is positional.
+pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+    let mut flags: Vec<(&str, String)> = Vec::new();
+    let mut positional = Vec::new();
+    let mut args = args.into_iter().peekable();
+    while let Some(arg) = args.next() {
+        let Some(body) = arg.strip_prefix("--") else {
+            positional.push(arg);
+            continue;
+        };
+        let (name, inline) = match body.split_once('=') {
+            Some((name, v)) => (name, Some(v.to_string())),
+            None => (body, None),
+        };
+        let Some(&(flag, placeholder)) = FLAGS.iter().find(|(f, _)| *f == name) else {
+            return Err(format!("unknown flag --{name}"));
+        };
+        let value = match (placeholder, inline) {
+            (None, Some(_)) => return Err(format!("--{flag} takes no value")),
+            (None, None) => String::new(),
+            (Some(_), inline) => inline
+                .or_else(|| args.next_if(|v| !v.starts_with("--")))
+                .filter(|v| !v.is_empty())
+                .ok_or_else(|| format!("--{flag} expects a value"))?,
+        };
+        if flags.iter().any(|(f, _)| *f == flag) {
+            return Err(format!("--{flag} given twice"));
+        }
+        flags.push((flag, value));
+    }
+
+    let mut cfg = if flags.iter().any(|(f, _)| *f == "full") {
+        EvalConfig::full()
+    } else {
+        EvalConfig::quick()
+    };
+    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut opts = RunOptions::new(jobs);
+    let rate = |r: &f64| r.is_finite() && *r >= 0.0;
+    for (flag, raw) in flags {
+        match flag {
+            "timeout" => {
+                let secs = value(flag, &raw, "a positive number of seconds", |&s: &u64| s > 0)?;
+                cfg.timeout = std::time::Duration::from_secs(secs);
+            }
+            "deadlock-rate" => cfg.deadlock_rate = value(flag, &raw, "a rate >= 0", rate)?,
+            "stack-hog-rate" => cfg.stack_hog_rate = value(flag, &raw, "a rate >= 0", rate)?,
+            "prompt-variants" => {
+                cfg.prompt_variants = crate::config::parse_variants(&raw)
+                    .map_err(|e| format!("--prompt-variants: {e}"))?;
+            }
+            "jobs" => opts.jobs = value(flag, &raw, "a positive integer", |&n: &usize| n > 0)?,
+            "resume" => opts.resume = true,
+            "shard" => {
+                opts.shard = Some(ShardSpec::parse(&raw).map_err(|e| format!("--shard: {e}"))?);
+            }
+            "merge-shards" => {
+                let n = value(flag, &raw, "a positive integer", |&n: &u32| n > 0)?;
+                opts.merge_shards = Some(n);
+            }
+            "priors" => opts.priors = Some(raw),
+            "keep-shards" => opts.keep_shards = true,
+            "replay-pool" => opts.replay_pool = Some(raw),
+            _ => {} // `--full` picked the base config above.
         }
     }
+    Ok(Cli { cfg, opts, positional })
+}
+
+/// `raw` parsed as a `T` that passes `ok`, or an error naming the flag
+/// and what it expects.
+fn value<T: std::str::FromStr>(
+    flag: &str,
+    raw: &str,
+    expects: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    raw.parse().ok().filter(ok).ok_or_else(|| format!("--{flag} expects {expects}, got {raw:?}"))
+}
+
+/// [`parse_args`] over this process's arguments, for a binary that
+/// takes exactly the positional arguments named in `positional`. On
+/// any error, prints it with a usage line and exits with code 2,
+/// before any work starts.
+pub fn from_cli(positional: &[&str]) -> Cli {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let error = match parse_args(args) {
+        Ok(cli) if cli.positional.len() == positional.len() => return cli,
+        Ok(cli) => format!("expected arguments {positional:?}, got {:?}", cli.positional),
+        Err(e) => e,
+    };
+    let program = Path::new(&program).file_name().unwrap_or_default().to_string_lossy();
+    let mut usage: String = positional.iter().map(|p| format!(" {p}")).collect();
+    for (flag, placeholder) in FLAGS {
+        usage += &match placeholder {
+            Some(v) => format!(" [--{flag} {v}]"),
+            None => format!(" [--{flag}]"),
+        };
+    }
+    eprintln!("{program}: error: {error}");
+    eprintln!("usage: {program}{usage}");
+    std::process::exit(2);
 }
 
 /// The candidate source a pipeline run scores: the synthetic zoo
@@ -273,74 +403,6 @@ pub fn load_priors(opts: &RunOptions) -> Option<CostPriors> {
             Some(CostPriors::default_profile())
         }
     }
-}
-
-/// `--shard k/N` / `--shard=k/N` from the arguments, else the
-/// `PCG_SHARD` environment variable. Exits with code 2 on a malformed
-/// spec.
-fn shard_from_cli() -> Option<ShardSpec> {
-    let raw = flag_value("--shard").or_else(|| std::env::var("PCG_SHARD").ok())?;
-    match ShardSpec::parse(&raw) {
-        Ok(spec) => Some(spec),
-        Err(e) => {
-            eprintln!("[pcgbench] invalid shard spec {raw:?}: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `--merge-shards N` / `--merge-shards=N` from the arguments, else
-/// the `PCG_MERGE_SHARDS` environment variable. Exits with code 2 on a
-/// malformed count.
-fn merge_from_cli() -> Option<u32> {
-    let raw = flag_value("--merge-shards").or_else(|| std::env::var("PCG_MERGE_SHARDS").ok())?;
-    match raw.parse::<u32>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            eprintln!("[pcgbench] invalid shard count {raw:?}: expected a positive integer");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parse a boolean switch value (`1/true/on/yes` vs `0/false/off/no`,
-/// case-insensitive). Exits with code 2 on anything else — a typo'd
-/// `PCG_KEEP_SHARDS=ture` silently defaulting would be worse than
-/// stopping.
-fn switch(raw: &str, what: &str) -> bool {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => true,
-        "0" | "false" | "off" | "no" => false,
-        _ => {
-            eprintln!("[pcgbench] invalid {what} value {raw:?}: expected 1/true/on or 0/false/off");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `--keep-shards` from the arguments, else the `PCG_KEEP_SHARDS`
-/// environment variable, else off.
-fn keep_shards_from_cli() -> bool {
-    if std::env::args().any(|a| a == "--keep-shards") {
-        return true;
-    }
-    crate::config::keep_shards_source().is_some_and(|raw| switch(&raw, "PCG_KEEP_SHARDS"))
-}
-
-/// The value of `--flag value` or `--flag=value` in the process args.
-fn flag_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(flag) {
-            if let Some(v) = v.strip_prefix('=') {
-                return Some(v.to_string());
-            }
-        }
-    }
-    None
 }
 
 /// Load a cached evaluation record if it matches `cfg`, else run the
@@ -639,13 +701,94 @@ mod tests {
         assert!(!o.keep_shards, "merge cleans up its inputs by default");
     }
 
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
     #[test]
-    fn switch_accepts_the_usual_spellings() {
-        for raw in ["1", "true", "ON", "Yes"] {
-            assert!(switch(raw, "test"));
+    fn every_flag_parses_in_both_spellings() {
+        let every_flag = [
+            ("--full", ""),
+            ("--timeout", "7"),
+            ("--deadlock-rate", "0.5"),
+            ("--stack-hog-rate", "0.25"),
+            ("--prompt-variants", "naive,rag"),
+            ("--jobs", "3"),
+            ("--resume", ""),
+            ("--shard", "1/4"),
+            ("--merge-shards", "4"),
+            ("--priors", "default"),
+            ("--keep-shards", ""),
+            ("--replay-pool", "pool-dir"),
+        ];
+        for joined in [false, true] {
+            let mut args = vec!["first".to_string()];
+            for (flag, v) in every_flag {
+                match (v.is_empty(), joined) {
+                    (true, _) => args.push(flag.to_string()),
+                    (false, false) => args.extend([flag.to_string(), v.to_string()]),
+                    (false, true) => args.push(format!("{flag}={v}")),
+                }
+            }
+            args.push("second".to_string());
+            let cli = parse_args(args).unwrap();
+            let want = EvalConfig {
+                timeout: std::time::Duration::from_secs(7),
+                deadlock_rate: 0.5,
+                stack_hog_rate: 0.25,
+                prompt_variants: crate::config::parse_variants("naive,rag").unwrap(),
+                ..EvalConfig::full()
+            };
+            assert_eq!(cli.cfg, want);
+            let o = &cli.opts;
+            assert_eq!((o.jobs, o.resume, o.keep_shards), (3, true, true));
+            assert_eq!((o.shard, o.merge_shards), (Some(ShardSpec::new(1, 4)), Some(4)));
+            assert_eq!(o.priors.as_deref(), Some("default"));
+            assert_eq!(o.replay_pool.as_deref(), Some("pool-dir"));
+            assert_eq!(cli.positional, ["first", "second"]);
         }
-        for raw in ["0", "false", "OFF", "no"] {
-            assert!(!switch(raw, "test"));
+    }
+
+    #[test]
+    fn malformed_command_lines_are_rejected() {
+        let bad: [&[&str]; 16] = [
+            &["--merge-shard", "3"],
+            &["--shard"],
+            &["--jobs", "0"],
+            &["--timeout", "2m"],
+            &["--shard", "3/3"],
+            &["--merge-shards", "0"],
+            &["--prompt-variants", "grandmaster"],
+            &["--no-journal"],
+            &["--steal"],
+            &["--priors", "--resume"],
+            &["--replay-pool="],
+            &["--resume=yes"],
+            &["--jobs", "2", "--jobs=3"],
+            &["--timeout", "0"],
+            &["--deadlock-rate", "-1"],
+            &["--stack-hog-rate", "NaN"],
+        ];
+        for args in bad {
+            let err = parse(args).expect_err(&format!("{args:?} must be rejected"));
+            let flag = args[0].split('=').next().unwrap();
+            assert!(err.contains(flag), "{args:?}: the error must name {flag}: {err}");
         }
+    }
+
+    #[test]
+    fn config_hashes_hold_whatever_the_flag_order() {
+        let hash = |args: &[&str]| crate::journal::config_hash(&parse(args).unwrap().cfg);
+        let none = parse(&[]).unwrap();
+        assert_eq!(none.cfg, EvalConfig::quick());
+        assert!(none.opts.jobs >= 1 && !none.opts.resume && none.positional.is_empty());
+        assert_eq!(hash(&[]), 0xae46_9d44_b947_4de6);
+        assert_eq!(hash(&["--full"]), 0xa30a_b17c_83ba_8d19);
+        let secs = std::time::Duration::from_secs;
+        let quick_120 = EvalConfig { timeout: secs(120), ..EvalConfig::quick() };
+        assert_eq!(hash(&["--timeout", "120"]), crate::journal::config_hash(&quick_120));
+        let full_5 = EvalConfig { timeout: secs(5), ..EvalConfig::full() };
+        assert_eq!(parse(&["--timeout", "5", "--full"]).unwrap().cfg, full_5);
+        assert_eq!(parse(&["--full", "--timeout=5"]).unwrap().cfg, full_5);
     }
 }

@@ -26,8 +26,7 @@
 
 use crate::config::EvalConfig;
 use crate::record::EvalStats;
-use crate::scheduler::panic_message;
-use pcg_core::cancel::{self, CancelToken};
+use pcg_core::cancel::{self, panic_message, CancelToken};
 use pcg_core::usage::UsageScope;
 use pcg_core::{warm, CandidateKind, Corruption, Output, PcgError, ProblemId, Quality, TaskId};
 use pcg_problems::framework::fixed_verdict;

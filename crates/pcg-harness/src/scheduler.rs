@@ -23,10 +23,12 @@
 //!    advanced with one atomic increment, so no worker ever holds a
 //!    lock.
 //!
-//! The worker count comes from `--jobs N` / `PCG_JOBS` (see
-//! [`jobs_from_cli`]); `--jobs 1` degrades to an in-place serial loop
-//! with identical results, which is the A/B lever the benchmarks use.
+//! The worker count comes from `--jobs N` (see
+//! [`crate::pipeline::parse_args`]); `--jobs 1` degrades to an in-place
+//! serial loop with identical results, which is the A/B lever the
+//! benchmarks use.
 
+use pcg_core::cancel::panic_message;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -38,70 +40,6 @@ pub struct Cell<R> {
     pub value: Result<R, String>,
     /// Time the cell's computation ran.
     pub exec: Duration,
-}
-
-/// Render a panic payload the way the test harness would. Cooperative
-/// cancellation rides the panic machinery (`pcg_core::cancel`), so its
-/// marker payload gets a stable message too.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if pcg_core::cancel::is_cancel_payload(payload) {
-        "cancelled".to_string()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic (non-string payload)".to_string()
-    }
-}
-
-/// The worker count to use when none is given explicitly: `PCG_JOBS`
-/// if set and positive, else the machine's available parallelism.
-pub fn default_jobs() -> usize {
-    if let Ok(s) = std::env::var("PCG_JOBS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Parse `--jobs N` / `--jobs=N` from the process arguments, falling
-/// back to [`default_jobs`]. A `--jobs` that is present but not a
-/// positive integer aborts with exit code 2 — silently defaulting
-/// would turn a typo into the wrong A/B arm. Used by every figure
-/// binary.
-pub fn jobs_from_cli() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    match jobs_from_args(&args) {
-        Ok(jobs) => jobs.unwrap_or_else(default_jobs),
-        Err(bad) => {
-            eprintln!("error: --jobs expects a positive integer, got {bad:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `Ok(Some(n))` for a valid flag, `Ok(None)` when absent,
-/// `Err(value)` when present but not a positive integer.
-fn jobs_from_args(args: &[String]) -> Result<Option<usize>, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = if a == "--jobs" {
-            it.next().map(String::as_str).unwrap_or("")
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            v
-        } else {
-            continue;
-        };
-        return match value.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(value.to_string()),
-        };
-    }
-    Ok(None)
 }
 
 /// Run `f` over every item of `items` on `jobs` workers, returning the
@@ -430,18 +368,5 @@ mod tests {
             |_, &x| x,
             |_, _| {},
         );
-    }
-
-    #[test]
-    fn jobs_flags_parse() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(jobs_from_args(&args(&["bin", "--jobs", "8"])), Ok(Some(8)));
-        assert_eq!(jobs_from_args(&args(&["bin", "--jobs=3"])), Ok(Some(3)));
-        assert_eq!(jobs_from_args(&args(&["bin"])), Ok(None));
-        // Present-but-invalid must be an error, not a silent default.
-        assert_eq!(jobs_from_args(&args(&["bin", "--jobs", "0"])), Err("0".into()));
-        assert_eq!(jobs_from_args(&args(&["bin", "--jobs", "many"])), Err("many".into()));
-        assert_eq!(jobs_from_args(&args(&["bin", "--jobs"])), Err("".into()));
-        assert!(default_jobs() >= 1);
     }
 }

@@ -14,9 +14,12 @@
 //! discipline `shard_merge` uses). Where the merge re-measures with its
 //! own runner (gap fill), the comparison is the deterministic
 //! projection, exactly as across real processes. A second test drives
-//! a thief through the worker entry point and checks its stats.
+//! a thief through the worker entry point and checks its stats, and a
+//! third checks that thieves enumerate a shard in the exact reverse of
+//! the order its victim dispatches it.
 
-use pcg_core::plan::ShardSpec;
+use pcg_core::plan::{CellId, ShardSpec};
+use pcg_core::{CandidateKind, CostPriors, TaskId};
 use pcg_harness::eval::{self, evaluate_with, smoke_tasks};
 use pcg_harness::journal::{self, Journal, Replay};
 use pcg_harness::pipeline::{self, RunOptions};
@@ -243,4 +246,52 @@ fn run_shard_thief_reports_every_stolen_batch() {
     journal::remove(&jpath0);
     journal::remove(&journal::shard_journal_path(&cache, spec1));
     let _ = std::fs::remove_file(shard_stats_path(&cache, spec1));
+}
+
+/// A source whose every candidate fails to build: evaluating a cell
+/// costs its problem's baseline and nothing else.
+struct NeverBuilds(Vec<String>);
+
+impl pcg_models::CandidateSource for NeverBuilds {
+    fn model_names(&self) -> Vec<String> {
+        self.0.clone()
+    }
+
+    fn weights_available(&self, _: usize) -> bool {
+        true
+    }
+
+    fn sample(&self, _: usize, _: TaskId, spec: &pcg_models::SampleSpec) -> Vec<CandidateKind> {
+        vec![CandidateKind::BuildFailure; spec.n]
+    }
+}
+
+#[test]
+fn thieves_take_the_exact_reverse_of_the_victims_dispatch() {
+    let cfg = EvalConfig::smoke();
+    let source = NeverBuilds(pcg_models::CandidateSource::model_names(&pcg_models::zoo()));
+    let tasks = smoke_tasks();
+    let plan = eval::plan_for(&cfg, &source, Some(&tasks));
+    let runner = SharedRunner::new(cfg.clone());
+    let priors = CostPriors::default_profile();
+    let cost = |c: &pcg_core::plan::PlanCell| priors.cost(&plan.models()[c.model], c.task);
+    for withp in [None, Some(&priors)] {
+        for k in 0..3 {
+            let spec = ShardSpec::new(k, 3);
+            let owned = plan.shard_with(spec, withp);
+            // At one worker the cells complete, and so reach `on_cell`,
+            // in exactly the order they are dispatched.
+            let mut dispatched: Vec<CellId> = Vec::new();
+            eval::evaluate_cells_priors(&cfg, &source, owned, 1, withp, &runner, &Replay::new(), |cell, _, _| {
+                dispatched.push(cell);
+            });
+            let steal = plan.steal_order(spec, withp);
+            // Every model row of a task costs the same under the
+            // default profile, so the id tie-break orders most cells.
+            assert!(steal.windows(2).any(|w| cost(&w[0]) == cost(&w[1])));
+            let mut stolen: Vec<CellId> = steal.iter().map(|c| c.id).collect();
+            stolen.reverse();
+            assert_eq!(stolen, dispatched, "shard {spec}, priors {}", withp.is_some());
+        }
+    }
 }

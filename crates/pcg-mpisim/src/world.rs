@@ -198,7 +198,7 @@ impl World {
                         // with the marker after teardown.
                         cancelled.store(true, std::sync::atomic::Ordering::Release);
                     } else {
-                        let msg = panic_message(&*payload);
+                        let msg = pcg_core::cancel::panic_message(&*payload);
                         let mut slot = failure.lock();
                         // First non-abort failure wins; cascade panics
                         // from the abort itself are noise.
@@ -284,18 +284,6 @@ impl World {
             elapsed,
             wall_elapsed: wall_start.elapsed().as_secs_f64(),
         })
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if pcg_core::cancel::is_cancel_payload(payload) {
-        "cancelled".to_string()
-    } else {
-        "rank panicked".to_string()
     }
 }
 
