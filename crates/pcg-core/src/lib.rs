@@ -17,7 +17,7 @@
 //! * [`cancel`] — cooperative cancellation tokens the harness uses to stop
 //!   runaway candidates at the time limit,
 //! * [`warm`] — the process-wide switch for the warm execution path
-//!   (fiber-multiplexed worlds, input memoization, supervisor reuse),
+//!   (fiber-multiplexed worlds, input memoization, executor reuse),
 //! * [`plan`] — the cell-addressed work model: globally stable
 //!   [`CellId`]s for every (config, model, task) cell and deterministic
 //!   [`WorkPlan`]s that the harness shards across processes,

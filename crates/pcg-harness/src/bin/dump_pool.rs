@@ -9,9 +9,10 @@
 //! drawing fresh ones, which is how CI proves the dump → re-score loop
 //! reproduces the reference verdicts.
 //!
-//! Usage: `dump_pool DIR` plus the flags of `pipeline::parse_args`;
-//! the config flags pick the pools, and `--replay-pool` re-dumps a
-//! pool. The dump covers the full task grid.
+//! Usage: `dump_pool DIR` plus the config flags of
+//! `pipeline::parse_args`, which pick the pools, and `--replay-pool`,
+//! which re-dumps a pool; the other run options exit 2. The dump covers
+//! the full task grid.
 
 use pcg_harness::pipeline;
 use pcg_models::SampleSpec;

@@ -113,6 +113,8 @@ pub struct Cli {
     pub opts: RunOptions,
     /// The arguments that are not flags, in order.
     pub positional: Vec<String>,
+    /// The names of the flags given, without `--`.
+    pub flags: Vec<&'static str>,
 }
 
 /// Every flag [`parse_args`] accepts, with the placeholder of its
@@ -148,7 +150,7 @@ const FLAGS: [(&str, Option<&str>); 12] = [
 /// and a malformed value are errors. An argument that does not start
 /// with `--` is positional.
 pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
-    let mut flags: Vec<(&str, String)> = Vec::new();
+    let mut flags: Vec<(&'static str, String)> = Vec::new();
     let mut positional = Vec::new();
     let mut args = args.into_iter().peekable();
     while let Some(arg) = args.next() {
@@ -184,6 +186,7 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
     };
     let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut opts = RunOptions::new(jobs);
+    let given = flags.iter().map(|&(flag, _)| flag).collect();
     let rate = |r: &f64| r.is_finite() && *r >= 0.0;
     for (flag, raw) in flags {
         match flag {
@@ -212,7 +215,28 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
             _ => {} // `--full` picked the base config above.
         }
     }
-    Ok(Cli { cfg, opts, positional })
+    Ok(Cli { cfg, opts, positional, flags: given })
+}
+
+/// An error if `cli` asks for something its binary will not do. A
+/// shard worker (`--shard k/N`, N > 1) evaluates its slice and exits,
+/// so it neither merges nor keeps shard files; `--keep-shards` applies
+/// only to a merge; and a binary that runs no evaluation honours no
+/// run option but `--replay-pool`.
+fn check_honoured(cli: &Cli, evaluates: bool) -> Result<(), String> {
+    let given = |flag: &&str| cli.flags.contains(flag);
+    let run_flags = ["jobs", "resume", "shard", "merge-shards", "priors", "keep-shards"];
+    if let Some(flag) = run_flags.iter().find(|f| !evaluates && given(f)) {
+        return Err(format!("--{flag} does not apply: this binary runs no evaluation"));
+    }
+    let worker = cli.opts.shard.is_some_and(|s| !s.is_whole());
+    if let Some(flag) = ["merge-shards", "keep-shards"].iter().find(|f| worker && given(f)) {
+        return Err(format!("--{flag} does not apply to a --shard worker, which only evaluates"));
+    }
+    if given(&"keep-shards") && !given(&"merge-shards") {
+        return Err("--keep-shards applies only with --merge-shards".into());
+    }
+    Ok(())
 }
 
 /// `raw` parsed as a `T` that passes `ok`, or an error naming the flag
@@ -227,15 +251,22 @@ fn value<T: std::str::FromStr>(
 }
 
 /// [`parse_args`] over this process's arguments, for a binary that
-/// takes exactly the positional arguments named in `positional`. On
-/// any error, prints it with a usage line and exits with code 2,
-/// before any work starts.
+/// takes exactly the positional arguments named in `positional`. A
+/// binary with positional arguments (`dump_pool DIR`) runs no
+/// evaluation, so it rejects the run options it would ignore. On any
+/// error, prints it with a usage line and exits with code 2, before any
+/// work starts.
 pub fn from_cli(positional: &[&str]) -> Cli {
     let mut args = std::env::args();
     let program = args.next().unwrap_or_default();
     let error = match parse_args(args) {
-        Ok(cli) if cli.positional.len() == positional.len() => return cli,
-        Ok(cli) => format!("expected arguments {positional:?}, got {:?}", cli.positional),
+        Ok(cli) if cli.positional.len() != positional.len() => {
+            format!("expected arguments {positional:?}, got {:?}", cli.positional)
+        }
+        Ok(cli) => match check_honoured(&cli, positional.is_empty()) {
+            Ok(()) => return cli,
+            Err(e) => e,
+        },
         Err(e) => e,
     };
     let program = Path::new(&program).file_name().unwrap_or_default().to_string_lossy();
@@ -774,6 +805,36 @@ mod tests {
             let flag = args[0].split('=').next().unwrap();
             assert!(err.contains(flag), "{args:?}: the error must name {flag}: {err}");
         }
+    }
+
+    #[test]
+    fn options_the_binary_would_ignore_are_rejected() {
+        let check = |args: &[&str], evaluates| check_honoured(&parse(args).unwrap(), evaluates);
+        let run_binary: [&[&str]; 4] = [
+            &["--shard", "1/3", "--merge-shards", "3"],
+            &["--shard", "1/3", "--keep-shards"],
+            &["--shard", "1/3", "--merge-shards", "3", "--keep-shards"],
+            &["--keep-shards"],
+        ];
+        for args in run_binary {
+            let err = check(args, true).expect_err(&format!("{args:?} must be rejected"));
+            assert!(err.contains("-shards"), "{args:?}: the error must name the flag: {err}");
+        }
+        let dump_pool: [&[&str]; 6] = [
+            &["--jobs", "2"],
+            &["--resume"],
+            &["--shard", "1/3"],
+            &["--merge-shards", "3"],
+            &["--priors", "default"],
+            &["--keep-shards"],
+        ];
+        for args in dump_pool {
+            let err = check(args, false).expect_err(&format!("{args:?} must be rejected"));
+            assert!(err.contains(args[0]), "{args:?}: the error must name {}: {err}", args[0]);
+        }
+        check(&["--shard", "1/3", "--resume"], true).unwrap();
+        check(&["--merge-shards", "3", "--keep-shards"], true).unwrap();
+        check(&["--timeout", "120", "--replay-pool", "pool"], false).unwrap();
     }
 
     #[test]

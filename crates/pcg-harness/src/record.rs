@@ -74,7 +74,8 @@ pub struct EvalStats {
     pub cache_hits: u64,
     /// Candidate bodies that panicked (captured per candidate).
     pub panics: u64,
-    /// Candidates that blew the wall-clock time limit.
+    /// Candidates that blew the wall-clock time limit: `cancelled`
+    /// plus `abandoned`.
     pub timeouts: u64,
     /// Timed-out workers that unwound cooperatively within the grace
     /// period after cancellation.

@@ -23,22 +23,30 @@
 //! task coordinates, never by worker identity, so results are
 //! byte-identical whatever the worker count. Serial callers use the
 //! same runner from one thread.
+//!
+//! Every execution runs on an executor thread that belongs to the
+//! calling thread, so the caller can enforce the time limit: it
+//! cancels the candidate at the limit and abandons it after the grace
+//! period (the paper's kill). Each calling thread keeps its executor in
+//! a thread-local and reuses it for its next execution, unless the
+//! executor was abandoned or the warm path is off.
 
 use crate::config::EvalConfig;
 use crate::record::EvalStats;
-use pcg_core::cancel::{self, panic_message, CancelToken};
+use pcg_core::cancel::{self, CancelToken};
 use pcg_core::usage::UsageScope;
 use pcg_core::{warm, CandidateKind, Corruption, Output, PcgError, ProblemId, Quality, TaskId};
 use pcg_problems::framework::fixed_verdict;
 use pcg_problems::input_cache::{self, InputCacheStats};
 use pcg_problems::{corrupt, registry, Resources};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::cell::Cell;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A measured, validated candidate execution.
 #[derive(Debug, Clone, Copy)]
@@ -74,8 +82,8 @@ impl Outcome {
         }
     }
 
-    /// The harness killed the candidate: its worker panicked (`"panic"`)
-    /// or blew the wall-clock limit (`"timeout"`).
+    /// The harness killed the candidate: it panicked (`"panic"`) or
+    /// blew the wall-clock limit (`"timeout"`).
     fn hard(code: &'static str) -> Outcome {
         Outcome { built: true, correct: false, seconds: f64::INFINITY, error: Some(code) }
     }
@@ -174,7 +182,6 @@ struct Counters {
     executions: AtomicU64,
     cache_hits: AtomicU64,
     panics: AtomicU64,
-    timeouts: AtomicU64,
     cancelled: AtomicU64,
     abandoned: AtomicU64,
     retries: AtomicU64,
@@ -200,9 +207,9 @@ pub struct QuarantineEntry {
     pub error: String,
 }
 
-/// Tracks worker threads that were abandoned (leaked) after ignoring
-/// cooperative cancellation past the grace period. Spawning blocks
-/// while the live-leak count is at the cap, so a flood of hostile
+/// Tracks executor threads that were abandoned (leaked) after ignoring
+/// cooperative cancellation past the grace period. A new execution
+/// blocks while the live-leak count is at the cap, so a flood of hostile
 /// candidates cannot exhaust the process's thread budget.
 #[derive(Default)]
 struct LeakTracker {
@@ -220,7 +227,7 @@ impl LeakTracker {
         *self.live.lock() += 1;
     }
 
-    /// An abandoned worker finally unwound; free its slot.
+    /// An abandoned executor finally returned; free its slot.
     fn remove(&self) {
         let mut n = self.live.lock();
         *n = n.saturating_sub(1);
@@ -254,29 +261,17 @@ impl LeakTracker {
     }
 }
 
-/// Supervisor/worker handshake for one isolated execution, deciding —
-/// race-free — which side accounts for the worker thread's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Handshake {
-    /// The worker is still inside the candidate body.
+/// One execution's result, shared by the supervising caller and the
+/// executor under one lock, so exactly one of them accounts for an
+/// executor that outlives its supervision.
+enum Slot<M> {
+    /// The executor is still inside the candidate.
     Running,
-    /// The worker completed (normally or by unwinding) in time.
-    Done,
-    /// The supervisor gave up on the worker; the worker must release
-    /// its leak slot itself if it ever unwinds.
+    /// The candidate returned, or unwound, with this result.
+    Done(std::thread::Result<M>),
+    /// The supervisor gave up on the executor, which releases its leak
+    /// slot if the candidate ever returns.
     Abandoned,
-}
-
-/// What the supervisor observed about one isolated execution.
-enum WorkerFate<M> {
-    /// The worker reported back within the time limit.
-    Finished(M),
-    /// The worker blew the time limit. It was cancelled and either
-    /// unwound within the grace period (counted `cancelled`) or was
-    /// abandoned (counted `abandoned`); the caller need not care which
-    /// — the outcome is `timeout` either way, so records stay
-    /// byte-identical whatever the race resolution.
-    TimedOut,
 }
 
 fn add_ns(counter: &AtomicU64, since: Instant) {
@@ -284,86 +279,33 @@ fn add_ns(counter: &AtomicU64, since: Instant) {
     counter.fetch_add(ns, Ordering::Relaxed);
 }
 
-/// One supervised execution, run on a pooled worker thread. Returns
-/// whether the worker may be reused: `false` retires the thread (it was
-/// abandoned mid-candidate, or its job unwound unexpectedly).
-type SupJob = Box<dyn FnOnce() -> bool + Send>;
+/// One execution, as run by an executor thread.
+type Job = Box<dyn FnOnce() + Send>;
 
-/// Persistent pool of supervisor worker threads, replacing
-/// thread-spawn-per-execution on the warm path. Workers park on a
-/// condvar between candidates; a submission wakes an idle worker or
-/// spawns one when none is parked. The pool never caps concurrency —
-/// isolation semantics (timeout, cancel, grace, abandonment) are
-/// unchanged, only the spawn is amortized. An abandoned worker retires
-/// itself after its candidate finally unwinds (consuming a leak slot
-/// exactly as before), so a poisoned thread never serves another
-/// candidate.
-#[derive(Default)]
-struct SupervisorPool {
-    state: Mutex<SupPoolState>,
-    cv: Condvar,
+thread_local! {
+    /// This thread's executor: the sending end of its job queue. Each
+    /// execution takes it and puts it back when done, unless the
+    /// executor was abandoned or the warm path is off; dropping the
+    /// sender retires the executor once its current job returns.
+    static EXECUTOR: Cell<Option<mpsc::Sender<Job>>> = const { Cell::new(None) };
 }
 
-#[derive(Default)]
-struct SupPoolState {
-    queue: VecDeque<SupJob>,
-    idle: usize,
-    shutdown: bool,
+/// Start an executor thread, which runs the jobs sent to it in order
+/// until its sender is dropped.
+fn spawn_executor() -> mpsc::Sender<Job> {
+    let (tx, rx) = mpsc::channel::<Job>();
+    std::thread::Builder::new()
+        .name("pcg-executor".into())
+        .spawn(move || rx.into_iter().for_each(|job| job()))
+        .expect("spawn executor");
+    tx
 }
 
-impl SupervisorPool {
-    /// Hand `job` to an idle worker, or spawn a fresh one when none is
-    /// parked. Executions are long-running, so waking an *about to be
-    /// busy* worker is the failure mode to avoid: when the race is
-    /// ambiguous we over-spawn (the extra worker parks afterwards)
-    /// rather than queue behind a busy thread.
-    fn submit(self: &Arc<Self>, job: SupJob) {
-        let spawn_new = {
-            let mut st = self.state.lock();
-            st.queue.push_back(job);
-            st.idle < st.queue.len()
-        };
-        if spawn_new {
-            let pool = Arc::clone(self);
-            std::thread::Builder::new()
-                .name("pcg-supervised".into())
-                .spawn(move || pool.worker_loop())
-                .expect("spawn supervised worker");
-        } else {
-            self.cv.notify_one();
-        }
-    }
-
-    fn worker_loop(self: Arc<Self>) {
-        loop {
-            let job = {
-                let mut st = self.state.lock();
-                loop {
-                    if let Some(job) = st.queue.pop_front() {
-                        break job;
-                    }
-                    if st.shutdown {
-                        return;
-                    }
-                    st.idle += 1;
-                    self.cv.wait(&mut st);
-                    st.idle -= 1;
-                }
-            };
-            // Jobs capture their own panics; treat an unwind here as a
-            // poisoned worker and retire it.
-            let reusable = catch_unwind(AssertUnwindSafe(job)).unwrap_or(false);
-            if !reusable {
-                return;
-            }
-        }
-    }
-
-    /// Ask parked workers to exit. In-flight jobs finish normally; their
-    /// workers observe the flag when they next look for work.
-    fn shutdown(&self) {
-        self.state.lock().shutdown = true;
-        self.cv.notify_all();
+/// Wait on `cv` while `slot` is [`Slot::Running`], for at most `limit`.
+fn wait_running<M>(cv: &Condvar, slot: &mut MutexGuard<'_, Slot<M>>, limit: Duration) {
+    let t0 = Instant::now();
+    while let (Slot::Running, Some(left)) = (&**slot, limit.checked_sub(t0.elapsed())) {
+        cv.wait_for(slot, left);
     }
 }
 
@@ -413,7 +355,6 @@ pub struct SharedRunner {
     /// Keyed by the requested `(task, kind, n)`, so each is listed once.
     quarantined: Mutex<HashMap<(TaskId, CandidateKind, u32), QuarantineEntry>>,
     leaks: Arc<LeakTracker>,
-    supervisors: Arc<SupervisorPool>,
     warm_base: WarmBase,
 }
 
@@ -428,7 +369,6 @@ impl SharedRunner {
             counters: Counters::default(),
             quarantined: Mutex::new(HashMap::new()),
             leaks: Arc::new(LeakTracker::default()),
-            supervisors: Arc::new(SupervisorPool::default()),
             warm_base: WarmBase {
                 input: input_cache::stats(),
                 sched: pcg_mpisim::sched::stats(),
@@ -550,86 +490,79 @@ impl SharedRunner {
         self.outcome(task, kind, n).ratio(base)
     }
 
-    /// Run `work` on a dedicated worker thread with a cancel token
+    /// Run `work` on this thread's executor with a fresh cancel token
     /// installed, and supervise it against the configured time limit.
     ///
-    /// On timeout the token is cancelled and the worker gets
+    /// On timeout the token is cancelled and the executor gets
     /// `cfg.grace` to unwind cooperatively (every substrate checks the
-    /// token at its blocking points); a worker that ignores the token —
-    /// e.g. a raw `sleep` — is abandoned, which consumes one leak slot
-    /// until the thread eventually unwinds. Spawning blocks while
-    /// `cfg.max_abandoned` leak slots are consumed, so hostile
-    /// candidates degrade throughput instead of exhausting threads.
+    /// token at its blocking points). An executor that ignores the
+    /// token (e.g. a raw `sleep`) is abandoned: it holds one leak slot
+    /// until the candidate returns, and this thread's next execution
+    /// starts a fresh executor. A new execution blocks while
+    /// `cfg.max_abandoned` leak slots are held, so hostile candidates
+    /// degrade throughput instead of exhausting threads. Both ends of a
+    /// timeout give `Err` of the `timeout` outcome, so records stay
+    /// byte-identical whichever way the race goes; a panic in time
+    /// gives the `panic` outcome.
     fn supervise<M: Send + 'static>(
         &self,
         work: impl FnOnce() -> M + Send + 'static,
-    ) -> WorkerFate<M> {
+    ) -> Result<M, Outcome> {
         self.leaks.wait_below(self.cfg.max_abandoned);
         let token = CancelToken::new();
-        let worker_token = token.clone();
-        let handshake = Arc::new(Mutex::new(Handshake::Running));
-        let worker_hs = Arc::clone(&handshake);
-        let tracker = Arc::clone(&self.leaks);
-        let (tx, rx) = mpsc::channel();
-        let job: SupJob = Box::new(move || {
-            // Install the candidate's token as a guard: it is restored
-            // on return, so a reused worker never carries a stale token
-            // into the next candidate.
-            let _cancel = cancel::install_token(Some(worker_token));
-            let out = work();
-            // Finalize the handshake before reporting back: if the
-            // supervisor observes `Running`, the candidate body is
-            // guaranteed not to have completed.
-            let reusable = {
-                let mut hs = worker_hs.lock();
-                if *hs == Handshake::Abandoned {
-                    tracker.remove();
-                    // This thread blew past its grace period once;
-                    // retire it rather than trust it with another
-                    // candidate.
-                    false
-                } else {
-                    *hs = Handshake::Done;
-                    true
-                }
+        let slot = Arc::new((Mutex::new(Slot::Running), Condvar::new()));
+        let (worker_token, worker_slot, leaks) =
+            (token.clone(), Arc::clone(&slot), Arc::clone(&self.leaks));
+        let job: Job = Box::new(move || {
+            let result = {
+                // Restored on return, so a reused executor never
+                // carries a stale token into the next candidate.
+                let _cancel = cancel::install_token(Some(worker_token));
+                catch_unwind(AssertUnwindSafe(work))
             };
-            let _ = tx.send(out);
-            reusable
-        });
-        if warm::enabled() {
-            self.supervisors.submit(job);
-        } else {
-            std::thread::spawn(move || {
-                let _ = job();
-            });
-        }
-        match rx.recv_timeout(self.cfg.timeout) {
-            Ok(m) => WorkerFate::Finished(m),
-            Err(_) => {
-                self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                token.cancel();
-                match rx.recv_timeout(self.cfg.grace) {
-                    Ok(_) => {
-                        // Unwound cooperatively; the late result is
-                        // discarded — the outcome is already "timeout".
-                        self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        let mut hs = handshake.lock();
-                        if *hs == Handshake::Running {
-                            *hs = Handshake::Abandoned;
-                            self.leaks.add();
-                            self.counters.abandoned.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            // Finished in the race window between the
-                            // grace timeout and taking the lock.
-                            self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                WorkerFate::TimedOut
+            let (lock, cv) = &*worker_slot;
+            let mut slot = lock.lock();
+            if matches!(*slot, Slot::Abandoned) {
+                leaks.remove();
+            } else {
+                *slot = Slot::Done(result);
+                cv.notify_one();
             }
+        });
+        let executor = EXECUTOR.take().unwrap_or_else(spawn_executor);
+        executor.send(job).expect("an executor outlives its sender");
+
+        let (lock, cv) = &*slot;
+        let mut state = lock.lock();
+        wait_running(cv, &mut state, self.cfg.timeout);
+        let timed_out = matches!(*state, Slot::Running);
+        if timed_out {
+            token.cancel();
+            wait_running(cv, &mut state, self.cfg.grace);
         }
+        // Marking the slot `Abandoned` gives up on a running executor
+        // and is harmless to a finished one.
+        let result = match std::mem::replace(&mut *state, Slot::Abandoned) {
+            Slot::Done(result) => result,
+            _ => {
+                self.leaks.add();
+                self.counters.abandoned.fetch_add(1, Ordering::Relaxed);
+                return Err(Outcome::hard("timeout"));
+            }
+        };
+        if warm::enabled() {
+            EXECUTOR.set(Some(executor));
+        }
+        if timed_out {
+            // Unwound within the grace period; the late result is
+            // discarded.
+            self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+            return Err(Outcome::hard("timeout"));
+        }
+        result.map_err(|_| {
+            self.counters.panics.fetch_add(1, Ordering::Relaxed);
+            Outcome::hard("panic")
+        })
     }
 
     /// Run `comp` at `task` once, with the requester's `n` (every `n`
@@ -655,44 +588,30 @@ impl SharedRunner {
         let reps = if matches!(kind, CandidateKind::Correct(_)) { self.cfg.reps.max(1) } else { 1 };
         self.counters.executions.fetch_add(1, Ordering::Relaxed);
 
-        // Run on a worker thread so a runaway candidate can be cancelled
-        // (and, failing that, abandoned) at the time limit — the paper's
-        // 3-minute kill. Panics inside the candidate are captured on
-        // that thread — distinguishable from a hang.
+        // Supervised, so a runaway candidate is cancelled (and, failing
+        // that, abandoned) at the time limit: the paper's 3-minute kill.
         let t_run = Instant::now();
-        let fate = self.supervise(move || {
+        let body = self.supervise(move || {
             let scope = UsageScope::begin();
-            let body = catch_unwind(AssertUnwindSafe(|| {
-                let mut best = f64::INFINITY;
-                let mut last = None;
-                for _ in 0..reps {
-                    let run = problem.run_candidate(task.model, kind, n, seed, size);
-                    match &run {
-                        Ok(r) => best = best.min(r.seconds),
-                        Err(_) => {
-                            last = Some(run);
-                            break;
-                        }
+            let mut best = f64::INFINITY;
+            let mut last = None;
+            for _ in 0..reps {
+                let run = problem.run_candidate(task.model, kind, n, seed, size);
+                match &run {
+                    Ok(r) => best = best.min(r.seconds),
+                    Err(_) => {
+                        last = Some(run);
+                        break;
                     }
-                    last = Some(run);
                 }
-                (last.expect("at least one rep ran"), best)
-            }))
-            .map_err(|p| panic_message(&*p));
-            let usage = scope.finish();
-            (body, usage)
+                last = Some(run);
+            }
+            (last.expect("at least one rep ran"), best, scope.finish())
         });
         add_ns(&self.counters.run_ns, t_run);
-        let (body, usage) = match fate {
-            WorkerFate::Finished(v) => v,
-            WorkerFate::TimedOut => return Verdicts::all(Outcome::hard("timeout"), true),
-        };
-        let (result, best) = match body {
+        let (result, best, usage) = match body {
             Ok(v) => v,
-            Err(_panic_msg) => {
-                self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                return Verdicts::all(Outcome::hard("panic"), true);
-            }
+            Err(hard) => return Verdicts::all(hard, true),
         };
         let output = match result {
             Ok(run) => run.output,
@@ -722,10 +641,10 @@ impl SharedRunner {
         Verdicts { as_is, corrupted, hard: false }
     }
 
-    /// Run an arbitrary closure through the same isolation machinery a
-    /// candidate gets: dedicated worker thread with a cancel token
-    /// installed, panic capture, and timeout cancellation (grace
-    /// period, then abandonment) at `config().timeout`. Used by the
+    /// Run an arbitrary closure through the same isolation a candidate
+    /// gets: this thread's executor with a cancel token installed,
+    /// panic capture, and timeout cancellation (grace period, then
+    /// abandonment) at `config().timeout`. Used by the
     /// substrate conformance tests to prove that a hostile candidate
     /// (hang or panic on any substrate) cannot wedge an evaluation
     /// worker.
@@ -736,22 +655,15 @@ impl SharedRunner {
     {
         self.counters.executions.fetch_add(1, Ordering::Relaxed);
         let t_run = Instant::now();
-        let fate = self.supervise(move || {
+        let body = self.supervise(move || {
             let t0 = Instant::now();
-            let body = catch_unwind(AssertUnwindSafe(f)).map_err(|p| panic_message(&*p));
-            (body, t0.elapsed().as_secs_f64())
+            (f(), t0.elapsed().as_secs_f64())
         });
         add_ns(&self.counters.run_ns, t_run);
-        match fate {
-            WorkerFate::TimedOut => Outcome::hard("timeout"),
-            WorkerFate::Finished((Err(_panic), _)) => {
-                self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                Outcome::hard("panic")
-            }
-            WorkerFate::Finished((Ok(Err(e)), _)) => Outcome::failed(&e),
-            WorkerFate::Finished((Ok(Ok(_)), secs)) => {
-                Outcome { built: true, correct: true, seconds: secs, error: None }
-            }
+        match body {
+            Err(hard) => hard,
+            Ok((Err(e), _)) => Outcome::failed(&e),
+            Ok((Ok(_), secs)) => Outcome { built: true, correct: true, seconds: secs, error: None },
         }
     }
 
@@ -771,7 +683,7 @@ impl SharedRunner {
             executions: get(&c.executions),
             cache_hits: get(&c.cache_hits),
             panics: get(&c.panics),
-            timeouts: get(&c.timeouts),
+            timeouts: get(&c.cancelled) + get(&c.abandoned),
             cancelled: get(&c.cancelled),
             abandoned: get(&c.abandoned),
             retries: get(&c.retries),
@@ -795,18 +707,9 @@ impl SharedRunner {
         }
     }
 
-    /// Abandoned worker threads that have not yet unwound.
+    /// Abandoned executor threads that have not yet returned.
     pub fn leaked_workers(&self) -> usize {
         self.leaks.live()
-    }
-}
-
-impl Drop for SharedRunner {
-    fn drop(&mut self) {
-        // Release parked supervisor workers; in-flight executions (and
-        // abandoned ones) keep their own `Arc` to the pool and exit
-        // after their current job.
-        self.supervisors.shutdown();
     }
 }
 
@@ -980,6 +883,67 @@ mod tests {
             r.stats().leak_budget_exhausted,
             "blocking on the exhausted budget must latch the sidecar flag"
         );
+    }
+
+    type ThreadIds = Arc<Mutex<Vec<std::thread::ThreadId>>>;
+
+    /// `run_isolated(body)`, recording the thread `body` runs on.
+    fn traced(r: &SharedRunner, ids: &ThreadIds, body: impl FnOnce() + Send + 'static) -> Outcome {
+        let ids = Arc::clone(ids);
+        r.run_isolated(move || {
+            ids.lock().push(std::thread::current().id());
+            body();
+            Ok::<_, PcgError>(())
+        })
+    }
+
+    #[test]
+    fn consecutive_executions_share_the_callers_executor() {
+        let r = runner();
+        let ids = ThreadIds::default();
+        assert!(traced(&r, &ids, || ()).correct);
+        assert!(traced(&r, &ids, || ()).correct);
+        let ids = ids.lock();
+        assert_eq!(ids[0], ids[1], "the second execution must reuse the executor");
+        assert_ne!(ids[0], std::thread::current().id(), "candidates run off the caller");
+    }
+
+    #[test]
+    fn a_cancelled_executor_is_reused() {
+        let mut cfg = EvalConfig::smoke();
+        cfg.timeout = Duration::from_millis(50);
+        cfg.grace = Duration::from_secs(10);
+        let r = SharedRunner::new(cfg);
+        let ids = ThreadIds::default();
+        let out = traced(&r, &ids, || loop {
+            pcg_core::cancel::check_current();
+            std::thread::sleep(Duration::from_millis(1));
+        });
+        assert_eq!(out.error, Some("timeout"));
+        assert_eq!(r.stats().cancelled, 1);
+        assert!(traced(&r, &ids, || ()).correct);
+        let ids = ids.lock();
+        assert_eq!(ids[0], ids[1], "an executor that unwound in time must be reused");
+    }
+
+    #[test]
+    fn an_abandoned_executor_is_replaced() {
+        let mut cfg = EvalConfig::smoke();
+        cfg.timeout = Duration::from_secs(1);
+        cfg.grace = Duration::from_millis(50);
+        cfg.max_abandoned = 2;
+        let r = SharedRunner::new(cfg);
+        let ids = ThreadIds::default();
+        let out = traced(&r, &ids, || std::thread::sleep(Duration::from_secs(20)));
+        assert_eq!(out.error, Some("timeout"));
+        assert_eq!(r.stats().abandoned, 1);
+        // Queued behind the sleeper, this would time out.
+        let t0 = Instant::now();
+        let ok = traced(&r, &ids, || ());
+        assert!(ok.correct, "{ok:?}");
+        assert!(t0.elapsed() < Duration::from_millis(500), "took {:?}", t0.elapsed());
+        let ids = ids.lock();
+        assert_ne!(ids[0], ids[1], "the abandoned executor must not be reused");
     }
 
     #[test]

@@ -170,7 +170,7 @@ fn timeout_overlap_at_8_workers() {
 
 /// The thread-pool-backed smoke columns (OpenMP, Kokkos, hybrid) at the
 /// minimum size, so the measurement isolates the fixed costs the warm
-/// path amortizes: thread spawns, input generation, supervisor spawn.
+/// path amortizes: thread spawns, input generation, executor spawns.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "bounds hold for optimized builds only")]
 fn warm_path_beats_cold() {

@@ -2,7 +2,7 @@
 //!
 //! The warm execution engine (MPI and hybrid ranks as fibers on the
 //! calling thread, zero-copy message transport, input memoization,
-//! supervisor reuse) is a pure performance layer: evaluation records
+//! executor reuse) is a pure performance layer: evaluation records
 //! must be **byte-identical** to the cold path's, which runs one OS
 //! thread per rank, at any worker count. Ratios and stage timings are
 //! measured quantities, so the comparison uses the single determinism
@@ -12,12 +12,13 @@
 //! One `#[test]` only: the warm flag and the input cache are
 //! process-global, so the phases must not interleave.
 
-use pcg_core::{warm, ExecutionModel, TaskId};
+use pcg_core::{warm, ExecutionModel, PcgError, TaskId};
 use pcg_harness::eval::{evaluate_with, smoke_tasks};
 use pcg_harness::record::projection;
 use pcg_harness::{EvalConfig, EvalStats, SharedRunner};
 use pcg_models::SyntheticModel;
 use pcg_problems::input_cache;
+use std::sync::{Arc, Mutex};
 
 fn run(cfg: &EvalConfig, tasks: &[TaskId], warm_on: bool, jobs: usize) -> (String, EvalStats) {
     warm::set_enabled(warm_on);
@@ -100,4 +101,24 @@ fn warm_records_are_byte_identical_to_cold_at_any_jobs() {
             "repeat executions at --jobs {jobs} must reuse inputs: {again_stats:?}"
         );
     }
+
+    // Cold mode keeps no executor: every execution starts its own
+    // thread, where the warm path reuses one.
+    let runner = SharedRunner::new(cfg.clone());
+    let ids = Arc::new(Mutex::new(Vec::new()));
+    for warm_on in [false, false, false, true, true] {
+        warm::set_enabled(warm_on);
+        let ids = Arc::clone(&ids);
+        let out = runner.run_isolated(move || {
+            ids.lock().unwrap().push(std::thread::current().id());
+            Ok::<_, PcgError>(())
+        });
+        assert!(out.correct, "{out:?}");
+    }
+    let ids = ids.lock().unwrap();
+    assert!(
+        ids[0] != ids[1] && ids[1] != ids[2] && ids[0] != ids[2],
+        "each cold execution must run on a new thread: {ids:?}"
+    );
+    assert_eq!(ids[3], ids[4], "warm executions must reuse their executor: {ids:?}");
 }
