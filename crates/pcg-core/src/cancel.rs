@@ -7,7 +7,7 @@
 //! the kill. The runner creates a [`CancelToken`] per candidate and
 //! installs it thread-locally (mirroring [`crate::usage`]'s sink
 //! plumbing); substrates capture it with [`current_token`], re-install
-//! it on any thread they spawn (MPI rank threads and fiber helpers), and
+//! it on any thread they spawn (MPI rank threads on the cold path), and
 //! poll it at natural progress points — shmem and Kokkos chunk
 //! boundaries, mpisim blocking waits, gpusim kernel blocks.
 //!

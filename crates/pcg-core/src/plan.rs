@@ -308,11 +308,16 @@ impl WorkPlan {
 }
 
 /// The order a worker hands `cells` to its threads, as indices into
-/// `cells`: with priors, LPT list scheduling — descending expected
-/// cost, ties broken by ascending cell id, so every process holding an
-/// identically-stamped table derives the same order; without priors,
-/// the cells' own (plan) order. `models` are the row labels the
-/// cells' `model` indices name.
+/// `cells`: model-major, like the plan. With priors, each model row is
+/// list-scheduled by LPT — descending expected cost, ties broken by
+/// ascending cell id, so every process holding an identically-stamped
+/// table derives the same order; without priors, the cells' own (plan)
+/// order. Priors never interleave rows: the rows of one task share
+/// their computations, so cells of different tasks keep concurrent
+/// workers apart, where a model-blind table would tie a task's rows
+/// next to each other and have one worker wait on another's
+/// computation. `models` are the row labels the cells' `model` indices
+/// name.
 pub fn dispatch_order(
     cells: &[PlanCell],
     models: &[String],
@@ -321,7 +326,12 @@ pub fn dispatch_order(
     let mut order: Vec<usize> = (0..cells.len()).collect();
     if let Some(p) = priors {
         let cost: Vec<f64> = cells.iter().map(|c| p.cost(&models[c.model], c.task)).collect();
-        order.sort_by(|&a, &b| cost[b].total_cmp(&cost[a]).then(cells[a].id.cmp(&cells[b].id)));
+        order.sort_by(|&a, &b| {
+            cells[a].model
+                .cmp(&cells[b].model)
+                .then(cost[b].total_cmp(&cost[a]))
+                .then(cells[a].id.cmp(&cells[b].id))
+        });
     }
     order
 }
@@ -508,9 +518,10 @@ mod tests {
             expect.reverse();
             assert_eq!(p.steal_order(spec, None), expect);
         }
-        // With priors: same cell set as the weighted slice, sorted
-        // ascending cost with ties on descending id — the reverse of
-        // LPT dispatch (descending cost, ties ascending id).
+        // With priors: same cell set as the weighted slice, in
+        // descending model row, each row ascending cost with ties on
+        // descending id — the reverse of dispatch (model-major, each
+        // row by descending cost, ties ascending id).
         let priors = crate::priors::CostPriors::default_profile();
         for k in 0..3 {
             let spec = ShardSpec::new(k, 3);
@@ -524,10 +535,12 @@ mod tests {
             let cost = |c: &PlanCell| priors.cost(&p.models()[c.model], c.task);
             assert!(
                 order.windows(2).all(|w| {
-                    cost(&w[0]) < cost(&w[1])
-                        || (cost(&w[0]) == cost(&w[1]) && w[0].id > w[1].id)
+                    w[0].model > w[1].model
+                        || (w[0].model == w[1].model
+                            && (cost(&w[0]) < cost(&w[1])
+                                || (cost(&w[0]) == cost(&w[1]) && w[0].id > w[1].id)))
                 }),
-                "steal order must be ascending cost, ties descending id"
+                "steal order must be descending row, then ascending cost, ties descending id"
             );
         }
     }

@@ -18,6 +18,8 @@
 //!    ([`dispatch_order`], the order `evaluate_cells_priors` hands a
 //!    shard's cells to its workers), with and without priors, and
 //!    under tables whose costs tie.
+//! 7. With priors, dispatch is model-major (rows in plan order) and
+//!    cost-descending within each row, ties by ascending cell id.
 
 use pcg_core::plan::{dispatch_order, CellId, PlanCell, ShardSpec, WorkPlan};
 use proptest::prelude::*;
@@ -144,6 +146,46 @@ proptest! {
                     plan.steal_order(spec, withp).iter().map(|c| c.id).collect();
                 stolen.reverse();
                 prop_assert_eq!(stolen, dispatched);
+            }
+        }
+    }
+
+    #[test]
+    fn priors_reorder_cells_only_within_a_model_row(
+        models in 1usize..5,
+        tasks in 1usize..24,
+        count in 1u32..4,
+        seed in 0u64..=u64::MAX,
+    ) {
+        let plan = arb_plan(models, tasks);
+        // Few distinct costs, so ties exercise the id tie-break.
+        let measured = pcg_core::CostPriors::from_entries(
+            "three-costs",
+            plan.cells().map(|c| {
+                let cost = 1.0 + ((seed ^ c.id.0) % 3) as f64;
+                (plan.models()[c.model].clone(), c.task.index() as u32, cost)
+            }),
+        );
+        let default = pcg_core::CostPriors::default_profile();
+        for priors in [&default, &measured] {
+            for k in 0..count {
+                let owned = plan.shard_with(ShardSpec::new(k, count), Some(priors));
+                let cost = |c: &PlanCell| priors.cost(&plan.models()[c.model], c.task);
+                let dispatched: Vec<PlanCell> = dispatch_order(&owned, plan.models(), Some(priors))
+                    .into_iter()
+                    .map(|i| owned[i])
+                    .collect();
+                prop_assert_eq!(dispatched.len(), owned.len());
+                for w in dispatched.windows(2) {
+                    prop_assert!(w[0].model <= w[1].model, "rows must stay model-major");
+                    if w[0].model == w[1].model {
+                        prop_assert!(
+                            cost(&w[0]) > cost(&w[1])
+                                || (cost(&w[0]) == cost(&w[1]) && w[0].id < w[1].id),
+                            "within a row: descending cost, ties ascending id"
+                        );
+                    }
+                }
             }
         }
     }

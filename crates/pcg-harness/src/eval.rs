@@ -152,9 +152,10 @@ pub fn evaluate_resumable_priors<S: CandidateSource + Sync + ?Sized>(
 /// order regardless of completion order.
 ///
 /// Pending cells are handed to workers in [`plan::dispatch_order`]:
-/// with a priors table, descending expected cost (ties broken by cell
-/// id), the classic LPT list-scheduling discipline, which thieves
-/// reverse ([`WorkPlan::steal_order`]). Every cell computes exactly
+/// model-major, and with a priors table each model row in descending
+/// expected cost (ties broken by cell id), the classic LPT
+/// list-scheduling discipline within a row, which thieves reverse
+/// ([`WorkPlan::steal_order`]). Every cell computes exactly
 /// what it would under any other dispatch order. Shard workers must also pass
 /// the table to [`WorkPlan::shard_with`], where it changes **which**
 /// cells a shard owns; every cooperating worker must use a table with
@@ -195,8 +196,8 @@ pub fn evaluate_cells_priors<S: CandidateSource + Sync + ?Sized>(
     let resumed_cells = n_cells - pending.len();
     let pending_cells = pending.clone();
 
-    // LPT dispatch with priors: hand workers the expected-longest
-    // cells first so no straggler starts near the end of the grid.
+    // LPT dispatch with priors: within each model row, hand workers
+    // the expected-longest cells first.
     let order = plan::dispatch_order(&pending, &names, priors);
     let t0 = Instant::now();
     let results = scheduler::run_grid_prioritized(

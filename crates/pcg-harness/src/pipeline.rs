@@ -41,12 +41,19 @@ pub fn default_cache_path(cfg: &EvalConfig) -> PathBuf {
     PathBuf::from("target").join("pcgbench").join(format!("records-{tag}.rec"))
 }
 
-/// Sidecar path for the scheduler stats of a cached run. Stats live
-/// outside the record because they are timing-dependent, while the
-/// record must be byte-identical across worker counts.
+/// Sidecar path for the scheduler stats of the run cached at `cache`
+/// (`records-quick.rec` → `records-quick.stats.json`), in the cache's
+/// own directory. Stats live outside the record because they are
+/// timing-dependent, while the record must be byte-identical across
+/// worker counts.
+pub fn cache_stats_path(cache: &Path) -> PathBuf {
+    cache.with_extension("stats.json")
+}
+
+/// The stats sidecar of a config's default cache
+/// ([`default_cache_path`]).
 pub fn stats_path(cfg: &EvalConfig) -> PathBuf {
-    let tag = if cfg.size_divisor == 1 { "full" } else { "quick" };
-    PathBuf::from("target").join("pcgbench").join(format!("records-{tag}.stats.json"))
+    cache_stats_path(&default_cache_path(cfg))
 }
 
 /// How a pipeline run is driven, as parsed from a harness binary's
@@ -133,6 +140,9 @@ const FLAGS: [(&str, Option<&str>); 12] = [
     ("keep-shards", None),
     ("replay-pool", Some("DIR")),
 ];
+
+/// The flags only a binary that runs an evaluation honours.
+const RUN_FLAGS: [&str; 6] = ["jobs", "resume", "shard", "merge-shards", "priors", "keep-shards"];
 
 /// Parse a harness binary's arguments (program name excluded) into the
 /// run's config, options and positional arguments.
@@ -225,8 +235,7 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
 /// run option but `--replay-pool`.
 fn check_honoured(cli: &Cli, evaluates: bool) -> Result<(), String> {
     let given = |flag: &&str| cli.flags.contains(flag);
-    let run_flags = ["jobs", "resume", "shard", "merge-shards", "priors", "keep-shards"];
-    if let Some(flag) = run_flags.iter().find(|f| !evaluates && given(f)) {
+    if let Some(flag) = RUN_FLAGS.iter().find(|f| !evaluates && given(f)) {
         return Err(format!("--{flag} does not apply: this binary runs no evaluation"));
     }
     let worker = cli.opts.shard.is_some_and(|s| !s.is_whole());
@@ -270,16 +279,27 @@ pub fn from_cli(positional: &[&str]) -> Cli {
         Err(e) => e,
     };
     let program = Path::new(&program).file_name().unwrap_or_default().to_string_lossy();
-    let mut usage: String = positional.iter().map(|p| format!(" {p}")).collect();
-    for (flag, placeholder) in FLAGS {
+    eprintln!("{program}: error: {error}");
+    eprintln!("{}", usage_line(&program, positional));
+    std::process::exit(2);
+}
+
+/// The usage line of a binary that takes the `positional` arguments. A
+/// binary with positional arguments runs no evaluation, so its line
+/// leaves out the run options [`check_honoured`] rejects.
+fn usage_line(program: &str, positional: &[&str]) -> String {
+    let evaluates = positional.is_empty();
+    let mut usage = format!("usage: {program}");
+    for p in positional {
+        usage += &format!(" {p}");
+    }
+    for (flag, placeholder) in FLAGS.iter().filter(|(f, _)| evaluates || !RUN_FLAGS.contains(f)) {
         usage += &match placeholder {
             Some(v) => format!(" [--{flag} {v}]"),
             None => format!(" [--{flag}]"),
         };
     }
-    eprintln!("{program}: error: {error}");
-    eprintln!("usage: {program}{usage}");
-    std::process::exit(2);
+    usage
 }
 
 /// The candidate source a pipeline run scores: the synthetic zoo
@@ -465,7 +485,7 @@ pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions
         eprintln!("[pcgbench] cache does not match this run; re-running evaluation");
         // The sidecar describes the cache's run; drop it now so a
         // crash mid-re-run cannot leave it lying about this one.
-        let _ = std::fs::remove_file(stats_path(cfg));
+        let _ = std::fs::remove_file(cache_stats_path(&path));
     }
     if let Some(count) = opts.merge_shards {
         return crate::shard::merge_shards(Some(&path), cfg, opts, count, None);
@@ -553,7 +573,7 @@ pub(crate) fn commit_run(
         Err(e) => eprintln!("[pcgbench] warning: could not cache records: {e}"),
     }
     if let Ok(bytes) = serde_json::to_vec(stats) {
-        let _ = atomic_write(&stats_path(&record.config), &bytes);
+        let _ = atomic_write(&cache_stats_path(cache), &bytes);
     }
     if committed.is_err() {
         return false;
@@ -692,6 +712,18 @@ mod tests {
         let f = default_cache_path(&EvalConfig::full());
         assert_ne!(q, f);
         assert_ne!(stats_path(&EvalConfig::quick()), q);
+    }
+
+    #[test]
+    fn stats_sidecars_sit_next_to_their_cache() {
+        assert_eq!(
+            stats_path(&EvalConfig::quick()),
+            Path::new("target/pcgbench/records-quick.stats.json")
+        );
+        assert_eq!(
+            cache_stats_path(Path::new("/tmp/x/records-quick-pool1f.rec")),
+            Path::new("/tmp/x/records-quick-pool1f.stats.json")
+        );
     }
 
     #[test]
@@ -835,6 +867,32 @@ mod tests {
         check(&["--shard", "1/3", "--resume"], true).unwrap();
         check(&["--merge-shards", "3", "--keep-shards"], true).unwrap();
         check(&["--timeout", "120", "--replay-pool", "pool"], false).unwrap();
+    }
+
+    #[test]
+    fn usage_lines_offer_only_the_options_the_binary_honours() {
+        assert_eq!(
+            usage_line("reproduce", &[]),
+            "usage: reproduce [--full] [--timeout SECS] [--deadlock-rate R] \
+             [--stack-hog-rate R] [--prompt-variants LIST] [--jobs N] [--resume] \
+             [--shard K/N] [--merge-shards N] [--priors SRC] [--keep-shards] \
+             [--replay-pool DIR]"
+        );
+        assert_eq!(
+            usage_line("dump_pool", &["DIR"]),
+            "usage: dump_pool DIR [--full] [--timeout SECS] [--deadlock-rate R] \
+             [--stack-hog-rate R] [--prompt-variants LIST] [--replay-pool DIR]"
+        );
+        // Every flag the dump_pool line offers passes `check_honoured`.
+        for (flag, placeholder) in FLAGS.iter().filter(|(f, _)| !RUN_FLAGS.contains(f)) {
+            let arg = match placeholder {
+                Some(_) if *flag == "prompt-variants" => format!("--{flag}=naive"),
+                Some(_) => format!("--{flag}=1"),
+                None => format!("--{flag}"),
+            };
+            let cli = parse(&[arg.as_str()]).unwrap();
+            check_honoured(&cli, false).unwrap_or_else(|e| panic!("{arg}: {e}"));
+        }
     }
 
     #[test]

@@ -123,7 +123,8 @@ fn priors_reorder_execution_without_touching_a_byte() {
     let read_back = pipeline::read_cache(&cache, &cfg, &plan).expect("merge commits a cache");
     assert_eq!(serde_json::to_string(&read_back).unwrap(), ref_json);
     let stats: EvalStats =
-        serde_json::from_slice(&std::fs::read(pipeline::stats_path(&cfg)).unwrap()).unwrap();
+        serde_json::from_slice(&std::fs::read(pipeline::cache_stats_path(&cache)).unwrap())
+            .unwrap();
     assert_eq!(stats.shard_walls.len(), 3, "one wall entry per shard worker");
     assert!(!stats.cell_walls.is_empty(), "merged stats union the measured walls");
     let cols = ColumnarStats::read(&cols_path(&cache)).expect("merge commits the cols sidecar");
@@ -177,7 +178,8 @@ fn priors_reorder_execution_without_touching_a_byte() {
         "a merge that rejects every journal still produces the full grid"
     );
     let stats: EvalStats =
-        serde_json::from_slice(&std::fs::read(pipeline::stats_path(&cfg)).unwrap()).unwrap();
+        serde_json::from_slice(&std::fs::read(pipeline::cache_stats_path(&cache)).unwrap())
+            .unwrap();
     assert!(
         stats.journal_frames_rejected >= 3,
         "all three mismatched journals must be rejected, got {}",
@@ -186,4 +188,5 @@ fn priors_reorder_execution_without_touching_a_byte() {
 
     let _ = std::fs::remove_file(&cache);
     let _ = std::fs::remove_file(cols_path(&cache));
+    let _ = std::fs::remove_file(pipeline::cache_stats_path(&cache));
 }

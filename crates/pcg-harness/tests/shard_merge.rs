@@ -135,7 +135,8 @@ fn merged_shards_match_the_unsharded_run() {
         "the columnar sidecar must reproduce the projection byte-for-byte"
     );
     let merged_stats: EvalStats =
-        serde_json::from_slice(&std::fs::read(pipeline::stats_path(&cfg)).unwrap()).unwrap();
+        serde_json::from_slice(&std::fs::read(pipeline::cache_stats_path(&cache)).unwrap())
+            .unwrap();
     assert_eq!(
         stats_projection(&merged_stats),
         stats_projection(&ref_stats),
@@ -199,7 +200,8 @@ fn merged_shards_match_the_unsharded_run() {
         "kill + resume + merge must reproduce the unsharded projection"
     );
     let resumed_stats: EvalStats =
-        serde_json::from_slice(&std::fs::read(pipeline::stats_path(&cfg)).unwrap()).unwrap();
+        serde_json::from_slice(&std::fs::read(pipeline::cache_stats_path(&cache)).unwrap())
+            .unwrap();
     assert!(
         resumed_stats.journal_compactions > 0,
         "the merged sidecar must surface the worker's compaction"
@@ -238,4 +240,5 @@ fn merged_shards_match_the_unsharded_run() {
     }
 
     let _ = std::fs::remove_file(&cache);
+    let _ = std::fs::remove_file(pipeline::cache_stats_path(&cache));
 }

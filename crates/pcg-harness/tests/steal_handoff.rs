@@ -124,7 +124,8 @@ fn stolen_cells_merge_byte_identically() {
         "a merge over stolen cells must reproduce the unsharded record exactly"
     );
     let merged_stats: EvalStats =
-        serde_json::from_slice(&std::fs::read(pipeline::stats_path(&cfg)).unwrap()).unwrap();
+        serde_json::from_slice(&std::fs::read(pipeline::cache_stats_path(&cache)).unwrap())
+            .unwrap();
     assert_eq!(merged_stats.cells_stolen, outcome.stolen, "the merged sidecar sums steal counters");
     for spec in [spec0, spec1, spec2] {
         assert!(
@@ -209,6 +210,7 @@ fn stolen_cells_merge_byte_identically() {
 
     let _ = std::fs::remove_file(&cache);
     let _ = std::fs::remove_file(pcg_harness::colstats::cols_path(&cache));
+    let _ = std::fs::remove_file(pipeline::cache_stats_path(&cache));
 }
 
 /// A thief through the real worker entry point. In a 2-shard run whose

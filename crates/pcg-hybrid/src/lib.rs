@@ -23,10 +23,10 @@
 //! ## Execution style
 //!
 //! Rank execution is inherited from `pcg-mpisim`: with the warm path on,
-//! a world runs its ranks as fibers on the calling thread (see
-//! `pcg_mpisim::sched`), with records identical to thread-per-rank. A
-//! hybrid world holds one compute token, so it spawns no helper thread.
-//! A rank's compute pool owns no OS threads either: its sections
+//! a world runs its ranks as fibers on the calling thread alone (see
+//! `pcg_mpisim::sched`), one at a time, with records identical to
+//! thread-per-rank, where the world's single compute token admits one
+//! computing rank. A rank's compute pool owns no OS threads either: its sections
 //! compute on the rank's own fiber, so a 4 x 64 world runs entirely on
 //! its caller, and no rank ever waits on a pool.
 //!
@@ -139,12 +139,12 @@ impl<'w> HybridCtx<'w> {
 
     /// Run a threaded section and charge the pool's modeled virtual time
     /// for it to the rank clock. The section is bracketed by the compute
-    /// admission gate: the rank (re)acquires the world's compute token on
-    /// entry and releases it on exit, so a rank between sections does not
-    /// serialize its peers' measurements — and a rank *waiting* for the
-    /// gate parks cooperatively as a fiber, visible to the wait-for-graph
-    /// deadlock detector. Virtual-time arithmetic is unchanged: only the
-    /// pool's modeled elapsed time is charged, never gate-wait wall time.
+    /// admission gate: on the thread-per-rank path the rank (re)acquires
+    /// the world's compute token on entry and releases it on exit, so a
+    /// rank between sections does not serialize its peers' measurements;
+    /// a fiber rank runs alone and only restarts its wall mark.
+    /// Virtual-time arithmetic is unchanged: only the pool's modeled
+    /// elapsed time is charged, never gate-wait wall time.
     fn charged<R>(&self, f: impl FnOnce(&Pool) -> R) -> R {
         self.comm.compute_gate_enter();
         let before = self.pool.virtual_elapsed();

@@ -1,5 +1,5 @@
-//! A hybrid world holds one compute token, so with the warm path on its
-//! ranks run as fibers on the calling thread alone: a 4 x 64 world (the
+//! With the warm path on, a hybrid world's ranks run as fibers on the
+//! calling thread alone, like any fiber world: a 4 x 64 world (the
 //! paper's largest hybrid shape) must add no OS thread, neither for its
 //! rank layer nor for its timed per-rank pools.
 //!

@@ -21,11 +21,13 @@
 //! ## Two blocking disciplines
 //!
 //! On the thread-per-rank path, a blocked `recv`/token wait parks the
-//! rank's OS thread on a condvar. On the multiplexed path
+//! rank's OS thread on a condvar, and a rank releases its compute token
+//! on first block and reacquires it after. On the multiplexed path
 //! ([`crate::sched`]), the same wait parks the rank's *fiber* with the
-//! scheduler and the worker thread runs another rank. Both paths
-//! release the compute token on first block and reacquire it after, so
-//! measured-compute accounting is identical.
+//! scheduler and the calling thread runs another rank; one fiber runs
+//! at a time, so there is no token. On both paths the wall mark
+//! restarts when the rank runs again, so measured-compute accounting
+//! is identical.
 
 use crate::mailbox::Envelope;
 use crate::packet::{Elem, Packet, ReduceOp};
@@ -87,59 +89,29 @@ impl<'w> Comm<'w> {
 
     // ---- token & clock internals -------------------------------------
 
+    /// Start (or resume) measured compute: on the thread-per-rank path,
+    /// block for a compute token; on both paths, restart the wall mark.
+    /// A fiber needs no token, since it is the only one running.
     pub(crate) fn acquire_token(&self) {
-        if self.shared.is_multiplexed() {
-            // Fiber discipline: spin try_acquire/yield instead of
-            // blocking the worker thread on the semaphore condvar.
-            loop {
-                if let Some(t) = &self.shared.cancel {
-                    t.check();
-                }
-                if self.shared.tokens.is_aborted() {
-                    abort_panic();
-                }
-                if self.shared.tokens.try_acquire() {
-                    break;
-                }
-                sched::yield_fiber(Wait::Token { gate: false, clock: self.clock.get() });
+        if !self.shared.is_multiplexed() {
+            if !self.shared.tokens.acquire() {
+                abort_panic();
             }
-        } else if !self.shared.tokens.acquire() {
-            abort_panic();
+            self.has_token.set(true);
         }
-        self.has_token.set(true);
         self.mark.set(Instant::now());
     }
 
     /// Enter a modeled compute section: (re)acquire the compute-admission
-    /// token if this rank does not already hold one. On the fiber path the
-    /// rank parks *cooperatively* with `Wait::Token { gate: true, .. }`, so
-    /// mux workers never OS-block on the semaphore and the wait-for-graph
-    /// deadlock detector sees gate-parked ranks as blocked waiters.
+    /// token if this rank does not already hold one, and restart the
+    /// wall-clock mark so only time inside the gate is charged. On the
+    /// fiber path this only restarts the mark.
     pub fn compute_gate_enter(&self) {
         if self.has_token.get() {
-            // Already admitted; just restart the wall-clock mark so only
-            // time inside the gate is charged.
             self.mark.set(Instant::now());
-            return;
+        } else {
+            self.acquire_token();
         }
-        if self.shared.is_multiplexed() {
-            loop {
-                if let Some(t) = &self.shared.cancel {
-                    t.check();
-                }
-                if self.shared.tokens.is_aborted() {
-                    abort_panic();
-                }
-                if self.shared.tokens.try_acquire() {
-                    break;
-                }
-                sched::yield_fiber(Wait::Token { gate: true, clock: self.clock.get() });
-            }
-        } else if !self.shared.tokens.acquire() {
-            abort_panic();
-        }
-        self.has_token.set(true);
-        self.mark.set(Instant::now());
     }
 
     /// Leave a modeled compute section: fold the elapsed wall-clock into
@@ -153,7 +125,6 @@ impl<'w> Comm<'w> {
     pub(crate) fn release_token(&self) {
         if self.has_token.replace(false) {
             self.shared.tokens.release();
-            self.shared.notify_token();
         }
     }
 
@@ -227,9 +198,9 @@ impl<'w> Comm<'w> {
         self.send_packet(dst, tag, packet.clone());
     }
 
-    /// Blocking receive of a raw envelope, with the token released
-    /// while blocked and reacquired after. Both execution paths meet
-    /// the same postcondition: clock advanced to
+    /// Blocking receive of a raw envelope, with the token (if any)
+    /// released while blocked and reacquired after. Both execution paths
+    /// meet the same postcondition: clock advanced to
     /// `max(clock, available_at) + recv_overhead`.
     fn recv_envelope(&self, src: Option<usize>, tag: u32) -> Envelope {
         usage::record(ExecutionModel::Mpi);
@@ -252,8 +223,9 @@ impl<'w> Comm<'w> {
                 }
                 released = true;
             })
+            .map(|(env, _)| env)
         };
-        let Some((env, _)) = got else { abort_panic() };
+        let Some(env) = got else { abort_panic() };
         if released {
             self.acquire_token();
         }
@@ -263,16 +235,16 @@ impl<'w> Comm<'w> {
     }
 
     /// Fiber-mode receive loop: poll the mailbox, park with the
-    /// scheduler on failure. Mirrors `Mailbox::take_matching` exactly —
-    /// including releasing the token on first block only.
+    /// scheduler on failure. Sets `blocked` once the rank has parked, so
+    /// the caller restarts the wall mark as `Mailbox::take_matching`'s
+    /// callers do.
     fn take_matching_mux(
         &self,
         src: Option<usize>,
         tag: u32,
-        released: &mut bool,
-    ) -> Option<(Envelope, bool)> {
+        blocked: &mut bool,
+    ) -> Option<Envelope> {
         let mb = &self.shared.mailboxes[self.rank];
-        let mut blocked = false;
         loop {
             if let Some(t) = &self.shared.cancel {
                 t.check();
@@ -281,16 +253,9 @@ impl<'w> Comm<'w> {
                 return None;
             }
             if let Some(env) = mb.try_take(src, tag) {
-                return Some((env, blocked));
+                return Some(env);
             }
-            if !blocked {
-                if self.has_token.replace(false) {
-                    self.shared.tokens.release();
-                    self.shared.notify_token();
-                }
-                *released = true;
-                blocked = true;
-            }
+            *blocked = true;
             sched::yield_fiber(Wait::Mailbox { src, tag, clock: self.clock.get() });
         }
     }

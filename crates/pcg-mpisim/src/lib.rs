@@ -1,10 +1,10 @@
 //! # pcg-mpisim
 //!
 //! MPI-analog message-passing substrate for PCGBench-rs: a **virtual-time
-//! simulator** that runs SPMD rank programs as real threads with private
-//! memory and real data movement, while elapsed time is tracked on
-//! per-rank virtual clocks combining *measured* compute with a Hockney
-//! (α–β) communication cost model.
+//! simulator** that runs SPMD rank programs as fibers (or real threads)
+//! with private memory and real data movement, while elapsed time is
+//! tracked on per-rank virtual clocks combining *measured* compute with
+//! a Hockney (α–β) communication cost model.
 //!
 //! ## Why a simulator
 //!
@@ -14,13 +14,15 @@
 //! Instead:
 //!
 //! * **Correctness is real** — every rank executes the candidate's code
-//!   with its own private data; messages physically move between rank
-//!   threads; a wrong decomposition produces a wrong answer.
+//!   with its own private data; messages physically move between
+//!   ranks; a wrong decomposition produces a wrong answer.
 //! * **Time is simulated** — each rank accumulates a virtual clock:
-//!   measured CPU-seconds for compute segments (a token semaphore caps
-//!   concurrent compute at the physical core count, so wall-time
-//!   measurements are not distorted by oversubscription) plus modeled
-//!   message costs (`latency + bytes/bandwidth`, intra- vs inter-node).
+//!   measured CPU-seconds for compute segments plus modeled message
+//!   costs (`latency + bytes/bandwidth`, intra- vs inter-node). Compute
+//!   is never oversubscribed: by default ranks run as fibers on the
+//!   calling thread, one at a time ([`sched`]), and the thread-per-rank
+//!   reference path caps concurrent compute at the core count with a
+//!   token semaphore.
 //!   The simulated runtime of a program is the maximum final clock over
 //!   ranks, which is exactly what `MPI_Wtime` around the hot region
 //!   measures in the paper's drivers.

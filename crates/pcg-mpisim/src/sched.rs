@@ -2,57 +2,45 @@
 //!
 //! Thread-per-rank execution spawns one OS thread per simulated rank,
 //! which makes the paper's 512-rank sweep column cost 512 spawns plus a
-//! condvar storm per run on a machine with a few dozen cores. This
-//! module runs the same rank programs as **stackful fibers** multiplexed
-//! onto worker threads: a rank that blocks in `recv`/token acquisition
-//! parks its continuation (a saved stack) in a blocked-rank queue
-//! instead of parking an OS thread, and a worker resumes the next
-//! runnable rank.
-//!
-//! The calling thread is worker 0, and a run spawns one scoped helper
-//! per further compute token: workers = tokens = `min(cores, ranks)`
-//! (`World::new` grants one token per core; a hybrid world grants one,
-//! so it spawns no helper at all). A fiber holds a token from the
-//! moment it starts until it parks, so at most `tokens` fibers can make
-//! progress at once; a further worker could only resume a fiber that
-//! fails `try_acquire` and yields straight back, paying a scheduler-lock
-//! round trip and a futex wake for nothing.
+//! condvar storm per run. This module runs the same rank programs as
+//! **stackful fibers** on the thread that called [`crate::World::run`]:
+//! a rank that blocks in `recv` parks its continuation (a saved stack)
+//! in a blocked-rank queue instead of parking an OS thread, and the
+//! calling thread resumes the next runnable rank. A world starts no
+//! thread; the harness's `--jobs` workers keep the cores busy with other
+//! cells.
 //!
 //! Scheduling is *run-to-block*: fibers yield only at the exact points
 //! where the thread-per-rank path would block on a condvar (mailbox
-//! waits and compute-token waits). Virtual time is governed solely by
-//! [`crate::CostModel`] arithmetic on message metadata, which is
-//! identical in both execution paths, so simulation records are
-//! byte-identical to thread-per-rank at any worker count.
+//! waits). One fiber runs at a time, so measured compute segments never
+//! overlap, and no compute token is needed. Virtual time is governed
+//! solely by [`crate::CostModel`] arithmetic on message metadata, which
+//! is identical in both execution paths, so simulation records are
+//! byte-identical to thread-per-rank.
 //!
-//! ## Wakeup protocol
+//! ## Deadlock detection
 //!
-//! All scheduler state sits behind one mutex. A rank only ever waits on
-//! its *own* mailbox, so mailbox wakeups are keyed by rank: a sender
-//! deposits (mailbox lock, dropped) and then notifies the scheduler
-//! (scheduler lock). The lost-wakeup race — a deposit landing between a
-//! fiber's failed `try_take` and the worker filing it as blocked — is
-//! closed by the worker re-probing the wait condition *under the
-//! scheduler lock* after the fiber has switched out: deposits are
-//! ordered either before the probe (rank goes straight back to ready)
-//! or after it (the sender's notify finds the filed waiter). No path
-//! holds a mailbox or semaphore lock while taking the scheduler lock,
-//! so the two lock orders never form a cycle.
+//! A rank only ever waits on its own mailbox, and only a running rank
+//! can deposit. So an empty ready queue while ranks are unfinished means
+//! every live rank is parked and no wakeup can ever come. That is a
+//! state of the virtual execution, not a timing heuristic: the verdict
+//! and its diagnostics are the same on every run.
 //!
 //! ## Cancellation and abort
 //!
-//! Idle workers tick at `CANCEL_TICK` (2 ms) when the launching candidate
-//! has a cancel token, and on observing a kill wake every parked fiber;
-//! resumed fibers hit their cancel check and unwind with the marker,
-//! exactly like parked rank threads do. `WorldShared::abort` likewise
-//! wakes all parked fibers so they observe the abort and unwind. The
-//! scheduler only terminates once every rank has run to completion, so
+//! A resumed fiber checks the launching candidate's cancel token before
+//! every receive, and `WorldShared::abort` wakes every parked fiber so it
+//! observes the abort and unwinds. With the deadlock detector off (tests
+//! measuring the timeout-only baseline), a quiescent world polls the
+//! cancel token every `CANCEL_TICK` (2 ms) and then wakes every fiber,
+//! which unwinds with the marker exactly like a parked rank thread. The
+//! scheduler only returns once every rank has run to completion, so
 //! fibers are never dropped mid-stack in normal operation.
 
 use crate::sync::CANCEL_TICK;
 use crate::world::WorldShared;
-use parking_lot::{Condvar, Mutex};
-use pcg_core::{cancel, usage, warm};
+use parking_lot::Mutex;
+use pcg_core::warm;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -134,19 +122,15 @@ fn deadlock_detection() -> bool {
 
 // ---- yield reasons ---------------------------------------------------
 
-/// Why a fiber switched back to its worker.
+/// Why a fiber switched back to the scheduler.
 ///
-/// Blocking variants carry the rank's virtual clock at park time so the
+/// A mailbox wait carries the rank's virtual clock at park time so the
 /// deadlock detector can report *when* (in simulated time) each rank
-/// blocked — wall-clock instants would differ across worker counts.
+/// blocked — wall-clock instants would differ from run to run.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Wait {
     /// Blocked receiving on the rank's own mailbox.
     Mailbox { src: Option<usize>, tag: u32, clock: f64 },
-    /// Blocked acquiring a compute token. `gate` marks the hybrid
-    /// compute-admission gate (same semaphore, labeled separately in
-    /// deadlock diagnostics).
-    Token { gate: bool, clock: f64 },
     /// The fiber overran its stack into the guard page; the SIGSEGV
     /// classifier redirected it to the overflow landing pad, which
     /// switched out with this reason. The stack is unusable.
@@ -243,15 +227,12 @@ pcg_mpisim_fiber_trampoline:
     }
 
     // `#[inline(never)]` on everything touching `CURRENT` from fiber
-    // context is load-bearing: LLVM models a thread-local's address as
-    // constant within a function body (a function cannot change threads
-    // under normal execution), so if these reads inline into a caller
-    // that spans a context switch — e.g. a blocking-recv retry loop that
-    // yields more than once — the hoisted address keeps pointing at the
-    // *previous* worker thread's cell after the fiber migrates, which
-    // that worker has already nulled. Keeping each access inside its own
-    // uninlinable call recomputes the TLS address on whatever thread the
-    // fiber currently runs on.
+    // context keeps each access computing the TLS address on the thread
+    // it runs on: LLVM models a thread-local's address as constant
+    // within a function body, so a read inlined into a caller that spans
+    // a context switch would reuse a hoisted address. A world resumes
+    // its fibers on its calling thread alone, where that address is
+    // right; the attribute keeps correctness from resting on it.
     #[inline(never)]
     unsafe fn switch_out_done() -> ! {
         let pair = CURRENT.with(|c| c.get());
@@ -271,9 +252,8 @@ pcg_mpisim_fiber_trampoline:
         unsafe {
             (*pair).reason = reason;
             let worker = (*pair).worker_rsp;
-            // After this returns we may be on a different worker thread;
-            // `pair` points into the *previous* resume's stack and must
-            // not be touched again.
+            // After this returns, `pair` points into the *previous*
+            // resume's stack and must not be touched again.
             pcg_mpisim_fiber_switch(&mut (*pair).fiber_rsp, worker);
         }
     }
@@ -301,8 +281,8 @@ pcg_mpisim_fiber_trampoline:
     }
 
     /// Install the process-wide SIGSEGV classifier (once) and this
-    /// thread's sigaltstack (per worker thread). Must run on every
-    /// thread that can resume fibers, before it resumes any.
+    /// thread's sigaltstack (per thread). Must run on every thread that
+    /// resumes fibers, before it resumes any.
     pub(super) fn ensure_signal_setup() {
         stack::ensure_signal_setup();
     }
@@ -732,10 +712,9 @@ pcg_mpisim_fiber_trampoline:
         finished: bool,
     }
 
-    // SAFETY: a fiber is only ever run by one worker at a time (the
-    // scheduler moves it between workers with a mutex in between, which
-    // orders all accesses), and its body closure is built from
-    // `&(dyn Fn(usize) + Sync)`.
+    // SAFETY: a fiber is only ever run by the thread running its world
+    // (the scheduler state that holds it sits behind a mutex), and its
+    // body closure is built from `&(dyn Fn(usize) + Sync)`.
     unsafe impl Send for Fiber {}
 
     impl Fiber {
@@ -868,6 +847,7 @@ pub(crate) fn yield_fiber(reason: Wait) {
     fiber::yield_fiber(reason);
 }
 
+
 // ---- scheduler -------------------------------------------------------
 
 enum RankSlot {
@@ -875,17 +855,10 @@ enum RankSlot {
     Fresh,
     /// Suspended (ready or waiting); the stack lives here.
     Parked(fiber::Fiber),
-    /// Currently running on some worker.
+    /// Currently running on the calling thread.
     Active,
     /// Ran to completion.
     Done,
-}
-
-/// A rank parked on a compute token (or the hybrid admission gate).
-struct TokenWait {
-    rank: usize,
-    gate: bool,
-    clock: f64,
 }
 
 struct SchedState {
@@ -895,96 +868,60 @@ struct SchedState {
     /// `Some((src, tag, clock))` iff the rank is parked on its own
     /// mailbox, with its virtual clock at park time.
     mailbox_wait: Vec<Option<(Option<usize>, u32, f64)>>,
-    /// Ranks parked waiting for a compute token, FIFO.
-    token_wait: VecDeque<TokenWait>,
     finished: usize,
-    size: usize,
-    /// A deadlock has already been reported for this world.
-    deadlocked: bool,
 }
 
 impl SchedState {
     /// Move every parked waiter to the ready queue (abort/cancel).
     fn wake_all(&mut self) {
-        for rank in 0..self.size {
+        for rank in 0..self.mailbox_wait.len() {
             if self.mailbox_wait[rank].take().is_some() {
                 self.ready.push_back(rank);
             }
         }
-        while let Some(w) = self.token_wait.pop_front() {
-            self.ready.push_back(w.rank);
-        }
     }
 
-    /// Wait-for-graph quiescence check, called after filing a waiter.
-    ///
-    /// Under the scheduler lock, if no rank is runnable (`ready` empty,
-    /// and every non-finished rank is filed as a waiter — Fresh ranks
-    /// always sit in `ready`, Active ranks are not filed), no future
-    /// wakeup can occur: a deposit always precedes its
-    /// `notify_mailbox`, a token release always precedes its
-    /// `notify_token`, and both happen before the sender can park, so
-    /// any event that raced the filing re-probe would have re-readied
-    /// someone. That makes quiescence a *state* property of the virtual
-    /// execution — deterministic across worker counts and shard
-    /// geometries — not a timing heuristic. Returns the per-rank
-    /// diagnostics to fail the world with.
-    fn deadlock_report(&mut self) -> Option<String> {
-        if self.deadlocked || !self.ready.is_empty() {
-            return None;
-        }
-        let parked =
-            self.mailbox_wait.iter().filter(|w| w.is_some()).count() + self.token_wait.len();
-        if parked == 0 || self.finished + parked != self.size {
-            return None;
-        }
-        self.deadlocked = true;
-        let live = self.size - self.finished;
+    /// The per-rank diagnostics of a quiescent world: every live rank,
+    /// with what it waits for and its virtual clock at park time.
+    fn deadlock_report(&self) -> String {
+        use std::fmt::Write;
+        let size = self.slots.len();
+        let live = size - self.finished;
         let mut msg = format!(
-            "wait-for-graph quiescent: all {live} live ranks of {} blocked with no runnable sender",
-            self.size
+            "wait-for-graph quiescent: all {live} live ranks of {size} blocked with no runnable sender"
         );
-        for rank in 0..self.size {
-            use std::fmt::Write;
-            if let Some((src, tag, clock)) = self.mailbox_wait[rank] {
-                match src {
-                    Some(s) => {
-                        let _ = write!(msg, "; rank {rank} waits recv(src={s}, tag={tag}) at t={clock}");
-                    }
-                    None => {
-                        let _ = write!(msg, "; rank {rank} waits recv(src=any, tag={tag}) at t={clock}");
-                    }
+        for (rank, wait) in self.mailbox_wait.iter().enumerate() {
+            match wait {
+                Some((Some(s), tag, clock)) => {
+                    let _ = write!(msg, "; rank {rank} waits recv(src={s}, tag={tag}) at t={clock}");
                 }
-            } else if let Some(w) = self.token_wait.iter().find(|w| w.rank == rank) {
-                let what = if w.gate { "compute-admission gate" } else { "compute token" };
-                let _ = write!(msg, "; rank {rank} waits {what} at t={}", w.clock);
+                Some((None, tag, clock)) => {
+                    let _ = write!(msg, "; rank {rank} waits recv(src=any, tag={tag}) at t={clock}");
+                }
+                None => {}
             }
         }
-        Some(msg)
+        msg
     }
 }
 
 /// Per-run scheduler for one multiplexed world. Owned by `WorldShared`.
+/// Only the calling thread and its fibers touch it, so the mutex is
+/// never contended; it makes the state `Sync`, as `WorldShared` must be
+/// for the thread-per-rank path.
 pub(crate) struct Sched {
-    pub(crate) workers: usize,
     state: Mutex<SchedState>,
-    ready_cv: Condvar,
 }
 
 impl Sched {
-    pub(crate) fn new(size: usize, workers: usize) -> Sched {
+    pub(crate) fn new(size: usize) -> Sched {
         Sched {
-            workers: workers.max(1),
             state: Mutex::new(SchedState {
                 ready: (0..size).collect(),
                 slots: (0..size).map(|_| RankSlot::Fresh).collect(),
                 mailbox_wait: vec![None; size],
-                token_wait: VecDeque::new(),
                 finished: 0,
-                size,
-                deadlocked: false,
             }),
-            ready_cv: Condvar::new(),
         }
     }
 
@@ -993,29 +930,13 @@ impl Sched {
         let mut st = self.state.lock();
         if st.mailbox_wait[dst].take().is_some() {
             st.ready.push_back(dst);
-            drop(st);
-            self.ready_cv.notify_one();
-        }
-    }
-
-    /// A compute token was released: wake one token waiter (gate
-    /// waiters share the semaphore, so they share the queue).
-    pub(crate) fn notify_token(&self) {
-        let mut st = self.state.lock();
-        if let Some(w) = st.token_wait.pop_front() {
-            st.ready.push_back(w.rank);
-            drop(st);
-            self.ready_cv.notify_one();
         }
     }
 
     /// Abort/cancel: wake every parked fiber so it can observe the
     /// condition and unwind.
     pub(crate) fn wake_all(&self) {
-        let mut st = self.state.lock();
-        st.wake_all();
-        drop(st);
-        self.ready_cv.notify_all();
+        self.state.lock().wake_all();
     }
 }
 
@@ -1023,116 +944,59 @@ fn cancel_requested(shared: &WorldShared) -> bool {
     shared.cancel.as_ref().is_some_and(|t| t.is_cancelled())
 }
 
-/// One worker's scheduling loop: resume runnable ranks until every rank
-/// in the world has finished. Runs on a thread that already has the
-/// candidate's usage sink and cancel token installed.
-pub(crate) fn worker_loop(shared: &WorldShared, body: &(dyn Fn(usize) + Sync)) {
-    let sched = shared.sched.as_ref().expect("worker_loop on a non-multiplexed world");
-    // Every thread that can resume fibers needs the SIGSEGV classifier
-    // (process-wide, once) and its own sigaltstack before the first
-    // resume; worker_loop is the common entry for the calling thread and
-    // its helpers alike.
+/// Multiplexed execution: resume runnable ranks on the calling thread
+/// until every rank in the world has finished. The caller already has
+/// the candidate's usage sink and cancel token installed, and its
+/// fibers inherit both.
+pub(crate) fn run_multiplexed(shared: &WorldShared, body: &(dyn Fn(usize) + Sync)) {
+    let sched = shared.sched.as_ref().expect("run_multiplexed without a scheduler");
+    // The SIGSEGV classifier (process-wide, once) and this thread's
+    // sigaltstack must be in place before the first resume.
     fiber::ensure_signal_setup();
     loop {
-        // Pick the next runnable rank.
-        let (rank, parked) = {
+        let next = {
             let mut st = sched.state.lock();
-            loop {
-                if st.finished == st.size {
-                    return;
-                }
-                if let Some(rank) = st.ready.pop_front() {
-                    let slot = std::mem::replace(&mut st.slots[rank], RankSlot::Active);
-                    let parked = match slot {
-                        RankSlot::Fresh => None,
-                        RankSlot::Parked(f) => Some(f),
-                        RankSlot::Active | RankSlot::Done => {
-                            unreachable!("rank {rank} on ready queue while active/done")
-                        }
-                    };
-                    break (rank, parked);
-                }
-                if cancel_requested(shared) {
-                    st.wake_all();
-                    if !st.ready.is_empty() {
-                        continue;
-                    }
-                }
-                match &shared.cancel {
-                    Some(_) => {
-                        let _ = sched.ready_cv.wait_for(&mut st, CANCEL_TICK);
-                    }
-                    None => sched.ready_cv.wait(&mut st),
-                }
+            if st.finished == st.slots.len() {
+                return;
             }
+            st.ready
+                .pop_front()
+                .map(|rank| (rank, std::mem::replace(&mut st.slots[rank], RankSlot::Active)))
+        };
+        let Some((rank, slot)) = next else {
+            quiescent(shared, sched);
+            continue;
         };
 
-        let mut fib = match parked {
-            Some(f) => f,
-            None => {
+        let mut fib = match slot {
+            RankSlot::Parked(f) => f,
+            RankSlot::Fresh => {
                 // First resume: give the rank a stack. The lifetime
-                // erasure is sound because worker_loop only returns
-                // after every fiber has finished and been dropped, and
-                // the launching frame (which owns `body` and `shared`)
-                // outlives all workers.
+                // erasure is sound because this loop only returns after
+                // every fiber has finished and been dropped, and the
+                // launching frame owns `body` and `shared`.
                 let closure: Box<dyn FnOnce() + '_> = Box::new(move || body(rank));
                 let closure: Box<dyn FnOnce() + 'static> =
                     unsafe { std::mem::transmute(closure) };
                 fiber::Fiber::new(closure)
             }
+            RankSlot::Active | RankSlot::Done => {
+                unreachable!("rank {rank} on ready queue while active/done")
+            }
         };
 
-        let reason = fib.resume();
-
-        let mut st = sched.state.lock();
-        match reason {
+        match fib.resume() {
             Wait::Done => {
+                let mut st = sched.state.lock();
                 st.slots[rank] = RankSlot::Done;
                 st.finished += 1;
-                if st.finished == st.size {
-                    drop(st);
-                    // Everyone still picking/waiting must observe
-                    // completion and return.
-                    sched.ready_cv.notify_all();
-                } else {
-                    // A finished rank can be the last runnable one: the
-                    // survivors may all be waiting on it. Checking here
-                    // as well as on every park makes the verdict
-                    // independent of whether the waiter parked before
-                    // or after its peer returned.
-                    maybe_fail_deadlock(st, shared);
-                }
-                drop(fib);
             }
             Wait::Mailbox { src, tag, clock } => {
+                // No re-probe: nothing runs between the fiber's failed
+                // `try_take` and this filing, so no deposit can race it.
+                let mut st = sched.state.lock();
                 st.slots[rank] = RankSlot::Parked(fib);
-                // Re-probe under the scheduler lock: any deposit that
-                // raced with the fiber switching out is either visible
-                // now, or its notify_mailbox is ordered after us and
-                // will find the filed waiter.
-                let mb = &shared.mailboxes[rank];
-                if mb.probe(src, tag) || mb.is_aborted() || cancel_requested(shared) {
-                    st.ready.push_back(rank);
-                    drop(st);
-                    sched.ready_cv.notify_one();
-                } else {
-                    st.mailbox_wait[rank] = Some((src, tag, clock));
-                    maybe_fail_deadlock(st, shared);
-                }
-            }
-            Wait::Token { gate, clock } => {
-                st.slots[rank] = RankSlot::Parked(fib);
-                if shared.tokens.available() > 0
-                    || shared.tokens.is_aborted()
-                    || cancel_requested(shared)
-                {
-                    st.ready.push_back(rank);
-                    drop(st);
-                    sched.ready_cv.notify_one();
-                } else {
-                    st.token_wait.push_back(TokenWait { rank, gate, clock });
-                    maybe_fail_deadlock(st, shared);
-                }
+                st.mailbox_wait[rank] = Some((src, tag, clock));
             }
             Wait::StackOverflow => {
                 // The fiber escaped through the guard-page landing pad;
@@ -1140,59 +1004,38 @@ pub(crate) fn worker_loop(shared: &WorldShared, body: &(dyn Fn(usize) + Sync)) {
                 // verdict and abort the world so every other rank
                 // unwinds instead of waiting on the dead rank forever.
                 STACK_OVERFLOWS_CAUGHT.fetch_add(1, Ordering::Relaxed);
-                st.slots[rank] = RankSlot::Done;
-                st.finished += 1;
-                drop(st);
+                {
+                    let mut st = sched.state.lock();
+                    st.slots[rank] = RankSlot::Done;
+                    st.finished += 1;
+                }
                 let _ = shared.overflow.set(format!(
                     "rank {rank}: fiber stack overflow caught by the guard page \
                      (stack limit {} KiB); stack quarantined",
                     fiber::STACK_SIZE >> 10
                 ));
                 shared.abort();
-                drop(fib);
             }
         }
     }
 }
 
-/// Run the wait-for-graph check after filing a waiter; on quiescence,
-/// record the deadlock verdict (first reporter wins) and abort the
-/// world so every parked rank wakes and unwinds. Consumes the lock
-/// guard: the abort path must not hold the scheduler lock while taking
-/// mailbox/semaphore locks.
-fn maybe_fail_deadlock(mut st: parking_lot::MutexGuard<'_, SchedState>, shared: &WorldShared) {
-    if !deadlock_detection() || cancel_requested(shared) || shared.tokens.is_aborted() {
+/// No fiber is runnable while ranks are unfinished. Only a running rank
+/// can deposit, so every live rank is parked on its own mailbox and no
+/// wakeup can ever come: the world is deadlocked, whatever the timing.
+/// Fail it with the per-rank diagnostics, or, with detection off or a
+/// kill pending, wait for the launching candidate's cancel token and
+/// wake every fiber so each unwinds with the cancel marker.
+fn quiescent(shared: &WorldShared, sched: &Sched) {
+    if deadlock_detection() && !cancel_requested(shared) {
+        let report = sched.state.lock().deadlock_report();
+        DEADLOCKS_DETECTED.fetch_add(1, Ordering::Relaxed);
+        let _ = shared.deadlock.set(report);
+        shared.abort();
         return;
     }
-    let Some(report) = st.deadlock_report() else { return };
-    drop(st);
-    DEADLOCKS_DETECTED.fetch_add(1, Ordering::Relaxed);
-    let _ = shared.deadlock.set(report);
-    shared.abort();
-}
-
-/// Multiplexed execution: the caller runs the scheduler loop as worker
-/// 0 while `workers - 1` scoped helpers, carrying the caller's usage
-/// sink and cancel token, run it beside it. Returns once every rank has
-/// finished.
-pub(crate) fn run_multiplexed(shared: &WorldShared, body: &(dyn Fn(usize) + Sync)) {
-    let sched = shared.sched.as_ref().expect("run_multiplexed without a scheduler");
-    let sink = usage::current_sink();
-    let token = cancel::current_token();
-    std::thread::scope(|scope| {
-        for w in 1..sched.workers {
-            let sink = sink.clone();
-            let token = token.clone();
-            std::thread::Builder::new()
-                .name(format!("mpisim-mux-{w}"))
-                .stack_size(1 << 21)
-                .spawn_scoped(scope, move || {
-                    let _usage = usage::install_sink(sink);
-                    let _cancel = cancel::install_token(token);
-                    worker_loop(shared, body);
-                })
-                .expect("failed to spawn mux worker");
-        }
-        worker_loop(shared, body);
-    });
+    while !cancel_requested(shared) {
+        std::thread::sleep(CANCEL_TICK);
+    }
+    sched.wake_all();
 }

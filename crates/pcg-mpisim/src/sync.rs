@@ -1,9 +1,11 @@
 //! A counting semaphore (compute-token pool).
 //!
-//! The simulator caps the number of rank threads *computing* at once to
-//! the physical core count, so that wall-clock measurements of compute
-//! segments are not distorted by oversubscription when simulating
-//! hundreds of ranks. Ranks blocked in `recv`/collectives hold no token.
+//! On the thread-per-rank path the simulator caps the number of rank
+//! threads *computing* at once to the physical core count, so that
+//! wall-clock measurements of compute segments are not distorted by
+//! oversubscription when simulating hundreds of ranks. Ranks blocked in
+//! `recv`/collectives hold no token. Fiber worlds run one rank at a time
+//! and only use the semaphore's abort flag.
 
 use parking_lot::{Condvar, Mutex};
 use pcg_core::cancel::{self, CancelToken};
@@ -36,7 +38,7 @@ impl Semaphore {
         }
     }
 
-    /// Block until a permit is available, then take it. Returns `false`
+    /// Block until a permit is free, then take it. Returns `false`
     /// if the semaphore was aborted while waiting; unwinds with the
     /// cancellation marker if the owning candidate is killed.
     pub fn acquire(&self) -> bool {
@@ -59,27 +61,6 @@ impl Semaphore {
                 None => self.cv.wait(&mut permits),
             }
         }
-    }
-
-    /// Non-blocking acquire: take a permit if one is free. Returns
-    /// `false` when none are free *or* the semaphore is aborted — the
-    /// multiplexed caller distinguishes via [`Semaphore::is_aborted`].
-    pub fn try_acquire(&self) -> bool {
-        if self.aborted.load(Ordering::Acquire) {
-            return false;
-        }
-        let mut permits = self.permits.lock();
-        if *permits > 0 {
-            *permits -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Current free-permit count (scheduler wakeup re-check).
-    pub fn available(&self) -> usize {
-        *self.permits.lock()
     }
 
     /// Return a permit.

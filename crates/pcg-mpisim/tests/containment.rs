@@ -9,7 +9,9 @@
 
 use pcg_core::PcgError;
 use pcg_mpisim::{sched, CostModel, World};
-use std::time::Instant;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// Tag no rank ever sends.
 const NEVER_SENT: u32 = 0x00C0_FFEE;
@@ -74,10 +76,11 @@ fn containment_battery() {
     assert_eq!(after.deadlocks_detected - base.deadlocks_detected, 1);
 
     // --- waiting on a rank that already returned -----------------------
-    // The verdict must not depend on whether the waiter parks before or
-    // after its peer finishes. With one worker the waiter always parks
-    // first; with two it races the peer. A watchdog cancel turns a
-    // missed verdict into a failure instead of a hung test.
+    // The verdict must not depend on the order in which the waiter parks
+    // and its peer finishes. A fiber world runs one rank at a time and
+    // takes no compute token, so the token pool size must not change the
+    // verdict either. A watchdog cancel turns a missed verdict into a
+    // failure instead of a hung test.
     let token = pcg_core::cancel::CancelToken::new();
     let cancel_guard = pcg_core::cancel::install_token(Some(token.clone()));
     let watchdog = token.clone();
@@ -105,14 +108,57 @@ fn containment_battery() {
     }
     drop(cancel_guard);
 
-    // --- detector toggle: off means no verdict, candidates hang --------
-    // (Exercised indirectly: with detection off a deadlock world would
-    // block forever, so instead verify the toggle round-trips and leave
-    // the hang measurement to the containment gate in
-    // `pcg-harness/tests/perf_gates.rs`, which bounds it with a harness
-    // timeout.)
+    // --- detector off: a quiescent world waits for its cancel ---------
+    // With detection off, a world whose ranks are all parked gives no
+    // verdict; only the launching candidate's cancel token ends it. The
+    // cancel must wake every parked fiber and unwind the world with the
+    // cancel marker within a second. The world runs on its own thread
+    // so that a world the cancel fails to end fails the test instead of
+    // hanging it. (The containment gate in
+    // `pcg-harness/tests/perf_gates.rs` times the same path under a
+    // harness timeout.)
     sched::set_deadlock_detection(false);
+    let base = sched::stats();
+    let token = pcg_core::cancel::CancelToken::new();
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
+    let world_token = token.clone();
+    std::thread::spawn(move || {
+        let _cancel = pcg_core::cancel::install_token(Some(world_token));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            World::new(4).multiplexed().run(|comm| {
+                if comm.rank() == comm.size() - 1 {
+                    // Ranks start in rank order and each parks at its
+                    // receive, so the last one parks last.
+                    parked_tx.send(()).expect("the test thread waits");
+                }
+                let _: Vec<f64> = comm.recv(Some((comm.rank() + 1) % comm.size()), NEVER_SENT);
+            })
+        }));
+        let _ = done_tx.send(run.map(|r| r.map(|_| ())));
+    });
+    parked_rx.recv().expect("the last rank reached its receive");
+    // Give the scheduler time to find every rank parked, so the cancel
+    // lands in its idle wait rather than in the last rank's own check.
+    std::thread::sleep(Duration::from_millis(20));
+    token.cancel();
+    let run = done_rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("a cancel must unwind a quiescent world within 1 s");
     sched::set_deadlock_detection(true);
+    match run {
+        Err(payload) => assert!(
+            pcg_core::cancel::is_cancel_payload(&*payload),
+            "a cancelled world must unwind with the cancel marker, got: {}",
+            pcg_core::cancel::panic_message(&*payload)
+        ),
+        Ok(r) => panic!("a cancelled quiescent world must unwind, got {r:?}"),
+    }
+    assert_eq!(
+        sched::stats().deadlocks_detected,
+        base.deadlocks_detected,
+        "detection off must give no deadlock verdict"
+    );
 
     // --- exhaustive overflow battery -----------------------------------
     // Every overflow must be caught by the guard page (fault classified,

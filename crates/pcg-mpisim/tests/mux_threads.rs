@@ -1,7 +1,6 @@
 //! Acceptance check for the rank multiplexer: a 512-rank world must run
-//! on the calling thread plus one helper per further core — not 512 OS
-//! threads — while producing records byte-identical to the
-//! thread-per-rank path.
+//! on the calling thread alone — starting no OS thread, let alone 512 —
+//! while producing records byte-identical to the thread-per-rank path.
 //!
 //! The thread ceiling is observed via `/proc/self/status` (`Threads:`
 //! line), sampled by a monitor thread while the world runs and by every
@@ -78,18 +77,13 @@ fn mpi512_runs_on_bounded_os_threads_with_identical_records() {
     monitor.join().unwrap();
     let stats_after = sched::stats();
 
-    // The monitor itself is one of the extra threads we tolerate; the
-    // calling thread is fiber worker 0, so the simulator may add at most
-    // one helper per further core.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    // The monitor is the only extra thread allowed: the world runs its
+    // fibers on the calling thread and starts none.
     let extra = peak.load(Ordering::Relaxed).saturating_sub(baseline);
     assert!(
-        extra <= cores,
+        extra <= 1,
         "512-rank world added {extra} OS threads (monitor included); \
-         the multiplexer allows {} helpers on {cores} cores",
-        cores - 1
+         a fiber world must start none"
     );
     assert_eq!(
         stats_after.ranks_multiplexed - stats_before.ranks_multiplexed,
