@@ -10,13 +10,15 @@
 //!
 //! ## Transport is zero-copy
 //!
-//! Payloads are `Arc`-shared ([`crate::Packet`]): the tree and ring
-//! collectives forward the *same* buffer from hop to hop (a refcount
-//! bump, counted in `bytes_zero_copied`), and receivers get
-//! copy-on-write ownership — data is duplicated only when a rank
+//! Payloads are `Arc`-shared ([`crate::Packet`]): the tree, ring and
+//! recursive-doubling collectives forward the *same* buffer from hop to
+//! hop (a refcount bump, counted in `bytes_zero_copied`), and receivers
+//! get copy-on-write ownership — data is duplicated only when a rank
 //! actually takes a mutable copy while another hop still holds the
 //! buffer. Virtual time is charged by logical payload size, so the
-//! sharing is invisible to the cost model.
+//! sharing is invisible to the cost model. An integer allreduce also
+//! shares each round's combined buffer across the ranks of a block (see
+//! [`Comm::allreduce`]).
 //!
 //! ## Two blocking disciplines
 //!
@@ -30,9 +32,9 @@
 //! is identical.
 
 use crate::mailbox::Envelope;
-use crate::packet::{Elem, Packet, ReduceOp};
+use crate::packet::{combine, combine_into, Elem, Packet, ReduceOp};
 use crate::sched::{self, Wait};
-use crate::world::WorldShared;
+use crate::world::{Combine, CombineKey, Lookup, WorldShared};
 use pcg_core::{usage, ExecutionModel};
 use std::cell::Cell;
 use std::time::Instant;
@@ -437,9 +439,7 @@ impl<'w> Comm<'w> {
                 let packet = self.recv_packet::<T>(Some(real(child)), base);
                 let other = T::view(&packet).expect("reduce packet type checked on receive");
                 assert_eq!(other.len(), acc.len(), "reduce length mismatch across ranks");
-                for (a, b) in acc.iter_mut().zip(other) {
-                    *a = T::apply(op, *a, *b);
-                }
+                combine_into(op, &mut acc, other, false);
             }
             mask <<= 1;
         }
@@ -457,29 +457,88 @@ impl<'w> Comm<'w> {
 
     /// Elementwise allreduce. Uses recursive doubling when the world is
     /// a power of two; otherwise falls back to reduce-to-0 + broadcast.
+    ///
+    /// In recursive-doubling round `k` each rank exchanges its
+    /// accumulator with the rank `2^k` away (an `Arc` forward, no copy)
+    /// and combines it with its own, own operand first. For element types
+    /// whose every op is exactly commutative (`i64`, `u32`; see
+    /// `Packet::commutes`), all ranks of the merged `2^(k+1)`-block then
+    /// hold the same value, so the block computes it once: the first rank
+    /// to get there combines and publishes the result in the world's
+    /// shared-combine table, and the others take it and are charged the
+    /// seconds the combine measured, so every rank's virtual clock still
+    /// pays for one combine per round. A rank takes a published result
+    /// only if it paired the same two buffers (by `Arc` identity) under
+    /// the same op; otherwise it combines for itself. `f64` combines stay
+    /// per rank, in each rank's own operand order.
     pub fn allreduce<T: Elem>(&self, local: &[T], op: ReduceOp) -> Vec<T> {
         usage::record(ExecutionModel::Mpi);
-        if self.size.is_power_of_two() && self.size > 1 {
-            let base = self.next_coll_base();
-            let mut acc = local.to_vec();
-            let mut mask = 1usize;
-            let mut round = 0u32;
-            while mask < self.size {
-                let partner = self.rank ^ mask;
-                let other = self.sendrecv::<T>(partner, base + round, &acc, partner, base + round);
-                assert_eq!(other.len(), acc.len(), "allreduce length mismatch across ranks");
-                for (a, b) in acc.iter_mut().zip(other) {
-                    *a = T::apply(op, *a, b);
-                }
-                mask <<= 1;
-                round += 1;
-            }
-            acc
-        } else {
+        if !self.size.is_power_of_two() || self.size == 1 {
             let reduced = self.reduce(0, local, op);
             let mut data = reduced.unwrap_or_default();
             self.bcast(0, &mut data);
-            data
+            return data;
+        }
+        let base = self.next_coll_base();
+        let mut acc = T::wrap(local.to_vec());
+        // With shared combines every rank ends holding the world's one
+        // result buffer and needs its own copy. Keep this rank's input
+        // buffer to receive it: allocated before the rounds, and free
+        // once the rank's first-round partner is done with it.
+        let shares = acc.commutes();
+        let input = shares.then(|| acc.clone());
+        let mut mask = 1usize;
+        let mut round = 0u32;
+        while mask < self.size {
+            let partner = self.rank ^ mask;
+            let tag = base + round;
+            self.forward(partner, tag, &acc);
+            let other = self.recv_packet::<T>(Some(partner), tag);
+            assert_eq!(other.byte_len(), acc.byte_len(), "allreduce length mismatch across ranks");
+            acc = if shares {
+                self.block_combine::<T>((tag, self.rank / (2 * mask)), 2 * mask, op, acc, other)
+            } else {
+                combined::<T>(op, &acc, &other)
+            };
+            mask <<= 1;
+            round += 1;
+        }
+        match input {
+            Some(input) if input.is_unique() && !acc.is_unique() => {
+                let mut out = T::unwrap(input).expect("allreduce input is a T packet");
+                out.copy_from_slice(T::view(&acc).expect("allreduce packet type checked"));
+                out
+            }
+            _ => T::unwrap(acc).expect("allreduce packet type checked on receive"),
+        }
+    }
+
+    /// One recursive-doubling round's combine of `own` with `other`,
+    /// computed once per merged block of `ranks` ranks (see
+    /// [`Comm::allreduce`]).
+    fn block_combine<T: Elem>(
+        &self,
+        key: CombineKey,
+        ranks: usize,
+        op: ReduceOp,
+        own: Packet,
+        other: Packet,
+    ) -> Packet {
+        match self.shared.take_combine(key, op, &own, &other) {
+            Lookup::Hit(output, seconds) => {
+                self.advance(seconds * self.shared.cost.compute_scale);
+                output
+            }
+            Lookup::Mismatch => combined::<T>(op, &own, &other),
+            Lookup::Absent => {
+                let t0 = Instant::now();
+                let output = combined::<T>(op, &own, &other);
+                let seconds = t0.elapsed().as_secs_f64();
+                let inputs = [own, other];
+                let combine = Combine { op, inputs, output: output.clone(), seconds };
+                self.shared.publish_combine(key, ranks, combine);
+                output
+            }
         }
     }
 
@@ -503,9 +562,7 @@ impl<'w> Comm<'w> {
             if self.rank >= d {
                 let other = self.recv::<T>(Some(self.rank - d), base + round);
                 assert_eq!(other.len(), acc.len(), "scan length mismatch across ranks");
-                for (a, b) in acc.iter_mut().zip(other) {
-                    *a = T::apply(op, b, *a);
-                }
+                combine_into(op, &mut acc, &other, true);
             }
             d <<= 1;
             round += 1;
@@ -647,6 +704,12 @@ impl<'w> Comm<'w> {
         }
         out
     }
+}
+
+/// `op(own, other)` elementwise, own operand first, into a new buffer.
+fn combined<T: Elem>(op: ReduceOp, own: &Packet, other: &Packet) -> Packet {
+    let view = |p| T::view(p).expect("combined packets are type checked on receive");
+    T::wrap(combine(op, view(own), view(other)))
 }
 
 /// The contiguous block of `0..n` owned by `rank` out of `size` in the

@@ -6,12 +6,18 @@
 //! semantics stay exact.
 //!
 //! Payloads are `Arc`-shared: cloning a [`Packet`] (a collective
-//! forwarding a buffer to its next hop) is a reference-count bump, not a
-//! data copy. A receiver that wants an owned `Vec` gets copy-on-write
-//! semantics from [`Elem::unwrap`] — the data is only duplicated if
-//! another rank still holds a reference. The cost model is unaffected:
-//! it charges by [`Packet::byte_len`], which is a property of the
-//! logical payload, not of how many copies exist in host memory.
+//! forwarding a buffer to its next hop, or an allreduce handing a
+//! block's combined result to every rank of the block) is a
+//! reference-count bump, not a data copy. A receiver that wants an owned
+//! `Vec` gets copy-on-write semantics from [`Elem::unwrap`] — the data is
+//! only duplicated if another rank still holds a reference. The cost
+//! model is unaffected: it charges by [`Packet::byte_len`], which is a
+//! property of the logical payload, not of how many copies exist in host
+//! memory.
+//!
+//! [`combine_into`] (in place) and [`combine`] (into a new buffer) are
+//! the elementwise kernel of the reduction collectives (`reduce`,
+//! `allreduce`, `scan`).
 
 use std::sync::Arc;
 
@@ -48,6 +54,38 @@ impl Packet {
             Packet::Bytes(_) => "bytes",
         }
     }
+
+    /// Whether both packets share one buffer (`Arc` identity, not equal
+    /// contents).
+    pub(crate) fn same_buffer(&self, other: &Packet) -> bool {
+        match (self, other) {
+            (Packet::F64s(a), Packet::F64s(b)) => Arc::ptr_eq(a, b),
+            (Packet::I64s(a), Packet::I64s(b)) => Arc::ptr_eq(a, b),
+            (Packet::U32s(a), Packet::U32s(b)) => Arc::ptr_eq(a, b),
+            (Packet::Bytes(a), Packet::Bytes(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// Whether this is the buffer's only reference, so that
+    /// [`Elem::unwrap`] takes it without a copy.
+    pub(crate) fn is_unique(&self) -> bool {
+        match self {
+            Packet::F64s(v) => Arc::strong_count(v) == 1,
+            Packet::I64s(v) => Arc::strong_count(v) == 1,
+            Packet::U32s(v) => Arc::strong_count(v) == 1,
+            Packet::Bytes(v) => Arc::strong_count(v) == 1,
+        }
+    }
+
+    /// Whether every [`ReduceOp`] is exactly commutative on this
+    /// payload's element type: `op(a, b)` and `op(b, a)` are the same
+    /// bits. True for the integers (wrapping `Sum`/`Prod`, `Min`, `Max`).
+    /// False for `f64`, whose `min`/`max` leave the sign of a zero result
+    /// unspecified, so a rank must combine in its own operand order.
+    pub(crate) fn commutes(&self) -> bool {
+        matches!(self, Packet::I64s(_) | Packet::U32s(_))
+    }
 }
 
 /// Unwrap an `Arc` payload without copying when this is the last
@@ -68,6 +106,52 @@ pub enum ReduceOp {
     Min,
     /// Elementwise maximum.
     Max,
+}
+
+/// Bind `$f` to `$op`'s combine for `$T` as a closure with a constant
+/// operator, then evaluate `$body`: the match on the operator happens
+/// once per buffer, and each arm is a plain loop the compiler vectorises.
+macro_rules! with_op {
+    ($T:ty, $op:expr, |$f:ident| $body:expr) => {
+        match $op {
+            ReduceOp::Sum => {
+                let $f = |a: $T, b: $T| <$T>::apply(ReduceOp::Sum, a, b);
+                $body
+            }
+            ReduceOp::Prod => {
+                let $f = |a: $T, b: $T| <$T>::apply(ReduceOp::Prod, a, b);
+                $body
+            }
+            ReduceOp::Min => {
+                let $f = |a: $T, b: $T| <$T>::apply(ReduceOp::Min, a, b);
+                $body
+            }
+            ReduceOp::Max => {
+                let $f = |a: $T, b: $T| <$T>::apply(ReduceOp::Max, a, b);
+                $body
+            }
+        }
+    };
+}
+
+/// The in-place combine kernel of the reduction collectives:
+/// `acc[i] = op(acc[i], rhs[i])`, or `op(rhs[i], acc[i])` when
+/// `rhs_first`. Every element is combined in the given operand order, so
+/// results are bit-identical to a per-element [`Elem::apply`] loop.
+pub(crate) fn combine_into<T: Elem>(op: ReduceOp, acc: &mut [T], rhs: &[T], rhs_first: bool) {
+    with_op!(T, op, |f| {
+        if rhs_first {
+            acc.iter_mut().zip(rhs).for_each(|(a, &b)| *a = f(b, *a));
+        } else {
+            acc.iter_mut().zip(rhs).for_each(|(a, &b)| *a = f(*a, b));
+        }
+    })
+}
+
+/// [`combine_into`] into a new buffer: `op(lhs[i], rhs[i])`, one pass
+/// over both inputs.
+pub(crate) fn combine<T: Elem>(op: ReduceOp, lhs: &[T], rhs: &[T]) -> Vec<T> {
+    with_op!(T, op, |f| lhs.iter().zip(rhs).map(|(&a, &b)| f(a, b)).collect())
 }
 
 /// An element type that can travel in a [`Packet`] and be reduced.
@@ -106,6 +190,7 @@ impl Elem for f64 {
         }
     }
     const BYTES: usize = 8;
+    #[inline]
     fn apply(op: ReduceOp, a: f64, b: f64) -> f64 {
         match op {
             ReduceOp::Sum => a + b,
@@ -141,6 +226,7 @@ impl Elem for i64 {
         }
     }
     const BYTES: usize = 8;
+    #[inline]
     fn apply(op: ReduceOp, a: i64, b: i64) -> i64 {
         match op {
             ReduceOp::Sum => a.wrapping_add(b),
@@ -176,6 +262,7 @@ impl Elem for u32 {
         }
     }
     const BYTES: usize = 4;
+    #[inline]
     fn apply(op: ReduceOp, a: u32, b: u32) -> u32 {
         match op {
             ReduceOp::Sum => a.wrapping_add(b),
@@ -248,6 +335,48 @@ mod tests {
                 assert_eq!(i64::apply(op, i64::identity(op), x), x, "{op:?} {x}");
             }
         }
+    }
+
+    #[test]
+    fn combine_kernel_keeps_the_operand_order_it_is_given() {
+        // `min`/`max` of opposite zeros depend on operand order; long
+        // enough inputs that the vector loops run too.
+        let ops = [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Min, ReduceOp::Max];
+        let a: Vec<f64> =
+            [0.0, -0.0, 1.0, f64::NAN, -3.5].iter().copied().cycle().take(75).collect();
+        let b: Vec<f64> =
+            [-0.0, 0.0, -1.0, 2.0, f64::INFINITY].iter().copied().cycle().take(75).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for op in ops {
+            let scalar = |x: &[f64], y: &[f64]| -> Vec<u64> {
+                let f = |p: f64, q: f64| f64::apply(op, std::hint::black_box(p), q);
+                x.iter().zip(y).map(|(&p, &q)| f(p, q).to_bits()).collect()
+            };
+            let mut acc = a.clone();
+            combine_into(op, &mut acc, &b, false);
+            assert_eq!(bits(&acc), scalar(&a, &b), "{op:?} in place");
+            let mut acc = a.clone();
+            combine_into(op, &mut acc, &b, true);
+            assert_eq!(bits(&acc), scalar(&b, &a), "{op:?} in place, rhs first");
+            assert_eq!(bits(&combine(op, &a, &b)), scalar(&a, &b), "{op:?} into a new buffer");
+        }
+        let x: Vec<i64> = (0..75).map(|i| i * 7 - 200).collect();
+        let y: Vec<i64> = (0..75).map(|i| i64::MAX - i * 3).collect();
+        for op in ops {
+            let want: Vec<i64> = x.iter().zip(&y).map(|(&p, &q)| i64::apply(op, p, q)).collect();
+            assert_eq!(combine(op, &x, &y), want, "{op:?}");
+        }
+    }
+
+    #[test]
+    fn packet_identity_and_sharing() {
+        let p = i64::wrap(vec![1, 2]);
+        assert!(p.is_unique());
+        let q = p.clone();
+        assert!(p.same_buffer(&q) && !p.is_unique());
+        assert!(!p.same_buffer(&i64::wrap(vec![1, 2])), "equal contents are not the same buffer");
+        assert!(p.commutes() && u32::wrap(vec![]).commutes());
+        assert!(!f64::wrap(vec![]).commutes());
     }
 
     #[test]

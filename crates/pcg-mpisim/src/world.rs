@@ -3,11 +3,13 @@
 use crate::comm::Comm;
 use crate::cost::CostModel;
 use crate::mailbox::Mailbox;
+use crate::packet::{Packet, ReduceOp};
 use crate::sched::{self, Sched};
 use crate::sync::Semaphore;
 use parking_lot::Mutex;
 use pcg_core::cancel::CancelToken;
 use pcg_core::PcgError;
+use std::collections::hash_map::{Entry, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
@@ -45,6 +47,40 @@ fn release_freed_heap() {
 #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
 fn release_freed_heap() {}
 
+/// One merged block's combine in a recursive-doubling allreduce,
+/// published by the first rank of the block to compute it (see
+/// [`crate::Comm::allreduce`]).
+pub(crate) struct Combine {
+    pub(crate) op: ReduceOp,
+    /// The two buffers combined, held so that their `Arc` identity stays
+    /// unique while the entry lives.
+    pub(crate) inputs: [Packet; 2],
+    pub(crate) output: Packet,
+    /// Measured (unscaled) seconds the combine took.
+    pub(crate) seconds: f64,
+}
+
+/// A published combine plus how many ranks of its block have yet to look
+/// it up.
+struct Slot {
+    combine: Combine,
+    remaining: usize,
+}
+
+/// What a rank's lookup in the shared-combine table found.
+pub(crate) enum Lookup {
+    /// The block's result and the seconds it took to compute.
+    Hit(Packet, f64),
+    /// An entry for other inputs or another op: combine privately.
+    Mismatch,
+    /// No entry yet: combine, then [`WorldShared::publish_combine`].
+    Absent,
+}
+
+/// The shared-combine table's key: a collective round's tag and the
+/// index of the merged block.
+pub(crate) type CombineKey = (u32, usize);
+
 /// Shared state of one simulated world (internal).
 pub(crate) struct WorldShared {
     pub(crate) mailboxes: Vec<Mailbox>,
@@ -62,6 +98,10 @@ pub(crate) struct WorldShared {
     pub(crate) deadlock: OnceLock<String>,
     /// Set when a fiber overran its stack into the guard page.
     pub(crate) overflow: OnceLock<String>,
+    /// Allreduce combines published for the rest of their block. Every
+    /// rank of a block looks an entry up (or publishes it) exactly once,
+    /// and the last lookup removes it; an abort drops what is left.
+    combines: Mutex<HashMap<CombineKey, Slot>>,
 }
 
 impl WorldShared {
@@ -80,10 +120,73 @@ impl WorldShared {
         for mb in &self.mailboxes {
             mb.abort();
         }
+        // Ranks that never reach their block's lookup leave its entry
+        // behind; `publish_combine` inserts nothing once this has run.
+        self.combines.lock().clear();
         // Parked fibers must observe the abort and unwind.
         if let Some(s) = &self.sched {
             s.wake_all();
         }
+    }
+
+    /// Look up `key`'s published combine for a rank that paired `own`
+    /// with `other` under `op`. Any entry counts the rank's one visit
+    /// (the block's last visit removes it), but its result is returned
+    /// only if it combined exactly these two buffers under `op`.
+    pub(crate) fn take_combine(
+        &self,
+        key: CombineKey,
+        op: ReduceOp,
+        own: &Packet,
+        other: &Packet,
+    ) -> Lookup {
+        let mut table = self.combines.lock();
+        let Entry::Occupied(mut entry) = table.entry(key) else {
+            return Lookup::Absent;
+        };
+        let slot = entry.get_mut();
+        let c = &slot.combine;
+        let [a, b] = &c.inputs;
+        let same_inputs = (a.same_buffer(own) && b.same_buffer(other))
+            || (a.same_buffer(other) && b.same_buffer(own));
+        let found = if c.op == op && same_inputs {
+            Lookup::Hit(c.output.clone(), c.seconds)
+        } else {
+            Lookup::Mismatch
+        };
+        slot.remaining -= 1;
+        if slot.remaining == 0 {
+            entry.remove();
+        }
+        found
+    }
+
+    /// Publish a combine for the other `ranks - 1` ranks of its block, or
+    /// count this rank's visit if a racing rank of the block (on the
+    /// thread-per-rank path) published first. Entries are inserted whole,
+    /// so no lookup sees a half-filled one.
+    pub(crate) fn publish_combine(&self, key: CombineKey, ranks: usize, combine: Combine) {
+        let mut table = self.combines.lock();
+        if self.tokens.is_aborted() {
+            return;
+        }
+        match table.entry(key) {
+            Entry::Vacant(v) => {
+                v.insert(Slot { combine, remaining: ranks - 1 });
+            }
+            Entry::Occupied(mut o) => {
+                o.get_mut().remaining -= 1;
+                if o.get().remaining == 0 {
+                    o.remove();
+                }
+            }
+        }
+    }
+
+    /// Entries in the shared-combine table.
+    #[cfg(test)]
+    pub(crate) fn combines_len(&self) -> usize {
+        self.combines.lock().len()
     }
 }
 
@@ -177,9 +280,14 @@ impl World {
         F: Fn(&Comm<'_>) -> R + Sync,
     {
         let wall_start = std::time::Instant::now();
+        self.run_on(&self.shared(), wall_start, f)
+    }
+
+    /// This world's shared state, built on the launching thread.
+    fn shared(&self) -> WorldShared {
         let tokens = self.max_tokens.min(self.size);
         let mux = sched::should_multiplex() || (self.force_mux && sched::supported());
-        let shared = WorldShared {
+        WorldShared {
             mailboxes: (0..self.size).map(|_| Mailbox::new()).collect(),
             cost: self.cost.clone(),
             tokens: Semaphore::new(tokens),
@@ -187,7 +295,21 @@ impl World {
             cancel: pcg_core::cancel::current_token(),
             deadlock: OnceLock::new(),
             overflow: OnceLock::new(),
-        };
+            combines: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// [`World::run`] on a given shared state.
+    fn run_on<R, F>(
+        &self,
+        shared: &WorldShared,
+        wall_start: std::time::Instant,
+        f: F,
+    ) -> Result<SimOutcome<R>, PcgError>
+    where
+        R: Send,
+        F: Fn(&Comm<'_>) -> R + Sync,
+    {
         if shared.is_multiplexed() {
             sched::note_ranks_multiplexed(self.size as u64);
         }
@@ -200,7 +322,6 @@ impl World {
         // paths. Runs on a thread that already has the candidate's usage
         // sink and cancel token installed.
         let rank_body = |rank: usize| {
-            let shared = &shared;
             let comm = Comm::new(rank, shared.mailboxes.len(), shared);
             comm.acquire_token();
             if shared.tokens.is_aborted() {
@@ -240,7 +361,7 @@ impl World {
         };
 
         if shared.is_multiplexed() {
-            sched::run_multiplexed(&shared, &rank_body);
+            sched::run_multiplexed(shared, &rank_body);
         } else {
             // Rank threads attribute their API usage to the
             // candidate that launched the world, not to whoever else
@@ -663,6 +784,89 @@ mod tests {
             .unwrap();
         assert!(out.per_rank[1] >= 0.25);
         assert_eq!(out.elapsed, out.clocks.iter().copied().fold(0.0, f64::max));
+    }
+
+    /// Run `f` on `world`, returning the outcome (or the unwind payload)
+    /// and how many shared-combine entries the world's table holds after.
+    fn run_counting_combines<R: Send>(
+        world: &World,
+        f: impl Fn(&Comm<'_>) -> R + Sync,
+    ) -> (std::thread::Result<Result<SimOutcome<R>, PcgError>>, usize) {
+        let shared = world.shared();
+        let start = std::time::Instant::now();
+        let out = catch_unwind(AssertUnwindSafe(|| world.run_on(&shared, start, f)));
+        (out, shared.combines_len())
+    }
+
+    #[test]
+    fn finished_worlds_leave_no_shared_combine() {
+        for size in [2, 8, 64] {
+            let (out, left) = run_counting_combines(&det_world(size), |comm| {
+                let rank = comm.rank();
+                let op = if rank % 3 == 0 { ReduceOp::Max } else { ReduceOp::Min };
+                let sums = comm.allreduce(&[rank as i64, 1], ReduceOp::Sum);
+                let mixed = comm.allreduce(&[rank as u32; 3], op);
+                (sums, mixed)
+            });
+            out.unwrap().unwrap();
+            assert_eq!(left, 0, "size {size}");
+        }
+    }
+
+    /// Rank 1 all-reduces while rank 0 answers its one exchange by hand,
+    /// so rank 1 publishes a combine that no rank will look up. Then both
+    /// run `then`.
+    fn one_sided_allreduce(comm: &Comm<'_>, then: impl Fn(&Comm<'_>)) {
+        use crate::comm::RESERVED_TAG_BASE;
+        if comm.rank() == 0 {
+            comm.send(1, RESERVED_TAG_BASE, &[7i64]);
+            let _ = comm.recv::<i64>(Some(1), RESERVED_TAG_BASE);
+        } else {
+            let _ = comm.allreduce(&[1i64], ReduceOp::Sum);
+        }
+        then(comm);
+    }
+
+    #[test]
+    fn aborted_worlds_drop_their_shared_combines() {
+        // Finished: the orphaned entry stays until the world is dropped.
+        let (out, left) = run_counting_combines(&det_world(2), |comm| {
+            one_sided_allreduce(comm, |_| {});
+        });
+        out.unwrap().unwrap();
+        assert_eq!(left, 1, "the one-sided exchange must leave an entry behind");
+
+        // Deadlock verdict: both ranks then wait on a message nobody sends.
+        let (out, left) = run_counting_combines(&det_world(2), |comm| {
+            one_sided_allreduce(comm, |comm| {
+                let _ = comm.recv::<i64>(Some(1 - comm.rank()), 99);
+            });
+        });
+        assert!(matches!(out.unwrap(), Err(PcgError::Deadlock(_))));
+        assert_eq!(left, 0, "a deadlock verdict must drop the table's entries");
+
+        // Cancelled: rank 1 then computes until the token is cancelled.
+        let token = pcg_core::cancel::CancelToken::new();
+        let _g = pcg_core::cancel::install_token(Some(token.clone()));
+        let t = token.clone();
+        let timer = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            t.cancel();
+        });
+        let (out, left) = run_counting_combines(&det_world(2), |comm| {
+            one_sided_allreduce(comm, |comm| {
+                if comm.rank() == 0 {
+                    let _ = comm.recv::<i64>(Some(1), 99);
+                }
+                loop {
+                    pcg_core::cancel::check_current();
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            });
+        });
+        timer.join().unwrap();
+        assert!(pcg_core::cancel::is_cancel_payload(out.unwrap_err().as_ref()));
+        assert_eq!(left, 0, "a cancelled world must drop the table's entries");
     }
 
     #[test]

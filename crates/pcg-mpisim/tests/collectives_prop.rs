@@ -1,7 +1,17 @@
 //! Property tests: every collective agrees with a local oracle for
 //! arbitrary rank counts, payload lengths, and contents — including the
 //! algorithm-switch boundaries (power-of-two vs not).
+//!
+//! Allreduce is checked bit for bit against a per-rank reference
+//! (`common`), since the simulator computes each recursive-doubling
+//! combine once per block and hands it to the block's other ranks. These
+//! run on the fiber path; `collectives_threads.rs` repeats the
+//! equivalence checks on the thread-per-rank path.
 
+mod common;
+
+use common::{check_allreduce, equivalence_battery};
+use pcg_core::PcgError;
 use pcg_mpisim::{block_range, CostModel, ReduceOp, World};
 use proptest::prelude::*;
 
@@ -155,4 +165,118 @@ proptest! {
         // With compute_scale = 0 the virtual clock is exactly repeatable.
         prop_assert_eq!(run(), run());
     }
+
+    #[test]
+    fn allreduce_is_bit_identical_to_the_per_rank_reference(
+        len in 0usize..24,
+        seed in 0u64..u64::MAX,
+    ) {
+        equivalence_battery(len, seed);
+    }
+}
+
+#[test]
+fn mixed_ops_get_their_own_results_in_a_fixed_case() {
+    // Rank 1 breaks its pair's op. In round 0, ranks 0 and 1 combine the
+    // same two buffers under different ops: reusing an entry regardless
+    // of op would hand one of them the other's result. In round 1, ranks
+    // 0 and 2 share a Sum combine while rank 3 pairs Sum with rank 1's
+    // Max buffer: reusing the entry by op alone would hand rank 3 the
+    // wrong sum.
+    use ReduceOp::{Max, Sum};
+    for size in [4, 8, 16] {
+        let mut ops = vec![Sum; size];
+        ops[1] = Max;
+        check_allreduce::<i64>(size, 5, 7, &ops);
+        check_allreduce::<u32>(size, 5, 7, &ops);
+    }
+}
+
+#[test]
+fn allreduce_length_mismatch_aborts_the_world() {
+    for size in [2, 8, 64] {
+        let err = det_world(size)
+            .run(|comm| {
+                let len = if comm.rank() == size - 1 { 5 } else { 4 };
+                comm.allreduce(&vec![1i64; len], ReduceOp::Sum)
+            })
+            .unwrap_err();
+        match err {
+            PcgError::Runtime(msg) => {
+                assert!(msg.contains("allreduce length mismatch"), "size {size}: {msg}")
+            }
+            other => panic!("size {size}: unexpected {other:?}"),
+        }
+    }
+}
+
+/// Each rank's clock after one allreduce, minus its clock before it, for
+/// `f` building rank `r`'s input.
+fn allreduce_seconds<T: pcg_mpisim::Elem>(
+    size: usize,
+    cost: CostModel,
+    op: ReduceOp,
+    f: impl Fn(usize) -> Vec<T> + Sync,
+) -> Vec<f64> {
+    World::new(size)
+        .with_cost_model(cost)
+        .run(|comm| {
+            let local = f(comm.rank());
+            comm.barrier();
+            let t0 = comm.clock();
+            let out = comm.allreduce(&local, op);
+            let t1 = comm.clock();
+            drop(out);
+            t1 - t0
+        })
+        .unwrap()
+        .per_rank
+}
+
+#[test]
+fn every_rank_is_charged_compute_for_a_shared_combine() {
+    // A 64-rank world all-reducing 4096 `i64`: most ranks take their
+    // block's combine from the rank that computed it, and each must still
+    // be charged compute for it.
+    let input = |r: usize| vec![r as i64; 4096];
+    let measured = World::new(64)
+        .run(|comm| {
+            let _ = comm.allreduce(&input(comm.rank()), ReduceOp::Sum);
+            comm.clock()
+        })
+        .unwrap()
+        .per_rank;
+    let modeled = det_world(64)
+        .run(|comm| {
+            let _ = comm.allreduce(&input(comm.rank()), ReduceOp::Sum);
+            comm.clock()
+        })
+        .unwrap()
+        .per_rank;
+    for (rank, (m, d)) in measured.iter().zip(&modeled).enumerate() {
+        assert!(m > d, "rank {rank}: measured clock {m} is not above the modeled-only {d}");
+    }
+
+    // Waiting on a partner hands every rank the combines of earlier
+    // rounds anyway, so isolate one round: in a 2-rank world one rank
+    // combines and the other takes the result. The taker must be charged
+    // about what the combiner paid (the combiner also pays for its copy
+    // of the result), not just its own input copy. `Prod` on `i64` makes
+    // the combine the largest cost of the round.
+    let input = |r: usize| (0..4096).map(|i| (r * 4096 + i) as i64 | 1).collect::<Vec<i64>>();
+    let modeled = allreduce_seconds(2, CostModel::deterministic(), ReduceOp::Prod, input);
+    let mut ratios: Vec<f64> = (0..9)
+        .map(|_| {
+            let measured = allreduce_seconds(2, CostModel::cluster(), ReduceOp::Prod, input);
+            let excess: Vec<f64> = measured.iter().zip(&modeled).map(|(m, d)| m - d).collect();
+            excess[0].min(excess[1]) / excess[0].max(excess[1])
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[ratios.len() / 2];
+    assert!(
+        median > 0.5,
+        "the rank taking a shared combine was charged {median:.2} of what the combining rank paid \
+         (ratios {ratios:?})"
+    );
 }
