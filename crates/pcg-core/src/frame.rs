@@ -37,8 +37,8 @@
 //! byte contract.
 
 /// File magic for a v3 journal. A file that does not start with these
-/// 8 bytes is not a v3 journal (the harness falls back to the v2 JSONL
-/// reader for migration).
+/// 8 bytes is not a v3 journal, and the harness replays nothing from
+/// it.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"PCGJRNL3";
 
 /// Fixed bytes before each frame's payload: `len (4) + cell (8) + crc (4)`.

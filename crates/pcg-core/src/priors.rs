@@ -12,13 +12,12 @@
 //!
 //! Two sources, in preference order:
 //!
-//! 1. **Measured**: the per-cell wall-seconds column of a prior run's
-//!    columnar stats sidecar (the harness's `.cols` file), keyed by
-//!    `(model name, task dense index)`.
+//! 1. **Measured**: a prior run's per-cell wall seconds, as its stats
+//!    sidecar records them, keyed by `(model name, task dense index)`.
 //! 2. **Default profile**: a committed analytic table keyed by
 //!    execution model × rank/thread count × problem kind, used when no
-//!    sidecar exists (and as the per-cell fallback for cells the
-//!    sidecar has no positive measurement for).
+//!    measured walls are available (and as the per-cell fallback for
+//!    cells the prior run has no positive measurement for).
 //!
 //! Every table is **hash-stamped** ([`CostPriors::hash`], FNV-1a over
 //! the canonical entry encoding): shard workers record the stamp in
@@ -44,7 +43,7 @@ pub struct CostPriors {
     /// index)`. Empty for the default profile.
     entries: BTreeMap<(String, u32), f64>,
     /// Where the table came from, for logs ("default-profile" or a
-    /// sidecar path).
+    /// records cache path).
     label: String,
     /// FNV-1a stamp over the canonical entry encoding.
     hash: u64,
@@ -53,7 +52,7 @@ pub struct CostPriors {
 impl CostPriors {
     /// Build a table from measured `(model, task index, seconds)`
     /// entries. Non-finite or non-positive costs are dropped: a zero
-    /// wall column means "never measured" (e.g. a cell replayed from a
+    /// wall means "never measured" (e.g. a cell replayed from a
     /// journal), and those cells fall back to the default profile.
     pub fn from_entries(
         label: &str,

@@ -3,33 +3,22 @@
 //! The paper marks a generated sample incorrect if it does not use its
 //! required parallel programming model, detected there by string matching
 //! on the source. This reproduction uses a stronger dynamic check: every
-//! substrate increments a global counter on each API entry (e.g. each
-//! `parallel_for`, each `MPI_Send`, each kernel launch). The harness
-//! snapshots the counters around a candidate run; a parallel task whose
-//! counters did not move is a sequential fallback.
+//! substrate counts each API entry (e.g. each `parallel_for`, each
+//! `MPI_Send`, each kernel launch) into the calling candidate's counters;
+//! a parallel task whose counters did not move is a sequential fallback.
 //!
 //! Attribution is per candidate even when the harness runs candidates
 //! concurrently: [`UsageScope::begin`] installs a thread-local [`Sink`]
-//! that [`record`] feeds in addition to the process-global counters, and
-//! substrates that spawn their own threads (MPI rank threads and fiber
-//! helpers) re-install the creator's sink on those threads via
-//! [`current_sink`]/[`install_sink`]. The global counters remain for
-//! whole-process views ([`Snapshot`]).
+//! that [`record`] feeds, and a substrate that runs candidate code on
+//! threads of its own (an MPI world that runs each rank on a thread)
+//! re-installs the creator's sink on them via
+//! [`current_sink`]/[`install_sink`]. A call made with no sink installed
+//! is counted nowhere.
 
 use crate::ExecutionModel;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-static COUNTERS: [AtomicU64; 7] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
 
 /// A per-candidate usage counter block, shared between the candidate's
 /// thread and any substrate worker threads it spawns.
@@ -69,11 +58,9 @@ impl Drop for SinkGuard {
 }
 
 fn add(model: ExecutionModel, n: u64) {
-    let i = model.index();
-    COUNTERS[i].fetch_add(n, Ordering::Relaxed);
     CURRENT.with(|c| {
         if let Some(sink) = c.borrow().as_ref() {
-            sink.counts[i].fetch_add(n, Ordering::Relaxed);
+            sink.counts[model.index()].fetch_add(n, Ordering::Relaxed);
         }
     });
 }
@@ -88,32 +75,6 @@ pub fn record(model: ExecutionModel) {
 #[inline]
 pub fn record_n(model: ExecutionModel, n: u64) {
     add(model, n);
-}
-
-/// A point-in-time view of all usage counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Snapshot {
-    counts: [u64; 7],
-}
-
-impl Snapshot {
-    /// Capture the current counter values.
-    pub fn capture() -> Snapshot {
-        let mut counts = [0u64; 7];
-        for (i, c) in COUNTERS.iter().enumerate() {
-            counts[i] = c.load(Ordering::Relaxed);
-        }
-        Snapshot { counts }
-    }
-
-    /// Counter increments since `earlier`, per execution model.
-    pub fn delta_since(&self, earlier: &Snapshot) -> UsageDelta {
-        let mut d = [0u64; 7];
-        for (slot, (now, before)) in d.iter_mut().zip(self.counts.iter().zip(&earlier.counts)) {
-            *slot = now.wrapping_sub(*before);
-        }
-        UsageDelta { counts: d }
-    }
 }
 
 /// Counter increments observed across a candidate run.
@@ -135,9 +96,7 @@ impl UsageDelta {
     pub fn used_required_api(&self, model: ExecutionModel) -> bool {
         match model {
             ExecutionModel::Serial => true,
-            ExecutionModel::MpiOpenMp => {
-                self.calls(ExecutionModel::Mpi) > 0 || self.calls(ExecutionModel::MpiOpenMp) > 0
-            }
+            ExecutionModel::MpiOpenMp => self.calls(ExecutionModel::Mpi) > 0,
             m => self.calls(m) > 0,
         }
     }
@@ -242,6 +201,12 @@ mod tests {
         record(ExecutionModel::OpenMp);
         let d = scope.finish();
         // Only the threaded layer moved: the hybrid requirement is unmet.
+        assert!(!d.used_required_api(ExecutionModel::MpiOpenMp));
+
+        let scope = UsageScope::begin();
+        record_n(ExecutionModel::MpiOpenMp, 3);
+        let d = scope.finish();
+        // Only the hybrid's inner level moved: still unmet.
         assert!(!d.used_required_api(ExecutionModel::MpiOpenMp));
 
         let scope = UsageScope::begin();

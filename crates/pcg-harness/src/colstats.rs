@@ -1,22 +1,21 @@
-//! Columnar stats sidecar: the projection-relevant columns of an
+//! Columnar stats file: the projection-relevant columns of an
 //! evaluation record, plus each cell's measured wall, in one flat
-//! binary file.
+//! binary file (`<cache>.cols`).
 //!
-//! The pipeline and the shard merge commit a `<cache>.cols` sidecar
-//! next to the records cache: the *deterministic projection* columns
-//! (model names, task identities, build/correct flags, which sweep
-//! resource counts were collected), struct-of-arrays, behind a CRC-32,
-//! plus the wall column `--priors` reads.
+//! The pipeline no longer writes this file: a finished run commits
+//! only its records cache and stats sidecar, and `--priors` reads the
+//! measured walls from the stats sidecar
+//! ([`crate::pipeline::load_priors`]). What is left here serves the
+//! end-to-end benchmark's own commit and projection check, and goes
+//! with the next change to that benchmark.
 //!
 //! [`ColumnarStats::projection`] reproduces
 //! [`crate::record::projection`] **byte-for-byte** (asserted against
-//! it in tests). The records cache ([`crate::journal::commit_record`])
-//! stays the single source of truth: everything in the sidecar but the
-//! walls can be recomputed from it.
+//! it in tests).
 //!
 //! ## On-disk layout
 //!
-//! Magic `PCGCOLS1`, then a little-endian body ([`pcg_core::frame`]'s
+//! Magic `PCGCOLS2`, then a little-endian body ([`pcg_core::frame`]'s
 //! byte codec), then a trailing CRC-32 (IEEE) over the body:
 //!
 //! ```text
@@ -36,31 +35,21 @@
 //! u32 crc               — CRC-32 over every body byte above
 //! ```
 //!
-//! The `wall` column (new in `PCGCOLS2`) is the one measured-float
-//! exception to the projection-only rule: it feeds the next run's
-//! [`pcg_core::priors::CostPriors`] scheduling table and is **never**
-//! part of the projection. A wall of `0.0` means "not measured" (the
-//! cell was replayed from a journal rather than executed); priors
-//! built from the column fall back to the default profile for such
-//! rows.
-//!
-//! Decoding verifies the CRC and every structural invariant (offset
-//! monotonicity, bounds, row counts, task-index range); a sidecar that
-//! fails any check is rejected, and `--priors` falls back to the
-//! default cost profile.
+//! The `wall` column is never part of the projection; `0.0` means
+//! "not measured". Decoding verifies the CRC and every structural
+//! invariant (offset monotonicity, bounds, row counts, task-index
+//! range); a file that fails any check is rejected.
 
 use crate::record::EvalRecord;
 use pcg_core::frame::{crc32, ByteReader, ByteWriter};
-use pcg_core::{CellId, CostPriors, TaskId};
+use pcg_core::{CellId, TaskId};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-/// File magic for a columnar stats sidecar. Bumped to `2` when the
-/// per-row wall-seconds column was appended; `PCGCOLS1` sidecars fail
-/// decode, and `--priors` falls back to the default cost profile.
-pub const COLS_MAGIC: [u8; 8] = *b"PCGCOLS2";
+/// File magic for a columnar stats file.
+const COLS_MAGIC: [u8; 8] = *b"PCGCOLS2";
 
-/// Sidecar path for a records cache path (`records-quick.rec` →
+/// Columnar stats path for a records cache path (`records-quick.rec` →
 /// `records-quick.rec.cols`).
 pub fn cols_path(cache_path: &Path) -> PathBuf {
     let mut os = cache_path.as_os_str().to_os_string();
@@ -138,11 +127,6 @@ impl ColumnarStats {
         c
     }
 
-    /// Number of (model, task) rows.
-    pub fn rows(&self) -> usize {
-        self.task.len()
-    }
-
     /// Fill the wall-seconds column from measured per-cell walls keyed
     /// by [`CellId`]. Each row's id is recomputed from `config_hash`,
     /// its model name, and its task — the same derivation every other
@@ -163,39 +147,6 @@ impl ColumnarStats {
                 row += 1;
             }
         }
-    }
-
-    /// Iterate `(model name, task, wall seconds)` rows. A wall of
-    /// `0.0` means the cell was never measured in this run.
-    pub fn walls(&self) -> impl Iterator<Item = (&str, TaskId, f64)> + '_ {
-        let mut rows = Vec::with_capacity(self.task.len());
-        let mut row = 0usize;
-        for (mi, model) in self.models.iter().enumerate() {
-            for _ in 0..self.rows_per_model[mi] {
-                let task = TaskId::from_index(self.task[row] as usize)
-                    .expect("task index validated on construction");
-                rows.push((model.as_str(), task, self.wall[row]));
-                row += 1;
-            }
-        }
-        rows.into_iter()
-    }
-
-    /// Build a scheduling priors table from this sidecar's measured
-    /// walls. Unmeasured rows (wall `0.0`) are omitted, so lookups for
-    /// them fall back to the committed default profile. Returns `None`
-    /// when no row carries a positive wall — a priors table that knows
-    /// nothing is worse than the honest default profile.
-    pub fn cost_priors(&self, label: &str) -> Option<CostPriors> {
-        let entries: Vec<(String, u32, f64)> = self
-            .walls()
-            .filter(|&(_, _, w)| w > 0.0)
-            .map(|(m, t, w)| (m.to_string(), t.index() as u32, w))
-            .collect();
-        if entries.is_empty() {
-            return None;
-        }
-        Some(CostPriors::from_entries(label, entries))
     }
 
     /// Reproduce [`crate::record::projection`] byte-for-byte from the
@@ -278,11 +229,11 @@ impl ColumnarStats {
         out
     }
 
-    /// Deserialize and validate a sidecar. Any defect — wrong magic,
-    /// CRC mismatch, non-monotone offsets, out-of-range task index,
-    /// inconsistent row counts, trailing bytes — is an error; a sidecar
-    /// is never half-trusted.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ColumnarStats, String> {
+    /// Deserialize and validate a columnar stats file. Any defect —
+    /// wrong magic, CRC mismatch, non-monotone offsets, out-of-range
+    /// task index, inconsistent row counts, trailing bytes — is an
+    /// error; a file is never half-trusted.
+    fn from_bytes(bytes: &[u8]) -> Result<ColumnarStats, String> {
         let body = bytes
             .strip_prefix(&COLS_MAGIC)
             .ok_or_else(|| "not a columnar stats sidecar (bad magic)".to_string())?;
@@ -392,7 +343,7 @@ impl ColumnarStats {
         })
     }
 
-    /// Read and validate the sidecar at `path`.
+    /// Read and validate the columnar stats file at `path`.
     pub fn read(path: &Path) -> Result<ColumnarStats, String> {
         let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
         ColumnarStats::from_bytes(&bytes)
@@ -449,7 +400,6 @@ mod tests {
         let rec = sample_record();
         let cols = ColumnarStats::from_record(&rec);
         assert_eq!(cols.projection(), projection(&rec));
-        assert_eq!(cols.rows(), 2);
     }
 
     #[test]
@@ -484,41 +434,22 @@ mod tests {
     }
 
     #[test]
-    fn walls_roundtrip_and_feed_priors() {
+    fn set_walls_keys_rows_by_cell_id() {
         let rec = sample_record();
         let mut cols = ColumnarStats::from_record(&rec);
-        // Unset walls read back as "not measured" and yield no priors.
-        assert!(cols.walls().all(|(_, _, w)| w == 0.0));
-        assert!(cols.cost_priors("empty").is_none());
-
-        // Key the measured walls by CellId, exactly as eval produces.
         let chash = 0x1234_5678u64;
         let t1 = rec.models[0].tasks[0].task;
-        let t2 = rec.models[0].tasks[1].task;
         let walls = HashMap::from([
             (CellId::new(chash, "GPT-4", t1), 1.5f64),
-            (CellId::new(chash, "GPT-4", t2), 0.25f64),
             // A cell from some other config must not match any row.
-            (CellId::new(chash ^ 1, "GPT-4", t1), 99.0f64),
+            (CellId::new(chash ^ 1, "GPT-4", rec.models[0].tasks[1].task), 99.0f64),
         ]);
         cols.set_walls(chash, &walls);
-        let got: Vec<(String, f64)> =
-            cols.walls().map(|(m, _, w)| (m.to_string(), w)).collect();
-        assert_eq!(got, vec![("GPT-4".into(), 1.5), ("GPT-4".into(), 0.25)]);
-
+        assert_eq!(cols.wall, [1.5, 0.0], "unmatched rows stay unmeasured");
         // Walls survive the byte roundtrip; the projection is untouched.
         let back = ColumnarStats::from_bytes(&cols.to_bytes()).unwrap();
         assert_eq!(back, cols);
         assert_eq!(back.projection(), projection(&rec));
-
-        // And they become a priors table with per-row measured costs.
-        let priors = back.cost_priors("test-sidecar").unwrap();
-        assert_eq!(priors.len(), 2);
-        assert_eq!(priors.cost("GPT-4", t1), 1.5);
-        assert_eq!(priors.cost("GPT-4", t2), 0.25);
-        // Unmeasured cells fall back to the default profile.
-        let t3 = ProblemId::new(ProblemType::Scan, 0).task(ExecutionModel::Mpi);
-        assert_eq!(priors.cost("GPT-4", t3), CostPriors::default_cost(t3));
     }
 
     #[test]

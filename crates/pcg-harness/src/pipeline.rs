@@ -75,18 +75,14 @@ pub struct RunOptions {
     /// evaluating (`--merge-shards N`).
     pub merge_shards: Option<u32>,
     /// Cost-priors source for adaptive scheduling (`--priors SRC`): a
-    /// records cache or `.cols` sidecar whose measured cell walls
-    /// become the scheduling cost table, or the literal `default` for
-    /// the committed analytic profile. `None` dispatches cells in plan
-    /// order and shards by `id % count`. Not an [`EvalConfig`] field:
+    /// finished run's records cache, whose stats sidecar's measured
+    /// cell walls become the scheduling cost table ([`load_priors`]),
+    /// or the literal `default` for the committed analytic profile.
+    /// `None` dispatches cells in plan order and shards by `id % count`. Not an [`EvalConfig`] field:
     /// priors steer when and where cells run, never what they compute,
     /// so they stay out of the config hash and switching them keeps
     /// every cache and journal valid.
     pub priors: Option<String>,
-    /// Keep the per-shard journals and stats sidecars after a
-    /// successful merge instead of deleting them (`--keep-shards`), for
-    /// post-mortem inspection of who evaluated — and who stole — what.
-    pub keep_shards: bool,
     /// Score a dumped candidate pool from this directory instead of
     /// sampling the synthetic zoo (`--replay-pool DIR`). The pool's
     /// content hash enters the config hash as the source's salt, so
@@ -104,7 +100,6 @@ impl RunOptions {
             shard: None,
             merge_shards: None,
             priors: None,
-            keep_shards: false,
             replay_pool: None,
         }
     }
@@ -126,7 +121,7 @@ pub struct Cli {
 
 /// Every flag [`parse_args`] accepts, with the placeholder of its
 /// value (`None` for a switch), in usage-line order.
-const FLAGS: [(&str, Option<&str>); 12] = [
+const FLAGS: [(&str, Option<&str>); 11] = [
     ("full", None),
     ("timeout", Some("SECS")),
     ("deadlock-rate", Some("R")),
@@ -137,12 +132,11 @@ const FLAGS: [(&str, Option<&str>); 12] = [
     ("shard", Some("K/N")),
     ("merge-shards", Some("N")),
     ("priors", Some("SRC")),
-    ("keep-shards", None),
     ("replay-pool", Some("DIR")),
 ];
 
 /// The flags only a binary that runs an evaluation honours.
-const RUN_FLAGS: [&str; 6] = ["jobs", "resume", "shard", "merge-shards", "priors", "keep-shards"];
+const RUN_FLAGS: [&str; 5] = ["jobs", "resume", "shard", "merge-shards", "priors"];
 
 /// Parse a harness binary's arguments (program name excluded) into the
 /// run's config, options and positional arguments.
@@ -220,7 +214,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
                 opts.merge_shards = Some(n);
             }
             "priors" => opts.priors = Some(raw),
-            "keep-shards" => opts.keep_shards = true,
             "replay-pool" => opts.replay_pool = Some(raw),
             _ => {} // `--full` picked the base config above.
         }
@@ -230,20 +223,15 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
 
 /// An error if `cli` asks for something its binary will not do. A
 /// shard worker (`--shard k/N`, N > 1) evaluates its slice and exits,
-/// so it neither merges nor keeps shard files; `--keep-shards` applies
-/// only to a merge; and a binary that runs no evaluation honours no
-/// run option but `--replay-pool`.
+/// so it does not merge; and a binary that runs no evaluation honours
+/// no run option but `--replay-pool`.
 fn check_honoured(cli: &Cli, evaluates: bool) -> Result<(), String> {
     let given = |flag: &&str| cli.flags.contains(flag);
     if let Some(flag) = RUN_FLAGS.iter().find(|f| !evaluates && given(f)) {
         return Err(format!("--{flag} does not apply: this binary runs no evaluation"));
     }
-    let worker = cli.opts.shard.is_some_and(|s| !s.is_whole());
-    if let Some(flag) = ["merge-shards", "keep-shards"].iter().find(|f| worker && given(f)) {
-        return Err(format!("--{flag} does not apply to a --shard worker, which only evaluates"));
-    }
-    if given(&"keep-shards") && !given(&"merge-shards") {
-        return Err("--keep-shards applies only with --merge-shards".into());
+    if cli.opts.shard.is_some_and(|s| !s.is_whole()) && given(&"merge-shards") {
+        return Err("--merge-shards does not apply to a --shard worker, which only evaluates".into());
     }
     Ok(())
 }
@@ -409,51 +397,64 @@ pub(crate) fn cache_path_for(
 }
 
 /// Resolve the options' priors source into a loaded [`CostPriors`]
-/// table. `None` means "no priors" (legacy scheduling); any failure to
-/// load a named source degrades loudly to the committed default
-/// profile rather than silently to legacy scheduling, so cooperating
-/// shard workers that all pass the same broken path still agree on the
+/// table. `None` means "no priors" (plan-order dispatch), `default` the
+/// committed analytic profile, and any other source a finished run's
+/// records cache, whose stats sidecar holds its measured walls. A
+/// source that yields no table degrades loudly to the default profile
+/// rather than silently to plan-order dispatch, so cooperating shard
+/// workers that all pass the same broken path still agree on the
 /// partition.
 pub fn load_priors(opts: &RunOptions) -> Option<CostPriors> {
     let src = opts.priors.as_deref()?;
     if src == "default" {
         return Some(CostPriors::default_profile());
     }
-    let path = Path::new(src);
-    // Accept either the `.cols` sidecar itself or the records cache it
-    // sits next to.
-    let sidecar = if path.extension().is_some_and(|e| e == "cols") {
-        path.to_path_buf()
-    } else {
-        crate::colstats::cols_path(path)
-    };
-    match crate::colstats::ColumnarStats::read(&sidecar) {
-        Ok(cols) => match cols.cost_priors(src) {
-            Some(p) => {
-                eprintln!(
-                    "[pcgbench] priors: {} measured cell walls from {} (hash {:016x})",
-                    p.len(),
-                    sidecar.display(),
-                    p.hash(),
-                );
-                Some(p)
-            }
-            None => {
-                eprintln!(
-                    "[pcgbench] warning: {} carries no measured walls; using the default cost profile",
-                    sidecar.display(),
-                );
-                Some(CostPriors::default_profile())
-            }
-        },
+    let cache = Path::new(src);
+    match measured_priors(cache) {
+        Ok(p) => {
+            eprintln!(
+                "[pcgbench] priors: {} measured cell walls from {} (hash {:016x})",
+                p.len(),
+                cache_stats_path(cache).display(),
+                p.hash(),
+            );
+            Some(p)
+        }
         Err(e) => {
             eprintln!(
-                "[pcgbench] warning: could not read priors from {}: {e}; using the default cost profile",
-                sidecar.display(),
+                "[pcgbench] warning: no priors from {src}: {e}; using the default cost profile"
             );
             Some(CostPriors::default_profile())
         }
     }
+}
+
+/// The cost table of the run committed at `cache`: each measured cell
+/// wall of its stats sidecar ([`EvalStats::cell_walls`]), joined by
+/// cell id with the model and task of the cache's own cell. An error
+/// for a `.cols` path, a missing or damaged cache or sidecar, and a
+/// sidecar with no positive wall (a run that only replayed its journal
+/// measured nothing): a table that knows nothing is worse than the
+/// honest default profile.
+fn measured_priors(cache: &Path) -> Result<CostPriors, String> {
+    if cache.extension().is_some_and(|e| e == "cols") {
+        return Err("a .cols sidecar carries no walls; name its records cache".into());
+    }
+    let sidecar = cache_stats_path(cache);
+    let bytes = std::fs::read(&sidecar).map_err(|e| format!("{}: {e}", sidecar.display()))?;
+    let stats: EvalStats =
+        serde_json::from_slice(&bytes).map_err(|e| format!("{}: {e}", sidecar.display()))?;
+    let (_, cells) = journal::read_cells(cache)
+        .ok_or_else(|| format!("{} is not a readable records cache", cache.display()))?;
+    let walls: HashMap<u64, f64> = stats.cell_walls.iter().map(|w| (w.cell, w.secs)).collect();
+    let entries = cells.into_iter().filter_map(|(id, c)| {
+        walls.get(&id.0).map(|&secs| (c.model, c.record.task.index() as u32, secs))
+    });
+    let priors = CostPriors::from_entries(&cache.to_string_lossy(), entries);
+    if priors.is_empty() {
+        return Err(format!("{} carries no measured walls", sidecar.display()));
+    }
+    Ok(priors)
 }
 
 /// Load a cached evaluation record if it matches `cfg`, else run the
@@ -556,11 +557,10 @@ pub fn read_cache(path: &Path, cfg: &EvalConfig, plan: &WorkPlan) -> Option<Eval
 }
 
 /// Commit a finished run's records next to `cache`: the records cache
-/// in frame format ([`journal::commit_record`]), the stats sidecar,
-/// and — once the cache has landed — the `.cols` sidecar, with the
-/// run's measured per-cell walls in its wall column (the next run's
-/// `--priors` source). Returns whether the cache landed; the journals
-/// the record was assembled from may be deleted only then.
+/// in frame format ([`journal::commit_record`]) and the stats sidecar,
+/// whose measured cell walls are the next run's `--priors` source.
+/// Returns whether the cache landed; the journals the record was
+/// assembled from may be deleted only then.
 pub(crate) fn commit_run(
     cache: &Path,
     plan: &WorkPlan,
@@ -575,19 +575,7 @@ pub(crate) fn commit_run(
     if let Ok(bytes) = serde_json::to_vec(stats) {
         let _ = atomic_write(&cache_stats_path(cache), &bytes);
     }
-    if committed.is_err() {
-        return false;
-    }
-    let mut cols = crate::colstats::ColumnarStats::from_record(record);
-    if !stats.cell_walls.is_empty() {
-        let walls: HashMap<CellId, f64> =
-            stats.cell_walls.iter().map(|w| (CellId(w.cell), w.secs)).collect();
-        cols.set_walls(plan.config_hash(), &walls);
-    }
-    if let Err(e) = atomic_write(&crate::colstats::cols_path(cache), &cols.to_bytes()) {
-        eprintln!("[pcgbench] warning: could not write columnar sidecar: {e}");
-    }
-    true
+    committed.is_ok()
 }
 
 /// The `on_cell` hook that journals each freshly evaluated cell into
@@ -761,7 +749,6 @@ mod tests {
         assert!(o.shard.is_none());
         assert!(o.merge_shards.is_none());
         assert!(o.priors.is_none());
-        assert!(!o.keep_shards, "merge cleans up its inputs by default");
     }
 
     fn parse(args: &[&str]) -> Result<Cli, String> {
@@ -781,7 +768,6 @@ mod tests {
             ("--shard", "1/4"),
             ("--merge-shards", "4"),
             ("--priors", "default"),
-            ("--keep-shards", ""),
             ("--replay-pool", "pool-dir"),
         ];
         for joined in [false, true] {
@@ -804,7 +790,7 @@ mod tests {
             };
             assert_eq!(cli.cfg, want);
             let o = &cli.opts;
-            assert_eq!((o.jobs, o.resume, o.keep_shards), (3, true, true));
+            assert_eq!((o.jobs, o.resume), (3, true));
             assert_eq!((o.shard, o.merge_shards), (Some(ShardSpec::new(1, 4)), Some(4)));
             assert_eq!(o.priors.as_deref(), Some("default"));
             assert_eq!(o.replay_pool.as_deref(), Some("pool-dir"));
@@ -814,7 +800,7 @@ mod tests {
 
     #[test]
     fn malformed_command_lines_are_rejected() {
-        let bad: [&[&str]; 16] = [
+        let bad: [&[&str]; 17] = [
             &["--merge-shard", "3"],
             &["--shard"],
             &["--jobs", "0"],
@@ -831,6 +817,7 @@ mod tests {
             &["--timeout", "0"],
             &["--deadlock-rate", "-1"],
             &["--stack-hog-rate", "NaN"],
+            &["--keep-shards"],
         ];
         for args in bad {
             let err = parse(args).expect_err(&format!("{args:?} must be rejected"));
@@ -842,30 +829,21 @@ mod tests {
     #[test]
     fn options_the_binary_would_ignore_are_rejected() {
         let check = |args: &[&str], evaluates| check_honoured(&parse(args).unwrap(), evaluates);
-        let run_binary: [&[&str]; 4] = [
-            &["--shard", "1/3", "--merge-shards", "3"],
-            &["--shard", "1/3", "--keep-shards"],
-            &["--shard", "1/3", "--merge-shards", "3", "--keep-shards"],
-            &["--keep-shards"],
-        ];
-        for args in run_binary {
-            let err = check(args, true).expect_err(&format!("{args:?} must be rejected"));
-            assert!(err.contains("-shards"), "{args:?}: the error must name the flag: {err}");
-        }
-        let dump_pool: [&[&str]; 6] = [
+        let err = check(&["--shard", "1/3", "--merge-shards", "3"], true).unwrap_err();
+        assert!(err.contains("--merge-shards"), "the error must name the flag: {err}");
+        let dump_pool: [&[&str]; 5] = [
             &["--jobs", "2"],
             &["--resume"],
             &["--shard", "1/3"],
             &["--merge-shards", "3"],
             &["--priors", "default"],
-            &["--keep-shards"],
         ];
         for args in dump_pool {
             let err = check(args, false).expect_err(&format!("{args:?} must be rejected"));
             assert!(err.contains(args[0]), "{args:?}: the error must name {}: {err}", args[0]);
         }
         check(&["--shard", "1/3", "--resume"], true).unwrap();
-        check(&["--merge-shards", "3", "--keep-shards"], true).unwrap();
+        check(&["--merge-shards", "3"], true).unwrap();
         check(&["--timeout", "120", "--replay-pool", "pool"], false).unwrap();
     }
 
@@ -875,8 +853,7 @@ mod tests {
             usage_line("reproduce", &[]),
             "usage: reproduce [--full] [--timeout SECS] [--deadlock-rate R] \
              [--stack-hog-rate R] [--prompt-variants LIST] [--jobs N] [--resume] \
-             [--shard K/N] [--merge-shards N] [--priors SRC] [--keep-shards] \
-             [--replay-pool DIR]"
+             [--shard K/N] [--merge-shards N] [--priors SRC] [--replay-pool DIR]"
         );
         assert_eq!(
             usage_line("dump_pool", &["DIR"]),

@@ -171,8 +171,9 @@ pub struct EvalStats {
     pub steal_scans: u64,
     /// Measured wall seconds per freshly evaluated cell, sorted by cell
     /// id. Replayed cells contribute no entry (their wall was paid in a
-    /// previous run). Feeds the `.cols` sidecar's wall column, which
-    /// the next run's `--priors` turns into a scheduling cost table.
+    /// previous run). The next run's `--priors`, given this run's
+    /// records cache, joins them with its cells into a scheduling cost
+    /// table (`pipeline::load_priors`).
     #[serde(default)]
     pub cell_walls: Vec<CellWall>,
     /// Per-process wall-clock seconds, filled in by `--merge-shards`:

@@ -461,19 +461,12 @@ pub fn merge_shards(
     // A failed commit keeps every shard journal and sidecar, so the
     // merge can simply be rerun.
     if pipeline::commit_run(&cache, &plan, &record, &stats) {
-        if opts.keep_shards {
-            // Post-mortem mode: the per-worker journals (claim frames
-            // included) and sidecars are the only record of who
-            // evaluated what; keep them for inspection.
-            eprintln!("[pcgbench] merge: keeping shard journals and sidecars (--keep-shards)");
-        } else {
-            // The cache now holds everything the shard journals were
-            // protecting.
-            for k in 0..count {
-                let spec = ShardSpec::new(k, count);
-                journal::remove(&journal::shard_journal_path(&cache, spec));
-                let _ = std::fs::remove_file(shard_stats_path(&cache, spec));
-            }
+        // The cache now holds everything the shard journals were
+        // protecting.
+        for k in 0..count {
+            let spec = ShardSpec::new(k, count);
+            journal::remove(&journal::shard_journal_path(&cache, spec));
+            let _ = std::fs::remove_file(shard_stats_path(&cache, spec));
         }
     }
     record

@@ -14,7 +14,6 @@
 
 use pcg_core::plan::{PlanCell, ShardSpec};
 use pcg_core::CostPriors;
-use pcg_harness::colstats::{cols_path, ColumnarStats};
 use pcg_harness::eval::{self, evaluate_with, smoke_tasks};
 use pcg_harness::journal::{self, Journal, Replay};
 use pcg_harness::pipeline::{self, RunOptions};
@@ -103,7 +102,7 @@ fn priors_reorder_execution_without_touching_a_byte() {
 
     // ------- Phase 3: three weighted shard workers, then a weighted
     // merge. Byte-identical reassembly, one wall entry per worker, and
-    // the committed cols sidecar must carry walls usable as the next
+    // the committed stats sidecar must carry walls usable as the next
     // run's priors.
     let default_priors = RunOptions { priors: Some("default".into()), ..RunOptions::new(2) };
     write_shard_journals(&cache, &cfg, &models, &tasks, &runner, Some(&priors));
@@ -127,16 +126,12 @@ fn priors_reorder_execution_without_touching_a_byte() {
             .unwrap();
     assert_eq!(stats.shard_walls.len(), 3, "one wall entry per shard worker");
     assert!(!stats.cell_walls.is_empty(), "merged stats union the measured walls");
-    let cols = ColumnarStats::read(&cols_path(&cache)).expect("merge commits the cols sidecar");
-    assert_eq!(cols.projection(), projection(&ref1), "walls never leak into the projection");
-    let next_priors = cols
-        .cost_priors("merged")
-        .expect("a merged sidecar with measured walls must yield a priors table");
-    assert!(!next_priors.is_empty());
+    let cols = cache.with_extension("rec.cols");
+    assert!(!cols.exists(), "a merge commits only the cache and its stats sidecar");
 
     // The next run's `--priors` loads those walls from disk, given the
-    // merged cache or its `.cols` file: one measured cost per merged
-    // cell wall, equal to the wall. A missing path degrades to the
+    // merged cache: one measured cost per merged cell wall, equal to
+    // the wall. A missing path and a `.cols` path degrade to the
     // default profile.
     let from_disk = |src: &Path| {
         let opts = RunOptions { priors: Some(src.display().to_string()), ..RunOptions::new(1) };
@@ -154,12 +149,18 @@ fn priors_reorder_execution_without_touching_a_byte() {
             w.cell
         );
     }
-    assert_eq!(from_disk(&cols_path(&cache)).hash(), loaded.hash(), "cache and .cols paths load alike");
-    assert_eq!(
-        from_disk(&cache.with_extension("missing")).hash(),
-        CostPriors::default_profile().hash(),
-        "a missing priors source falls back to the default profile"
-    );
+    let default_hash = CostPriors::default_profile().hash();
+    for src in [cache.with_extension("missing"), cols] {
+        assert_eq!(from_disk(&src).hash(), default_hash, "{} loads the default profile", src.display());
+    }
+
+    // A committed run that only replayed its journal measured no cell:
+    // its sidecar's walls are empty, and it too loads the default
+    // profile.
+    let resumed = EvalStats { cell_walls: Vec::new(), ..stats };
+    std::fs::write(pipeline::cache_stats_path(&cache), serde_json::to_vec(&resumed).unwrap())
+        .unwrap();
+    assert_eq!(from_disk(&cache).hash(), default_hash, "no measured walls, no measured priors");
 
     // ------- Phase 4: workers journaled WITHOUT priors, merge runs
     // WITH them. Every journal must be rejected on its hash stamp and
@@ -187,6 +188,5 @@ fn priors_reorder_execution_without_touching_a_byte() {
     );
 
     let _ = std::fs::remove_file(&cache);
-    let _ = std::fs::remove_file(cols_path(&cache));
     let _ = std::fs::remove_file(pipeline::cache_stats_path(&cache));
 }

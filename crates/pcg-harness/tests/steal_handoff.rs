@@ -85,7 +85,7 @@ fn stolen_cells_merge_byte_identically() {
     // journal); shards 1 and 2 finish their own partitions; shard 1
     // turns thief and drains shard 0's entire slice through the real
     // claim/steal engine. The merge must reassemble the exact
-    // unsharded bytes, and --keep-shards must preserve the evidence.
+    // unsharded bytes and consume every shard's journal and sidecar.
     let mut stats1 = write_one_shard(&cache, &cfg, &models, &tasks, &runner, spec1);
     let stats2 = write_one_shard(&cache, &cfg, &models, &tasks, &runner, spec2);
     drop(Journal::create_sourced(&journal::shard_journal_path(&cache, spec0), &cfg, &[], spec0, 0).unwrap());
@@ -116,8 +116,7 @@ fn stolen_cells_merge_byte_identically() {
     write_sidecar(&cache, spec1, &stats1);
     write_sidecar(&cache, spec2, &stats2);
 
-    let keep_opts = RunOptions { keep_shards: true, ..RunOptions::new(2) };
-    let merged = merge_shards(Some(&cache), &cfg, &keep_opts, 3, Some(&tasks));
+    let merged = merge_shards(Some(&cache), &cfg, &RunOptions::new(2), 3, Some(&tasks));
     assert_eq!(
         serde_json::to_string(&merged).unwrap(),
         ref_json,
@@ -129,17 +128,8 @@ fn stolen_cells_merge_byte_identically() {
     assert_eq!(merged_stats.cells_stolen, outcome.stolen, "the merged sidecar sums steal counters");
     for spec in [spec0, spec1, spec2] {
         assert!(
-            journal::shard_journal_path(&cache, spec).exists(),
-            "--keep-shards must preserve shard {spec}'s journal"
-        );
-    }
-
-    let merged_again = merge_shards(Some(&cache), &cfg, &RunOptions::new(2), 3, Some(&tasks));
-    assert_eq!(serde_json::to_string(&merged_again).unwrap(), ref_json);
-    for spec in [spec0, spec1, spec2] {
-        assert!(
             !journal::shard_journal_path(&cache, spec).exists(),
-            "a default merge must consume shard {spec}'s journal"
+            "the merge must consume shard {spec}'s journal"
         );
         assert!(!shard_stats_path(&cache, spec).exists());
     }
@@ -150,33 +140,33 @@ fn stolen_cells_merge_byte_identically() {
     // the thief's journal, must be visible to peeks, and must not keep
     // the merge from gap-filling the cell — at any worker count. The
     // gap fill re-measures with the merge's own runner, so the
-    // comparison is the projection.
-    let stats1 = write_one_shard(&cache, &cfg, &models, &tasks, &runner, spec1);
-    let stats2 = write_one_shard(&cache, &cfg, &models, &tasks, &runner, spec2);
-    write_sidecar(&cache, spec1, &stats1);
-    write_sidecar(&cache, spec2, &stats2);
-    drop(Journal::create_sourced(&journal::shard_journal_path(&cache, spec0), &cfg, &[], spec0, 0).unwrap());
-    let jpath2 = journal::shard_journal_path(&cache, spec2);
+    // comparison is the projection. A merge consumes the shard
+    // journals, so each worker count gets a fresh set.
     let claimed = victim_cells[0].id;
-    {
-        let wal2 = Journal::open_append(&jpath2).unwrap();
-        wal2.append_claims(&[claimed], 2).unwrap();
-        // The thief dies here: claim on disk, no result.
-    }
-    let loaded = journal::load_counting_sourced(&jpath2, &cfg, &[], spec2, 0);
-    assert_eq!(
-        loaded.replay.len(),
-        stats2.cells,
-        "an orphaned claim must not cost the thief any completed cells"
-    );
-    assert!(loaded.rejects.is_empty(), "a claim is a valid frame kind, not corruption");
-    assert!(loaded.stale_frames >= 1, "the claim counts stale so resume compacts it away");
-    let prog = journal::peek_progress(&jpath2, &cfg, &[], spec2, 0).unwrap();
-    assert!(prog.claimed.contains(&claimed.0), "the claim is visible to sibling peeks");
-    assert!(!prog.done.contains(&claimed.0));
     for jobs in [1usize, 8] {
-        let opts = RunOptions { keep_shards: true, ..RunOptions::new(jobs) };
-        let merged = merge_shards(Some(&cache), &cfg, &opts, 3, Some(&tasks));
+        let stats1 = write_one_shard(&cache, &cfg, &models, &tasks, &runner, spec1);
+        let stats2 = write_one_shard(&cache, &cfg, &models, &tasks, &runner, spec2);
+        write_sidecar(&cache, spec1, &stats1);
+        write_sidecar(&cache, spec2, &stats2);
+        drop(Journal::create_sourced(&journal::shard_journal_path(&cache, spec0), &cfg, &[], spec0, 0).unwrap());
+        let jpath2 = journal::shard_journal_path(&cache, spec2);
+        {
+            let wal2 = Journal::open_append(&jpath2).unwrap();
+            wal2.append_claims(&[claimed], 2).unwrap();
+            // The thief dies here: claim on disk, no result.
+        }
+        let loaded = journal::load_counting_sourced(&jpath2, &cfg, &[], spec2, 0);
+        assert_eq!(
+            loaded.replay.len(),
+            stats2.cells,
+            "an orphaned claim must not cost the thief any completed cells"
+        );
+        assert!(loaded.rejects.is_empty(), "a claim is a valid frame kind, not corruption");
+        assert!(loaded.stale_frames >= 1, "the claim counts stale so resume compacts it away");
+        let prog = journal::peek_progress(&jpath2, &cfg, &[], spec2, 0).unwrap();
+        assert!(prog.claimed.contains(&claimed.0), "the claim is visible to sibling peeks");
+        assert!(!prog.done.contains(&claimed.0));
+        let merged = merge_shards(Some(&cache), &cfg, &RunOptions::new(jobs), 3, Some(&tasks));
         assert_eq!(
             projection(&merged),
             projection(&ref1),
@@ -190,6 +180,8 @@ fn stolen_cells_merge_byte_identically() {
     // its pre-scan must find everything taken and evaluate nothing,
     // and the merge must still be byte-identical (every cell came from
     // the shared runner).
+    write_one_shard(&cache, &cfg, &models, &tasks, &runner, spec1);
+    write_one_shard(&cache, &cfg, &models, &tasks, &runner, spec2);
     let wal1 = Journal::open_append(&journal::shard_journal_path(&cache, spec1)).unwrap();
     let ids: Vec<_> = victim_cells.iter().map(|c| c.id).collect();
     wal1.append_claims(&ids, 1).unwrap();
@@ -209,7 +201,6 @@ fn stolen_cells_merge_byte_identically() {
     );
 
     let _ = std::fs::remove_file(&cache);
-    let _ = std::fs::remove_file(pcg_harness::colstats::cols_path(&cache));
     let _ = std::fs::remove_file(pipeline::cache_stats_path(&cache));
 }
 
