@@ -15,6 +15,14 @@
 //! `Timeout` run nothing: their verdicts are fixed
 //! ([`pcg_problems::framework::fixed_verdict`]).
 //!
+//! The serial reference is solved once per problem: the [`Baseline`]
+//! (best of `reps`) is `T*`, and every candidate whose artifact is the
+//! serial code (`SequentialFallback`, `Correct(Inefficient)` and the
+//! Serial model's `Correct(_)`) consumes it instead of solving again. Its
+//! output is the baseline's own and its time is `T*` plus what its
+//! substrate models around the serial code (fork/join, broadcast, a
+//! one-thread launch), so it is deterministic given `T*`.
+//!
 //! [`SharedRunner`] is safe to share across the parallel scheduler's
 //! workers: many evaluation cells call into one runner at once, and
 //! each distinct computation runs exactly once (`OnceLock` per cache
@@ -38,7 +46,7 @@ use pcg_core::usage::UsageScope;
 use pcg_core::{warm, CandidateKind, Corruption, Output, PcgError, ProblemId, Quality, TaskId};
 use pcg_problems::framework::fixed_verdict;
 use pcg_problems::input_cache::{self, InputCacheStats};
-use pcg_problems::{corrupt, registry, Resources};
+use pcg_problems::{corrupt, registry, Resources, TimedRun};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -162,16 +170,12 @@ impl Verdicts {
     }
 }
 
-/// The sequential baseline for a problem at the configured size.
-#[derive(Debug, Clone)]
-pub struct Baseline {
-    /// Oracle output, shared by every candidate validation of the
-    /// problem (some oracle outputs are megabytes; cloning one per
-    /// execution was measurable).
-    pub output: Arc<Output>,
-    /// Best-of-reps baseline runtime in seconds.
-    pub seconds: f64,
-}
+/// The sequential baseline for a problem at the configured size: the
+/// oracle output, shared by every candidate validation of the problem
+/// (some oracle outputs are megabytes; cloning one per execution was
+/// measurable), and the best-of-reps runtime `T*`. It is also the serial
+/// run every serial-code candidate of the problem consumes.
+pub type Baseline = TimedRun;
 
 /// Monotone execution counters kept by [`SharedRunner`]. Stage times are
 /// summed across workers, so under `--jobs N` they can exceed wall
@@ -412,7 +416,7 @@ impl SharedRunner {
             best = best.min(run.seconds);
             output = Some(run.output);
         }
-        Baseline { output: Arc::new(output.expect("at least one rep")), seconds: best }
+        Baseline { output: output.expect("at least one rep"), seconds: best }
     }
 
     /// Execute (or fetch the cached execution of) one candidate.
@@ -461,13 +465,13 @@ impl SharedRunner {
     /// Run `comp` at `task`, retrying a hard failure once under
     /// `cfg.retry_flaky`.
     fn run_with_retry(&self, task: TaskId, comp: Computation, n: u32) -> Verdicts {
-        let baseline_output = self.with_baseline(task.problem, |b| b.output.clone());
-        let first = self.execute(task, comp, n, &baseline_output);
+        let baseline = self.with_baseline(task.problem, Baseline::clone);
+        let first = self.execute(task, comp, n, &baseline);
         if !first.hard || !self.cfg.retry_flaky {
             return first;
         }
         self.counters.retries.fetch_add(1, Ordering::Relaxed);
-        let second = self.execute(task, comp, n, &baseline_output);
+        let second = self.execute(task, comp, n, &baseline);
         if !second.hard {
             self.counters.flaky.fetch_add(1, Ordering::Relaxed);
         }
@@ -567,20 +571,18 @@ impl SharedRunner {
 
     /// Run `comp` at `task` once, with the requester's `n` (every `n`
     /// mapping to the computation runs the same thing), and validate
-    /// its output for every member kind. An efficient-path run does
+    /// its output for every member kind. A kind whose artifact is the
+    /// serial code consumes `baseline` as its serial run instead of
+    /// solving again ([`pcg_problems::Problem::run_candidate_on`]), so
+    /// its output is the oracle's own and its time is `T*` plus the
+    /// substrate's modelled overheads. An efficient-path run does
     /// `cfg.reps` repetitions inside one time limit, so its wrong-output
     /// members share that limit too. [`Verdicts::hard`] is set when
     /// the run hard-failed at the harness level (worker panic or
     /// wall-clock timeout) — the signal for retry/quarantine — as opposed
     /// to a candidate that merely *reported* a failure (e.g. a
     /// `Deadlock` verdict, which returns promptly).
-    fn execute(
-        &self,
-        task: TaskId,
-        comp: Computation,
-        n: u32,
-        baseline_output: &Output,
-    ) -> Verdicts {
+    fn execute(&self, task: TaskId, comp: Computation, n: u32, baseline: &Baseline) -> Verdicts {
         let problem = registry::problem(task.problem);
         let size = self.cfg.size_for(problem.default_size());
         let seed = self.cfg.seed;
@@ -591,12 +593,14 @@ impl SharedRunner {
         // Supervised, so a runaway candidate is cancelled (and, failing
         // that, abandoned) at the time limit: the paper's 3-minute kill.
         let t_run = Instant::now();
+        let base = baseline.clone();
         let body = self.supervise(move || {
             let scope = UsageScope::begin();
+            let serial = || base.clone();
             let mut best = f64::INFINITY;
             let mut last = None;
             for _ in 0..reps {
-                let run = problem.run_candidate(task.model, kind, n, seed, size);
+                let run = problem.run_candidate_on(task.model, kind, n, seed, size, &serial);
                 match &run {
                     Ok(r) => best = best.min(r.seconds),
                     Err(_) => {
@@ -620,7 +624,7 @@ impl SharedRunner {
 
         let t_val = Instant::now();
         let validate = |output: &Output| {
-            let error = if !output.approx_eq(baseline_output) {
+            let error = if !output.approx_eq(&baseline.output) {
                 Some("wrong")
             } else if !usage.used_required_api(task.model) {
                 Some("sequential")
@@ -633,7 +637,7 @@ impl SharedRunner {
         let corrupted = match comp {
             Computation::Efficient(_) => Corruption::ALL
                 .iter()
-                .map(|&mode| validate(&corrupt::corrupt(output.clone(), mode, seed)))
+                .map(|&mode| validate(&corrupt::corrupt((*output).clone(), mode, seed)))
                 .collect(),
             _ => Vec::new(),
         };
@@ -797,6 +801,42 @@ mod tests {
         // The lopsided candidate cannot beat the balanced one by much;
         // allow noise but expect a clear ordering at 8 threads.
         assert!(ineff < eff * 1.5, "eff={eff} ineff={ineff}");
+        // It is charged T* plus overheads, so it never reaches T*.
+        assert!(ineff < 1.0, "ineff={ineff}");
+    }
+
+    #[test]
+    fn serial_code_candidates_reuse_the_baseline() {
+        use pcg_shmem::timing::ThreadCostModel;
+        let r = runner();
+        let t_star = r.with_baseline(mk_task(ExecutionModel::Serial).problem, |b| b.seconds);
+        // The Serial model's serial-code kinds are the baseline itself.
+        for kind in [
+            CandidateKind::SequentialFallback,
+            CandidateKind::Correct(Quality::Inefficient),
+            CandidateKind::Correct(Quality::Efficient),
+        ] {
+            let out = r.outcome(mk_task(ExecutionModel::Serial), kind, 1);
+            assert!(out.correct, "{}: {out:?}", kind.tag());
+            assert_eq!(out.seconds, t_star, "{}", kind.tag());
+        }
+        // The lopsided region: T* on one member, plus dispatch and the
+        // team's fork/join, at every team size.
+        let m = ThreadCostModel::default();
+        let inefficient = CandidateKind::Correct(Quality::Inefficient);
+        for model in [ExecutionModel::OpenMp, ExecutionModel::Kokkos] {
+            for n in [1, 16] {
+                let out = r.outcome(mk_task(model), inefficient, n);
+                let want = t_star + m.fork_join(n as usize) + m.chunk_dispatch;
+                assert!(out.correct, "{model} at n={n}: {out:?}");
+                let seconds = out.seconds;
+                assert!((seconds - want).abs() < 1e-12, "{model} at n={n}: {seconds} vs {want}");
+            }
+        }
+        // Reusing the serial run does not make a fallback parallel.
+        let kokkos = mk_task(ExecutionModel::Kokkos);
+        let fallback = r.outcome(kokkos, CandidateKind::SequentialFallback, 4);
+        assert_eq!(fallback.error, Some("sequential"));
     }
 
     #[test]

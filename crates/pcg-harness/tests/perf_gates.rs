@@ -1,4 +1,4 @@
-//! Performance gates: the nine A/B measurements the harness's speed
+//! Performance gates: the ten A/B measurements the harness's speed
 //! claims rest on, each asserted at the bound it was accepted at.
 //!
 //! 1. Timeout overlap: 8 hanging cells, `--jobs 8` vs `--jobs 1`, ≥4×.
@@ -10,6 +10,8 @@
 //! 7. Work stealing: steal vs static sharding behind a stalled victim, ≥1.5×.
 //! 8. Containment: deadlock fail-fast vs timeout-only, ratio <0.5.
 //! 9. Frame checksum: slicing-by-16 CRC-32 vs a bytewise table, ≥3×.
+//! 10. Serial reference reuse: serial-code candidates vs as many serial
+//!     solves, ratio <0.25.
 //!
 //! Every gate is ignored in debug builds: the bounds were set on
 //! optimized code, and a debug build measures a different program. Run
@@ -24,7 +26,10 @@
 
 use pcg_core::plan::{CellId, PlanCell, ShardSpec, WorkPlan};
 use pcg_core::task::all_tasks;
-use pcg_core::{warm, CostPriors, ExecutionModel, PcgError, TaskId};
+use pcg_core::{
+    warm, CandidateKind, CostPriors, ExecutionModel, PcgError, ProblemId, ProblemType, Quality,
+    TaskId,
+};
 use pcg_harness::journal::{self, config_hash, Journal, Replay, ReplayCell};
 use pcg_harness::record::TaskRecord;
 use pcg_harness::shard::{scan_siblings, steal_from_siblings};
@@ -32,7 +37,7 @@ use pcg_harness::{eval, scheduler, EvalConfig, EvalStats, SharedRunner};
 use pcg_metrics::TaskSamples;
 use pcg_models::SyntheticModel;
 use pcg_mpisim::sched;
-use pcg_problems::input_cache;
+use pcg_problems::{input_cache, registry};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -652,4 +657,68 @@ fn frame_crc_beats_bytewise() {
         data.len() >> 20
     );
     assert!(speedup >= 3.0, "slicing-by-16 must beat bytewise CRC-32 by >=3x, got {speedup:.2}x");
+}
+
+// ---- 10. serial reference reuse ------------------------------------------
+
+/// The median of `xs`.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Every serial-code candidate of one OpenMP and one MPI task of a
+/// compute-bound problem (`gemmPlain` at full size): `Correct(Inefficient)`
+/// at each sweep `n` and `SequentialFallback`. A fresh runner solves the
+/// serial reference once and charges its `T*` to each of them, so it
+/// must take under a quarter of the time the same number of
+/// `Problem::run_baseline` solves take.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "bounds hold for optimized builds only")]
+fn serial_code_candidates_reuse_the_reference() {
+    let _gate = serial();
+    let cfg = EvalConfig { size_divisor: 1, ..EvalConfig::smoke() };
+    let problem = ProblemId::new(ProblemType::DenseLinearAlgebra, 2);
+    let requests: Vec<(TaskId, CandidateKind, u32)> = [ExecutionModel::OpenMp, ExecutionModel::Mpi]
+        .into_iter()
+        .flat_map(|model| {
+            let task = problem.task(model);
+            let inefficient = CandidateKind::Correct(Quality::Inefficient);
+            let sweep = model.resource_sweep().into_iter().map(move |n| (task, inefficient, n));
+            sweep.chain([(task, CandidateKind::SequentialFallback, 1)])
+        })
+        .collect();
+    let reuse_seconds = || {
+        let runner = SharedRunner::new(cfg.clone());
+        let t0 = Instant::now();
+        for &(task, kind, n) in &requests {
+            let out = runner.outcome(task, kind, n);
+            let fallback = kind == CandidateKind::SequentialFallback;
+            assert_eq!(out.error, fallback.then_some("sequential"), "{} at n={n}", kind.tag());
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let p = registry::problem(problem);
+    let size = cfg.size_for(p.default_size());
+    let solve_seconds = || {
+        let t0 = Instant::now();
+        for _ in &requests {
+            std::hint::black_box(p.run_baseline(cfg.seed, size));
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    // Median of 5 each, the two sides alternating.
+    let (mut reuse, mut solves) = (Vec::new(), Vec::new());
+    for _ in 0..5 {
+        reuse.push(reuse_seconds());
+        solves.push(solve_seconds());
+    }
+    let (reuse_s, solves_s) = (median(reuse), median(solves));
+    let ratio = reuse_s / solves_s;
+    println!(
+        "serial reuse: {} serial-code candidates {reuse_s:.4}s, as many solves {solves_s:.4}s, \
+         ratio {ratio:.3}",
+        requests.len()
+    );
+    assert!(ratio < 0.25, "serial-code candidates must reuse T*, got ratio {ratio:.3}");
 }

@@ -164,6 +164,15 @@ impl<'w> HybridCtx<'w> {
         self.charged(|pool| pool.parallel_for(range, Schedule::Static { chunk: 0 }, body));
     }
 
+    /// A one-iteration threaded section whose body was measured
+    /// elsewhere: charges `seconds` on one pool member plus the pool's
+    /// dispatch and fork/join overheads to the rank clock (see
+    /// [`Pool::charge_single_chunk`]), and runs nothing.
+    pub fn par_charge_single(&self, seconds: f64) {
+        usage::record(ExecutionModel::MpiOpenMp);
+        self.charged(|pool| pool.charge_single_chunk(seconds));
+    }
+
     /// Timed threaded reduction.
     pub fn par_reduce<T, FM, FR>(&self, range: Range<usize>, identity: T, fold: FM, combine: FR) -> T
     where

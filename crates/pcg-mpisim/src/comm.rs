@@ -89,6 +89,13 @@ impl<'w> Comm<'w> {
         self.clock.set(self.clock.get() + dt.max(0.0));
     }
 
+    /// Charge `seconds` of compute measured elsewhere to this rank's
+    /// clock, scaled like the rank's own measured compute
+    /// (`compute_scale`), as if the rank had just run it.
+    pub fn charge_compute(&self, seconds: f64) {
+        self.advance(seconds * self.shared.cost.compute_scale);
+    }
+
     // ---- token & clock internals -------------------------------------
 
     /// Start (or resume) measured compute: on the thread-per-rank path,
@@ -526,7 +533,7 @@ impl<'w> Comm<'w> {
     ) -> Packet {
         match self.shared.take_combine(key, op, &own, &other) {
             Lookup::Hit(output, seconds) => {
-                self.advance(seconds * self.shared.cost.compute_scale);
+                self.charge_compute(seconds);
                 output
             }
             Lookup::Mismatch => combined::<T>(op, &own, &other),

@@ -188,6 +188,15 @@ impl ExecSpace {
             f(&TeamCtx { league_rank, league_size });
         });
     }
+
+    /// `parallel_for(TeamPolicy(1, 1), f)` whose one team's work was
+    /// measured elsewhere: the dispatch costs `seconds` on one pool
+    /// member plus the pool's dispatch and fork/join overheads (see
+    /// [`Pool::charge_single_chunk`]), and runs nothing.
+    pub fn charge_single_team(&self, seconds: f64) {
+        usage::record(ExecutionModel::Kokkos);
+        self.pool.charge_single_chunk(seconds);
+    }
 }
 
 #[cfg(test)]

@@ -55,8 +55,10 @@ impl Resources {
 /// runtime in seconds.
 #[derive(Debug, Clone)]
 pub struct TimedRun {
-    /// The candidate's result.
-    pub output: Output,
+    /// The candidate's result. Shared, so a serial-code candidate hands
+    /// back the serial run's output itself instead of a copy (some
+    /// outputs are megabytes).
+    pub output: Arc<Output>,
     /// Runtime in seconds (wall-clock for serial, virtual for parallel
     /// substrates — see DESIGN.md's timing-model table).
     pub seconds: f64,
@@ -109,7 +111,10 @@ pub trait Problem: Send + Sync {
     fn default_size(&self) -> usize;
     /// Run the handwritten sequential baseline (measured wall time).
     fn run_baseline(&self, seed: u64, size: usize) -> TimedRun;
-    /// Build and run one candidate artifact.
+
+    /// Build and run one candidate artifact. A kind whose artifact is the
+    /// serial code measures one baseline run of its own for it (see
+    /// [`Problem::run_candidate_on`]); every other kind runs as is.
     fn run_candidate(
         &self,
         model: ExecutionModel,
@@ -117,6 +122,26 @@ pub trait Problem: Send + Sync {
         n: u32,
         seed: u64,
         size: usize,
+    ) -> Result<TimedRun, PcgError> {
+        self.run_candidate_on(model, kind, n, seed, size, &|| self.run_baseline(seed, size))
+    }
+
+    /// [`Problem::run_candidate`] on a serial run that is already
+    /// measured. `serial` returns a run of the baseline at `seed` and
+    /// `size`. The kinds whose artifact is the serial code
+    /// (`SequentialFallback`, `Correct(Inefficient)` and the Serial
+    /// model's `Correct(_)`) call it once, hand back its output, and
+    /// charge its seconds `T*` where they would have timed a solve; the
+    /// substrate still models its own overheads around it (see
+    /// [`crate::fallback`]). Every other kind never calls it.
+    fn run_candidate_on(
+        &self,
+        model: ExecutionModel,
+        kind: CandidateKind,
+        n: u32,
+        seed: u64,
+        size: usize,
+        serial: &dyn Fn() -> TimedRun,
     ) -> Result<TimedRun, PcgError>;
 }
 
@@ -137,16 +162,17 @@ impl<S: Spec> Problem for S {
         let input = cached_input(self, seed, size);
         let t0 = Instant::now();
         let output = self.serial(&input);
-        TimedRun { output, seconds: t0.elapsed().as_secs_f64() }
+        TimedRun { output: Arc::new(output), seconds: t0.elapsed().as_secs_f64() }
     }
 
-    fn run_candidate(
+    fn run_candidate_on(
         &self,
         model: ExecutionModel,
         kind: CandidateKind,
         n: u32,
         seed: u64,
         size: usize,
+        serial: &dyn Fn() -> TimedRun,
     ) -> Result<TimedRun, PcgError> {
         match kind {
             CandidateKind::BuildFailure | CandidateKind::Timeout | CandidateKind::RuntimeCrash => {
@@ -155,26 +181,23 @@ impl<S: Spec> Problem for S {
             CandidateKind::WrongOutput(mode) => {
                 // Run the real parallel code path, then corrupt the
                 // result the way a decomposition bug would.
-                let run = self.run_candidate(
+                let run = self.run_candidate_on(
                     model,
                     CandidateKind::Correct(Quality::Efficient),
                     n,
                     seed,
                     size,
+                    serial,
                 )?;
+                let output = Arc::unwrap_or_clone(run.output);
                 Ok(TimedRun {
-                    output: corrupt::corrupt(run.output, mode, seed),
+                    output: Arc::new(corrupt::corrupt(output, mode, seed)),
                     seconds: run.seconds,
                 })
             }
-            CandidateKind::SequentialFallback => {
-                // Correct output, zero parallel-API usage: the harness's
-                // instrumentation check flags this for parallel tasks.
-                let input = cached_input(self, seed, size);
-                let t0 = Instant::now();
-                let output = self.serial(&input);
-                Ok(TimedRun { output, seconds: t0.elapsed().as_secs_f64() })
-            }
+            // Correct output, zero parallel-API usage: the harness's
+            // instrumentation check flags this for parallel tasks.
+            CandidateKind::SequentialFallback => Ok(serial()),
             CandidateKind::Flaky => {
                 // A transient runtime fault: the first invocation at
                 // each execution coordinate panics mid-run; retries run
@@ -184,12 +207,13 @@ impl<S: Spec> Problem for S {
                 if flaky_state::first_invocation(self.id(), model, n, seed, size) {
                     panic!("flaky candidate: transient fault on first invocation");
                 }
-                self.run_candidate(
+                self.run_candidate_on(
                     model,
                     CandidateKind::Correct(Quality::Efficient),
                     n,
                     seed,
                     size,
+                    serial,
                 )
             }
             CandidateKind::Deadlock => Err(containment::deadlock(model)),
@@ -197,7 +221,7 @@ impl<S: Spec> Problem for S {
             CandidateKind::Correct(quality) => {
                 let input = cached_input(self, seed, size);
                 let res = Resources::for_model(model, n);
-                run_correct(self, model, quality, &input, &res)
+                run_correct(self, model, quality, &input, &res, serial)
             }
         }
     }
@@ -369,42 +393,40 @@ fn run_correct<S: Spec>(
     quality: Quality,
     input: &S::Input,
     res: &Resources,
+    serial: &dyn Fn() -> TimedRun,
 ) -> Result<TimedRun, PcgError> {
     // Every substrate is built per run and owns no threads: pools, spaces
     // and GPU devices compute on this thread, and worlds run
     // their ranks as fibers here (see `pcg_mpisim::sched`; thread per
-    // rank when the warm path is off).
+    // rank when the warm path is off). The serial code (the Serial
+    // model, and the inefficient wrappers of `fallback`) is never run
+    // again: it is the measured serial run.
     match model {
-        ExecutionModel::Serial => {
-            let t0 = Instant::now();
-            let output = spec.serial(input);
-            Ok(TimedRun { output, seconds: t0.elapsed().as_secs_f64() })
-        }
+        ExecutionModel::Serial => Ok(serial()),
         ExecutionModel::OpenMp => {
             let pool = Pool::new(res.threads);
             let output = match quality {
-                Quality::Efficient => spec.solve_shmem(input, &pool),
-                Quality::Inefficient => fallback::lopsided_shmem(&pool, || spec.serial(input)),
+                Quality::Efficient => Arc::new(spec.solve_shmem(input, &pool)),
+                Quality::Inefficient => fallback::lopsided_shmem(&pool, &serial()),
             };
             Ok(TimedRun { output, seconds: pool.virtual_elapsed() })
         }
         ExecutionModel::Kokkos => {
             let space = ExecSpace::new(res.threads);
             let output = match quality {
-                Quality::Efficient => spec.solve_patterns(input, &space),
-                Quality::Inefficient => fallback::lopsided_patterns(&space, || spec.serial(input)),
+                Quality::Efficient => Arc::new(spec.solve_patterns(input, &space)),
+                Quality::Inefficient => fallback::lopsided_patterns(&space, &serial()),
             };
             Ok(TimedRun { output, seconds: space.virtual_elapsed() })
         }
         ExecutionModel::Mpi => {
             let world = World::new(res.ranks).with_cost_model(CostModel::cluster());
             let outcome = match quality {
-                Quality::Efficient => world.run(|comm| spec.solve_mpi(input, comm))?,
-                Quality::Inefficient => world.run(|comm| {
-                    fallback::root_computes_mpi(comm, spec.input_bytes(input), || {
-                        spec.serial(input)
-                    })
-                })?,
+                Quality::Efficient => world.run(|comm| spec.solve_mpi(input, comm).map(Arc::new))?,
+                Quality::Inefficient => {
+                    let (serial, bytes) = (serial(), spec.input_bytes(input));
+                    world.run(|comm| fallback::root_computes_mpi(comm, bytes, &serial))?
+                }
             };
             let output = outcome
                 .per_rank
@@ -417,12 +439,13 @@ fn run_correct<S: Spec>(
         ExecutionModel::MpiOpenMp => {
             let world = HybridWorld::new(res.hybrid_ranks, res.hybrid_threads);
             let outcome = match quality {
-                Quality::Efficient => world.run(|ctx| spec.solve_hybrid(input, ctx))?,
-                Quality::Inefficient => world.run(|ctx| {
-                    fallback::root_computes_hybrid(ctx, spec.input_bytes(input), || {
-                        spec.serial(input)
-                    })
-                })?,
+                Quality::Efficient => {
+                    world.run(|ctx| spec.solve_hybrid(input, ctx).map(Arc::new))?
+                }
+                Quality::Inefficient => {
+                    let (serial, bytes) = (serial(), spec.input_bytes(input));
+                    world.run(|ctx| fallback::root_computes_hybrid(ctx, bytes, &serial))?
+                }
             };
             let output = outcome.per_rank.into_iter().next().flatten().ok_or_else(|| {
                 PcgError::Runtime("hybrid candidate produced no root output".into())
@@ -436,11 +459,9 @@ fn run_correct<S: Spec>(
                 pcg_gpusim::hip::device()
             };
             let output = match quality {
-                Quality::Efficient => spec.solve_gpu(input, &gpu),
+                Quality::Efficient => Arc::new(spec.solve_gpu(input, &gpu)),
                 Quality::Inefficient => {
-                    fallback::single_thread_gpu(&gpu, spec.input_bytes(input), || {
-                        spec.serial(input)
-                    })
+                    fallback::single_thread_gpu(&gpu, spec.input_bytes(input), &serial())
                 }
             };
             Ok(TimedRun { output, seconds: gpu.elapsed() })

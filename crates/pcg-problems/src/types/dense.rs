@@ -366,7 +366,7 @@ mod tests {
         let p = problems();
         let gemm = &p[2];
         let base = gemm.run_baseline(3, 16);
-        if let Output::F64s(c) = &base.output {
+        if let Output::F64s(c) = &*base.output {
             assert_eq!(c.len(), 16); // 4x4 matrix for size 16
         }
     }

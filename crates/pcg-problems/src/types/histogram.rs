@@ -291,7 +291,7 @@ mod tests {
     fn counts_sum_to_items() {
         for p in problems() {
             let base = p.run_baseline(11, 640);
-            if let Output::I64s(hist) = base.output {
+            if let Output::I64s(hist) = &*base.output {
                 let stride = if p.prompt().fn_name == "histogram2d" { 2 } else { 1 };
                 assert_eq!(hist.iter().sum::<i64>(), 640 / stride, "{}", p.id());
             }

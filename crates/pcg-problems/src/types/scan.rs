@@ -602,7 +602,7 @@ mod tests {
     fn suffix_sum_known_case() {
         let p = &problems()[0];
         let base = p.run_baseline(1, 8);
-        if let Output::F64s(v) = &base.output {
+        if let Output::F64s(v) = &*base.output {
             // Suffix sums are non-increasing in magnitude toward the
             // last element equal to x[n-1]; check shape invariant:
             assert_eq!(v.len(), 8);

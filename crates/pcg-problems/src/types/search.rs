@@ -414,7 +414,7 @@ mod tests {
         // Tiny input likely has no value below -90; either way the
         // serial and parallel answers must agree (covered above). Here
         // just sanity-check the output type.
-        assert!(matches!(out.output, Output::I64(_)));
+        assert!(matches!(*out.output, Output::I64(_)));
     }
 
     #[test]

@@ -427,7 +427,7 @@ mod tests {
         // Drive through the Spec-level serial path by regenerating: use
         // a small generated input instead for the end-to-end check.
         let base = asc.run_baseline(1, 64);
-        if let Output::I64s(v) = &base.output {
+        if let Output::I64s(v) = &*base.output {
             let mut sorted = v.clone();
             sorted.sort_unstable();
             assert_eq!(v, &sorted, "ascending output must be sorted");
@@ -450,7 +450,7 @@ mod tests {
     fn descending_output_is_sorted_desc() {
         let p = &problems()[1];
         let base = p.run_baseline(2, 100);
-        if let Output::I64s(v) = &base.output {
+        if let Output::I64s(v) = &*base.output {
             assert!(v.windows(2).all(|w| w[0] >= w[1]));
         }
     }

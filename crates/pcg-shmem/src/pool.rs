@@ -116,6 +116,16 @@ impl Pool {
         partials.into_iter().flatten().fold(identity, combine)
     }
 
+    /// A one-iteration work-sharing loop whose body was already measured
+    /// elsewhere: member 0 is charged `seconds` for the single chunk and
+    /// the rest of the team idles, so the region costs `seconds +
+    /// chunk_dispatch + fork_join(n)` on the pool's clock. It records
+    /// usage and checks cancellation like every region, and runs nothing.
+    pub fn charge_single_chunk(&self, seconds: f64) {
+        self.enter_region();
+        self.timed.charge_region(&[self.timed.charge_chunk(seconds)]);
+    }
+
     /// Split `data` into one contiguous mutable chunk per member and run
     /// `body(tid, chunk_start, chunk)` — the safe idiom for loops that
     /// fill an output array with static scheduling.
@@ -298,6 +308,25 @@ mod tests {
         let t1 = (0..3).map(|_| work(&p1)).fold(f64::MAX, f64::min);
         let t8 = (0..3).map(|_| work(&p8)).fold(f64::MAX, f64::min);
         assert!(t8 < t1 * 0.7, "expected modelled speedup, t1={t1} t8={t8}");
+    }
+
+    #[test]
+    fn a_charged_single_chunk_costs_exactly_its_seconds_plus_overheads() {
+        let model = ThreadCostModel::default();
+        for n in [1, 16] {
+            let scope = pcg_core::usage::UsageScope::begin();
+            let pool = Pool::new(n);
+            pool.charge_single_chunk(0.25);
+            let want = 0.25 + model.chunk_dispatch + model.fork_join(n);
+            assert!((pool.virtual_elapsed() - want).abs() < 1e-12, "n={n}");
+            assert!(scope.finish().used_required_api(ExecutionModel::OpenMp));
+        }
+        // A killed candidate cannot enter the region.
+        let token = CancelToken::new();
+        token.cancel();
+        let _g = cancel::install_token(Some(token));
+        let result = catch_unwind(AssertUnwindSafe(|| Pool::new(4).charge_single_chunk(1.0)));
+        assert!(cancel::is_cancel_payload(result.unwrap_err().as_ref()));
     }
 
     #[test]

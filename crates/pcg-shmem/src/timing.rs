@@ -9,7 +9,9 @@
 //! their fixed member; a dynamic or guided chunk goes to the member with
 //! the smallest virtual clock (lowest id on ties), so which member runs
 //! which chunk depends only on measured chunk times, never on the OS
-//! scheduler. Each region then contributes
+//! scheduler. A chunk whose work was measured elsewhere (the single
+//! chunk of [`crate::Pool::charge_single_chunk`]) is charged that time
+//! instead of being run. Each region then contributes
 //!
 //! ```text
 //! region_time = max over members of (sum of chunk times + dispatch)
@@ -76,6 +78,13 @@ impl TimedState {
         let t0 = Instant::now();
         chunk();
         t0.elapsed().as_secs_f64() + self.model.chunk_dispatch
+    }
+
+    /// The cost of a chunk whose work was measured elsewhere: `seconds`
+    /// plus dispatch, after the same cancellation check as a timed chunk.
+    pub fn charge_chunk(&self, seconds: f64) -> f64 {
+        cancel::check_current();
+        seconds + self.model.chunk_dispatch
     }
 
     /// Fold one region's per-member work vector into the clock (the

@@ -43,8 +43,9 @@ fn mpi_efficiency_declines_with_ranks() {
 
 #[test]
 fn inefficient_candidates_never_scale() {
-    // The lopsided/root-computes fallbacks must show ~no speedup growth
-    // from more resources.
+    // The lopsided/root-computes fallbacks must show no speedup growth
+    // from more resources: the lopsided region is charged T* plus a
+    // fork/join that grows with the team.
     let runner = SharedRunner::new(cfg());
     let task = ProblemId::new(ProblemType::Reduce, 3).task(ExecutionModel::OpenMp);
     let kind = CandidateKind::Correct(Quality::Inefficient);
@@ -52,7 +53,7 @@ fn inefficient_candidates_never_scale() {
     let r16 = runner.ratio(task, kind, 16);
     assert!(r1 > 0.0 && r16 > 0.0);
     assert!(
-        r16 < r1 * 2.0,
+        r16 <= r1,
         "one-thread-does-everything cannot speed up 16x (r1={r1:.2}, r16={r16:.2})"
     );
 }
