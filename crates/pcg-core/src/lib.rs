@@ -13,11 +13,10 @@
 //! * [`Output`] — a tolerant, typed value for validating candidate results,
 //! * [`usage`] — substrate API instrumentation used by the harness to detect
 //!   sequential fallbacks (the paper's "does it actually use the parallel
-//!   programming model" check),
+//!   programming model" check), and the per-evaluation [`usage::Context`]
+//!   the substrates read their settings from and count their events into,
 //! * [`cancel`] — cooperative cancellation tokens the harness uses to stop
 //!   runaway candidates at the time limit,
-//! * [`warm`] — the process-wide switch for the warm execution path
-//!   (fiber-multiplexed worlds, input memoization, executor reuse),
 //! * [`plan`] — the cell-addressed work model: globally stable
 //!   [`CellId`]s for every (config, model, task) cell and deterministic
 //!   [`WorkPlan`]s that the harness shards across processes,
@@ -46,7 +45,6 @@ pub mod prompt;
 pub mod rng;
 pub mod task;
 pub mod usage;
-pub mod warm;
 
 pub use cancel::CancelToken;
 pub use candidate::{CandidateKind, Corruption, Quality};

@@ -16,7 +16,8 @@
 //! ([`pcg_problems::framework::fixed_verdict`]).
 //!
 //! The serial reference is solved once per problem: the [`Baseline`]
-//! (best of `reps`) is `T*`, and every candidate whose artifact is the
+//! (best of `reps` after one untimed solve, on the same executor thread
+//! as the candidates) is `T*`, and every candidate whose artifact is the
 //! serial code (`SequentialFallback`, `Correct(Inefficient)` and the
 //! Serial model's `Correct(_)`) consumes it instead of solving again. Its
 //! output is the baseline's own and its time is `T*` plus what its
@@ -37,15 +38,19 @@
 //! cancels the candidate at the limit and abandons it after the grace
 //! period (the paper's kill). Each calling thread keeps its executor in
 //! a thread-local and reuses it for its next execution, unless the
-//! executor was abandoned or the warm path is off.
+//! executor was abandoned or the runner's context is not warm.
+//!
+//! Each runner owns one evaluation [`Context`] ([`pcg_core::usage`]).
+//! Every execution and baseline measurement runs with a sink of its own
+//! in it, folded into the runner's counters when it ends, so runners
+//! alive at once count and fault independently.
 
 use crate::config::EvalConfig;
 use crate::record::EvalStats;
 use pcg_core::cancel::{self, CancelToken};
-use pcg_core::usage::UsageScope;
-use pcg_core::{warm, CandidateKind, Corruption, Output, PcgError, ProblemId, Quality, TaskId};
+use pcg_core::usage::{self, Context, Event, Settings, Sink, UsageDelta};
+use pcg_core::{CandidateKind, Corruption, Output, PcgError, ProblemId, Quality, TaskId};
 use pcg_problems::framework::fixed_verdict;
-use pcg_problems::input_cache::{self, InputCacheStats};
 use pcg_problems::{corrupt, registry, Resources, TimedRun};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
@@ -180,7 +185,7 @@ pub type Baseline = TimedRun;
 /// Monotone execution counters kept by [`SharedRunner`]. Stage times are
 /// summed across workers, so under `--jobs N` they can exceed wall
 /// clock — they answer "where did the compute go", not "how long did I
-/// wait".
+/// wait". `events` sums the ended executions' sinks, indexed by [`Event`].
 #[derive(Debug, Default)]
 struct Counters {
     executions: AtomicU64,
@@ -193,6 +198,7 @@ struct Counters {
     baseline_ns: AtomicU64,
     run_ns: AtomicU64,
     validate_ns: AtomicU64,
+    events: [AtomicU64; usage::EVENTS],
 }
 
 /// One hostile candidate: it hard-failed (worker panic or wall-clock
@@ -313,14 +319,6 @@ fn wait_running<M>(cv: &Condvar, slot: &mut MutexGuard<'_, Slot<M>>, limit: Dura
     }
 }
 
-/// Warm-path counter snapshot taken at runner construction, so the
-/// runner can report per-evaluation deltas of the process-global
-/// input-cache and fiber-scheduler statistics.
-struct WarmBase {
-    input: InputCacheStats,
-    sched: pcg_mpisim::SchedStats,
-}
-
 /// Print a panic in candidate code (a thread carrying a candidate's
 /// cancel token) as the default hook's message line, without a
 /// backtrace; a cancellation unwind, which the harness itself asked
@@ -359,12 +357,18 @@ pub struct SharedRunner {
     /// Keyed by the requested `(task, kind, n)`, so each is listed once.
     quarantined: Mutex<HashMap<(TaskId, CandidateKind, u32), QuarantineEntry>>,
     leaks: Arc<LeakTracker>,
-    warm_base: WarmBase,
+    context: Arc<Context>,
 }
 
 impl SharedRunner {
     /// A fresh runner for one evaluation.
     pub fn new(cfg: EvalConfig) -> SharedRunner {
+        SharedRunner::with_settings(cfg, Settings::default())
+    }
+
+    /// A fresh runner whose context has `settings`: how tests reach the
+    /// reference paths that the defaults replace.
+    pub fn with_settings(cfg: EvalConfig, settings: Settings) -> SharedRunner {
         install_candidate_panic_hook();
         SharedRunner {
             cfg,
@@ -373,10 +377,7 @@ impl SharedRunner {
             counters: Counters::default(),
             quarantined: Mutex::new(HashMap::new()),
             leaks: Arc::new(LeakTracker::default()),
-            warm_base: WarmBase {
-                input: input_cache::stats(),
-                sched: pcg_mpisim::sched::stats(),
-            },
+            context: Context::new(settings),
         }
     }
 
@@ -406,17 +407,26 @@ impl SharedRunner {
         f(baseline)
     }
 
+    /// Best of `cfg.reps` timed serial solves after one untimed one, on this
+    /// thread's executor with no time limit: a first solve of a fresh input,
+    /// or one on another thread than the candidates', skews `T*`.
     fn measure_baseline(&self, problem: ProblemId) -> Baseline {
         let p = registry::problem(problem);
         let size = self.cfg.size_for(p.default_size());
-        let mut best = f64::INFINITY;
-        let mut output = None;
-        for _ in 0..self.cfg.reps.max(1) {
-            let run = p.run_baseline(self.cfg.seed, size);
-            best = best.min(run.seconds);
-            output = Some(run.output);
-        }
-        Baseline { output: output.expect("at least one rep"), seconds: best }
+        let (seed, reps) = (self.cfg.seed, self.cfg.reps.max(1));
+        let measured = self.supervise(Duration::MAX, move || {
+            p.run_baseline(seed, size);
+            let mut best = f64::INFINITY;
+            let mut output = None;
+            for _ in 0..reps {
+                let run = p.run_baseline(seed, size);
+                best = best.min(run.seconds);
+                output = Some(run.output);
+            }
+            Baseline { output: output.expect("at least one rep"), seconds: best }
+        });
+        let failed = |e| panic!("the serial reference of {problem:?} failed: {e:?}");
+        measured.map_or_else(failed, |(baseline, _)| baseline)
     }
 
     /// Execute (or fetch the cached execution of) one candidate.
@@ -495,7 +505,9 @@ impl SharedRunner {
     }
 
     /// Run `work` on this thread's executor with a fresh cancel token
-    /// installed, and supervise it against the configured time limit.
+    /// and a fresh sink in the runner's context installed, and supervise
+    /// it against `limit`. The sink is folded into the counters however
+    /// the execution ends, and returned with the result.
     ///
     /// On timeout the token is cancelled and the executor gets
     /// `cfg.grace` to unwind cooperatively (every substrate checks the
@@ -510,18 +522,21 @@ impl SharedRunner {
     /// gives the `panic` outcome.
     fn supervise<M: Send + 'static>(
         &self,
+        limit: Duration,
         work: impl FnOnce() -> M + Send + 'static,
-    ) -> Result<M, Outcome> {
+    ) -> Result<(M, UsageDelta), Outcome> {
         self.leaks.wait_below(self.cfg.max_abandoned);
         let token = CancelToken::new();
+        let sink = Sink::new(Arc::clone(&self.context));
         let slot = Arc::new((Mutex::new(Slot::Running), Condvar::new()));
-        let (worker_token, worker_slot, leaks) =
-            (token.clone(), Arc::clone(&slot), Arc::clone(&self.leaks));
+        let (worker_token, worker_sink, worker_slot, leaks) =
+            (token.clone(), Arc::clone(&sink), Arc::clone(&slot), Arc::clone(&self.leaks));
         let job: Job = Box::new(move || {
             let result = {
                 // Restored on return, so a reused executor never
-                // carries a stale token into the next candidate.
+                // carries a stale token or sink into the next candidate.
                 let _cancel = cancel::install_token(Some(worker_token));
+                let _usage = usage::install_sink(Some(worker_sink));
                 catch_unwind(AssertUnwindSafe(work))
             };
             let (lock, cv) = &*worker_slot;
@@ -538,7 +553,7 @@ impl SharedRunner {
 
         let (lock, cv) = &*slot;
         let mut state = lock.lock();
-        wait_running(cv, &mut state, self.cfg.timeout);
+        wait_running(cv, &mut state, limit);
         let timed_out = matches!(*state, Slot::Running);
         if timed_out {
             token.cancel();
@@ -546,6 +561,10 @@ impl SharedRunner {
         }
         // Marking the slot `Abandoned` gives up on a running executor
         // and is harmless to a finished one.
+        let usage = sink.delta();
+        for (total, n) in self.counters.events.iter().zip(usage.event_counts()) {
+            total.fetch_add(n, Ordering::Relaxed);
+        }
         let result = match std::mem::replace(&mut *state, Slot::Abandoned) {
             Slot::Done(result) => result,
             _ => {
@@ -554,7 +573,7 @@ impl SharedRunner {
                 return Err(Outcome::hard("timeout"));
             }
         };
-        if warm::enabled() {
+        if self.context.settings.warm {
             EXECUTOR.set(Some(executor));
         }
         if timed_out {
@@ -563,10 +582,11 @@ impl SharedRunner {
             self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
             return Err(Outcome::hard("timeout"));
         }
-        result.map_err(|_| {
+        let value = result.map_err(|_| {
             self.counters.panics.fetch_add(1, Ordering::Relaxed);
             Outcome::hard("panic")
-        })
+        })?;
+        Ok((value, usage))
     }
 
     /// Run `comp` at `task` once, with the requester's `n` (every `n`
@@ -594,8 +614,7 @@ impl SharedRunner {
         // that, abandoned) at the time limit: the paper's 3-minute kill.
         let t_run = Instant::now();
         let base = baseline.clone();
-        let body = self.supervise(move || {
-            let scope = UsageScope::begin();
+        let body = self.supervise(self.cfg.timeout, move || {
             let serial = || base.clone();
             let mut best = f64::INFINITY;
             let mut last = None;
@@ -610,10 +629,10 @@ impl SharedRunner {
                 }
                 last = Some(run);
             }
-            (last.expect("at least one rep ran"), best, scope.finish())
+            (last.expect("at least one rep ran"), best)
         });
         add_ns(&self.counters.run_ns, t_run);
-        let (result, best, usage) = match body {
+        let ((result, best), usage) = match body {
             Ok(v) => v,
             Err(hard) => return Verdicts::all(hard, true),
         };
@@ -659,15 +678,15 @@ impl SharedRunner {
     {
         self.counters.executions.fetch_add(1, Ordering::Relaxed);
         let t_run = Instant::now();
-        let body = self.supervise(move || {
+        let body = self.supervise(self.cfg.timeout, move || {
             let t0 = Instant::now();
-            (f(), t0.elapsed().as_secs_f64())
+            f().map(|_| t0.elapsed().as_secs_f64())
         });
         add_ns(&self.counters.run_ns, t_run);
         match body {
             Err(hard) => hard,
             Ok((Err(e), _)) => Outcome::failed(&e),
-            Ok((Ok(_), secs)) => Outcome { built: true, correct: true, seconds: secs, error: None },
+            Ok((Ok(seconds), _)) => Outcome { built: true, correct: true, seconds, error: None },
         }
     }
 
@@ -675,14 +694,13 @@ impl SharedRunner {
     /// [`EvalStats`] whose remaining fields (grid shape, wall clock,
     /// journal and steal counters) are left at their defaults for the
     /// caller to fill. Stage seconds are summed across workers; the
-    /// input-cache and fiber-scheduler counts are process-global, so
-    /// they are reported as deltas since the runner was constructed.
+    /// substrate counts are those of this runner's ended executions and
+    /// baseline measurements.
     pub fn stats(&self) -> EvalStats {
         let c = &self.counters;
         let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let secs = |a: &AtomicU64| get(a) as f64 / 1e9;
-        let sched = pcg_mpisim::sched::stats();
-        let base = &self.warm_base.sched;
+        let event = |e: Event| get(&c.events[e as usize]);
         EvalStats {
             executions: get(&c.executions),
             cache_hits: get(&c.cache_hits),
@@ -696,16 +714,12 @@ impl SharedRunner {
             baseline_s: secs(&c.baseline_ns),
             run_s: secs(&c.run_ns),
             validate_s: secs(&c.validate_ns),
-            input_cache_hits: input_cache::stats()
-                .hits
-                .saturating_sub(self.warm_base.input.hits),
-            ranks_multiplexed: sched.ranks_multiplexed.saturating_sub(base.ranks_multiplexed),
-            bytes_zero_copied: sched.bytes_zero_copied.saturating_sub(base.bytes_zero_copied),
-            deadlocks_detected: sched.deadlocks_detected.saturating_sub(base.deadlocks_detected),
-            stack_overflows_caught: sched
-                .stack_overflows_caught
-                .saturating_sub(base.stack_overflows_caught),
-            guard_faults: sched.guard_faults.saturating_sub(base.guard_faults),
+            input_cache_hits: event(Event::InputCacheHit),
+            ranks_multiplexed: event(Event::RankMultiplexed),
+            bytes_zero_copied: event(Event::ByteZeroCopied),
+            deadlocks_detected: event(Event::DeadlockDetected),
+            stack_overflows_caught: event(Event::StackOverflowCaught),
+            guard_faults: event(Event::GuardFault),
             leak_budget_exhausted: self.leaks.was_exhausted(),
             ..EvalStats::default()
         }

@@ -72,10 +72,9 @@ fn chaos_rates_participate_in_the_config_hash() {
     );
 }
 
-/// The whole battery runs as one test: the containment counters are
-/// per-runner deltas over process-global scheduler totals, so exact
-/// cross-runner arithmetic (`guard_faults == stack_overflows_caught`)
-/// is only meaningful while no concurrent test is faulting fibers.
+/// The whole battery: a reference run, a `--jobs 8` run and a sharded
+/// run of one chaos grid. Each runner counts only its own containment
+/// events, so `guard_faults == stack_overflows_caught` holds per runner.
 #[test]
 fn chaos_battery_fails_fast_and_stays_deterministic() {
     let cfg = chaos_cfg();

@@ -17,18 +17,18 @@
 //! optimized code, and a debug build measures a different program. Run
 //! them with `cargo test --release -p pcg-harness --test perf_gates`.
 //!
-//! One lock serializes the gates so no two timings overlap, and every
-//! process-global switch a gate flips (warm path, deadlock detection)
-//! is restored by a drop guard, so a failing gate
-//! cannot leave the next one in a forced mode. Gates 5–7 measure real
+//! One lock serializes the gates so no two timings overlap. Gates 2, 3
+//! and 8 reach their reference side (thread per rank and no input memo,
+//! or no deadlock detection) through the settings of a runner's or a
+//! scope's own context, so no gate changes what another sees. Gates 5–7 measure real
 //! OS processes: they re-run this test binary filtered to their own
 //! test, with [`ROLE_VAR`] naming the part the child plays.
 
 use pcg_core::plan::{CellId, PlanCell, ShardSpec, WorkPlan};
 use pcg_core::task::all_tasks;
+use pcg_core::usage::{Context, Settings, UsageScope};
 use pcg_core::{
-    warm, CandidateKind, CostPriors, ExecutionModel, PcgError, ProblemId, ProblemType, Quality,
-    TaskId,
+    CandidateKind, CostPriors, ExecutionModel, PcgError, ProblemId, ProblemType, Quality, TaskId,
 };
 use pcg_harness::journal::{self, config_hash, Journal, Replay, ReplayCell};
 use pcg_harness::record::TaskRecord;
@@ -56,15 +56,8 @@ fn serial() -> MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs its closure on drop, so a process-global switch is restored
-/// even when the gate that flipped it panics.
-struct Restore<F: FnMut()>(F);
-
-impl<F: FnMut()> Drop for Restore<F> {
-    fn drop(&mut self) {
-        (self.0)()
-    }
-}
+/// The thread-per-rank, memo-free reference the warm path replaces.
+const COLD: Settings = Settings { warm: false, deadlock_detection: true };
 
 /// The best of `reps` timings, to shed scheduling noise.
 fn best_of(reps: usize, mut seconds: impl FnMut() -> f64) -> f64 {
@@ -129,9 +122,14 @@ fn slice_plan() -> WorkPlan {
 }
 
 /// Wall seconds and stats for one evaluation at `--jobs 1` on a fresh
-/// runner.
-fn grid_once(cfg: &EvalConfig, model: &[SyntheticModel], tasks: &[TaskId]) -> (f64, EvalStats) {
-    let runner = SharedRunner::new(cfg.clone());
+/// runner with `settings`.
+fn grid_once(
+    cfg: &EvalConfig,
+    settings: Settings,
+    model: &[SyntheticModel],
+    tasks: &[TaskId],
+) -> (f64, EvalStats) {
+    let runner = SharedRunner::with_settings(cfg.clone(), settings);
     let t0 = Instant::now();
     let (_, stats) = eval::evaluate_with(cfg, model, Some(tasks), 1, &runner);
     (t0.elapsed().as_secs_f64(), stats)
@@ -180,8 +178,6 @@ fn timeout_overlap_at_8_workers() {
 #[cfg_attr(debug_assertions, ignore = "bounds hold for optimized builds only")]
 fn warm_path_beats_cold() {
     let _gate = serial();
-    let was = warm::enabled();
-    let _warm = Restore(move || warm::set_enabled(was));
     let mut cfg = EvalConfig::smoke();
     cfg.size_divisor = usize::MAX;
     let tasks: Vec<TaskId> = eval::smoke_tasks()
@@ -194,17 +190,16 @@ fn warm_path_beats_cold() {
         })
         .collect();
     let model = [SyntheticModel::by_name("CodeLlama-13B").expect("zoo model")];
-    let once = || grid_once(&cfg, &model, &tasks);
+    let once = |settings| grid_once(&cfg, settings, &model, &tasks);
+    let warm = Settings::default();
 
-    warm::set_enabled(false);
-    let cold = best_of(2, || once().0);
+    let cold = best_of(2, || once(COLD).0);
     // Start from an empty input cache and prime it once; then measure
     // the steady state.
-    warm::set_enabled(true);
     input_cache::flush();
-    once();
-    let (warm_a, stats) = once();
-    let warm_s = warm_a.min(once().0);
+    once(warm);
+    let (warm_a, stats) = once(warm);
+    let warm_s = warm_a.min(once(warm).0);
     let speedup = cold / warm_s;
     println!(
         "warm path: cold {cold:.3}s, warm {warm_s:.3}s, {speedup:.2}x \
@@ -219,16 +214,15 @@ fn warm_path_beats_cold() {
 /// One 512-rank world (block dot, allreduce, ring shift on the cluster
 /// model): thread per rank (the cold path) pays a thread spawn per rank
 /// per run, the multiplexer (the warm path) runs the world as fibers on
-/// the calling thread plus one helper per further core.
+/// the calling thread.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "bounds hold for optimized builds only")]
 fn mpi_multiplexing_at_512_ranks() {
     use pcg_mpisim::{CostModel, ReduceOp, World};
     let _gate = serial();
     assert!(sched::supported(), "the gate measures the fiber scheduler");
-    let was = warm::enabled();
-    let _warm = Restore(move || warm::set_enabled(was));
-    let world_seconds = || {
+    let world_seconds = |settings| {
+        let _context = UsageScope::begin_in(Context::new(settings));
         let t0 = Instant::now();
         World::new(512)
             .with_cost_model(CostModel::cluster())
@@ -244,10 +238,8 @@ fn mpi_multiplexing_at_512_ranks() {
             .expect("512-rank world");
         t0.elapsed().as_secs_f64()
     };
-    warm::set_enabled(false);
-    let threads_s = best_of(2, world_seconds);
-    warm::set_enabled(true);
-    let mux_s = best_of(2, world_seconds);
+    let threads_s = best_of(2, || world_seconds(COLD));
+    let mux_s = best_of(2, || world_seconds(Settings::default()));
     let speedup = threads_s / mux_s;
     println!(
         "mpi 512 ranks: thread per rank {threads_s:.4}s, multiplexed {mux_s:.4}s, {speedup:.2}x"
@@ -583,7 +575,6 @@ fn stealing_beats_a_stalled_victim() {
 #[cfg_attr(debug_assertions, ignore = "bounds hold for optimized builds only")]
 fn deadlock_fail_fast_beats_timeouts() {
     let _gate = serial();
-    let _detect = Restore(|| sched::set_deadlock_detection(true));
     let mut cfg = EvalConfig::smoke();
     cfg.timeout = Duration::from_millis(250);
     cfg.skip_high_temp = true;
@@ -597,9 +588,9 @@ fn deadlock_fail_fast_beats_timeouts() {
         .take(6)
         .collect();
     let grid = |detect: bool| -> (f64, EvalStats) {
-        sched::set_deadlock_detection(detect);
-        let (a, stats) = grid_once(&cfg, &model, &tasks);
-        (a.min(grid_once(&cfg, &model, &tasks).0), stats)
+        let settings = Settings { deadlock_detection: detect, ..Settings::default() };
+        let (a, stats) = grid_once(&cfg, settings, &model, &tasks);
+        (a.min(grid_once(&cfg, settings, &model, &tasks).0), stats)
     };
     let (failfast, fast) = grid(true);
     let (baseline, slow) = grid(false);

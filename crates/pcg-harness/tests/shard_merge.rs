@@ -3,7 +3,7 @@
 //! Multi-process sharding is a pure topology change: merging the shard
 //! journals of `--shard 0/3 + 1/3 + 2/3` must produce records
 //! **byte-identical** to an unsharded run of the same config, at any
-//! worker count, with the warm path enabled. Byte-identity is the
+//! worker count, on the warm path. Byte-identity is the
 //! shared-measurement guarantee (the same discipline `crash_resume`
 //! enforces): records embed measured candidate timings, so the exact
 //! comparison holds when every phase draws from one [`SharedRunner`]'s
@@ -12,12 +12,8 @@
 //! resumed worker re-measure — the comparison is the deterministic
 //! projection (`pcg_harness::record::projection`), exactly as CI
 //! compares separate worker processes.
-//!
-//! One `#[test]` only: the warm flag and the input cache are
-//! process-global, so the phases must not interleave.
 
 use pcg_core::plan::ShardSpec;
-use pcg_core::warm;
 use pcg_harness::eval::{self, evaluate_with, smoke_tasks};
 use pcg_harness::journal::{self, Journal, Replay};
 use pcg_harness::pipeline::{self, RunOptions};
@@ -84,7 +80,6 @@ fn merged_shards_match_the_unsharded_run() {
     let tasks: Vec<_> = smoke_tasks().into_iter().take(7).collect();
     let models = pcg_models::zoo();
     let cache = tmp_cache();
-    warm::set_enabled(true);
     input_cache::flush();
 
     // ------- Phase 1: unsharded reference, --jobs 1 and --jobs 8.

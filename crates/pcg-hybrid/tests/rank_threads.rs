@@ -1,4 +1,4 @@
-//! With the warm path on, a hybrid world's ranks run as fibers on the
+//! Under the default (warm) context, a hybrid world's ranks run as fibers on the
 //! calling thread alone, like any fiber world: a 4 x 64 world (the
 //! paper's largest hybrid shape) must add no OS thread, neither for its
 //! rank layer nor for its timed per-rank pools.
@@ -9,7 +9,6 @@
 //! `#[test]` only: a sibling test's threads would show up in the count.
 #![cfg(all(target_os = "linux", target_arch = "x86_64"))]
 
-use pcg_core::warm;
 use pcg_hybrid::HybridWorld;
 use pcg_mpisim::ReduceOp;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,7 +24,6 @@ fn os_thread_count() -> usize {
 
 #[test]
 fn hybrid_4x64_world_adds_no_os_thread() {
-    warm::set_enabled(true);
     let baseline = os_thread_count();
     let peak = AtomicUsize::new(baseline);
     let n = 1 << 16;

@@ -35,7 +35,8 @@ use crate::mailbox::Envelope;
 use crate::packet::{combine, combine_into, Elem, Packet, ReduceOp};
 use crate::sched::{self, Wait};
 use crate::world::{Combine, CombineKey, Lookup, WorldShared};
-use pcg_core::{usage, ExecutionModel};
+use pcg_core::usage::{self, Event};
+use pcg_core::ExecutionModel;
 use std::cell::Cell;
 use std::time::Instant;
 
@@ -196,14 +197,14 @@ impl<'w> Comm<'w> {
     /// Send an owned vector: the buffer is moved into the packet, never
     /// copied (for values the sender will not read again).
     fn send_vec<T: Elem>(&self, dst: usize, tag: u32, data: Vec<T>) {
-        sched::note_zero_copy(data.len() * T::BYTES);
+        usage::note(Event::ByteZeroCopied, (data.len() * T::BYTES) as u64);
         self.send_packet(dst, tag, T::wrap(data));
     }
 
     /// Forward an in-flight buffer to the next hop of a collective: an
     /// `Arc` clone, not a data copy.
     fn forward(&self, dst: usize, tag: u32, packet: &Packet) {
-        sched::note_zero_copy(packet.byte_len());
+        usage::note(Event::ByteZeroCopied, packet.byte_len() as u64);
         self.send_packet(dst, tag, packet.clone());
     }
 
@@ -738,6 +739,7 @@ pub(crate) fn abort_panic() -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcg_core::usage::UsageScope;
 
     #[test]
     fn block_range_partitions() {
@@ -754,7 +756,7 @@ mod tests {
 
     #[test]
     fn send_owned_moves_payloads_without_copying() {
-        let before = sched::stats().bytes_zero_copied;
+        let scope = UsageScope::begin();
         let out = crate::World::new(2)
             .run(|comm| {
                 if comm.rank() == 0 {
@@ -768,7 +770,7 @@ mod tests {
             .unwrap();
         assert!(out.per_rank[0].is_empty());
         assert_eq!(out.per_rank[1], (0..1024).collect::<Vec<i64>>());
-        let moved = sched::stats().bytes_zero_copied - before;
+        let moved = scope.finish().events(Event::ByteZeroCopied);
         assert!(
             moved >= 1024 * 8,
             "an owned send must count its payload bytes as zero-copied, got {moved}"

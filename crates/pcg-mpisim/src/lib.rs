@@ -57,7 +57,6 @@ mod world;
 pub use comm::{block_range, Comm};
 pub use cost::CostModel;
 pub use packet::{Elem, Packet, ReduceOp};
-pub use sched::SchedStats;
 pub use world::{SimOutcome, World};
 
 /// Receive from any source (the `MPI_ANY_SOURCE` analog).

@@ -30,94 +30,26 @@
 //!
 //! A resumed fiber checks the launching candidate's cancel token before
 //! every receive, and `WorldShared::abort` wakes every parked fiber so it
-//! observes the abort and unwinds. With the deadlock detector off (tests
-//! measuring the timeout-only baseline), a quiescent world polls the
-//! cancel token every `CANCEL_TICK` (2 ms) and then wakes every fiber,
-//! which unwinds with the marker exactly like a parked rank thread. The
-//! scheduler only returns once every rank has run to completion, so
-//! fibers are never dropped mid-stack in normal operation.
+//! observes the abort and unwinds. With the deadlock detector off (a
+//! context setting tests use to measure the timeout-only baseline), a
+//! quiescent world polls the cancel token every `CANCEL_TICK` (2 ms)
+//! and then wakes every fiber, which unwinds with the marker exactly
+//! like a parked rank thread. The scheduler only returns once every
+//! rank has run to completion, so fibers are never dropped mid-stack in
+//! normal operation.
 
 use crate::sync::CANCEL_TICK;
 use crate::world::WorldShared;
 use parking_lot::Mutex;
-use pcg_core::warm;
+use pcg_core::usage::{self, Event};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 // ---- policy ----------------------------------------------------------
 
-/// Whether fiber multiplexing is implemented for this target.
+/// Whether fiber multiplexing is implemented for this target; elsewhere,
+/// and in a context that is not warm, a world runs thread per rank.
 pub fn supported() -> bool {
     cfg!(all(target_arch = "x86_64", unix))
-}
-
-/// Whether worlds run their ranks as fibers: on every supported target
-/// while the warm path is on. Cold mode (`warm::set_enabled(false)`)
-/// and unsupported targets run one OS thread per rank, the reference
-/// path the fiber scheduler is checked against.
-pub fn should_multiplex() -> bool {
-    supported() && warm::enabled()
-}
-
-// ---- stats -----------------------------------------------------------
-
-static RANKS_MULTIPLEXED: AtomicU64 = AtomicU64::new(0);
-static BYTES_ZERO_COPIED: AtomicU64 = AtomicU64::new(0);
-static DEADLOCKS_DETECTED: AtomicU64 = AtomicU64::new(0);
-static STACK_OVERFLOWS_CAUGHT: AtomicU64 = AtomicU64::new(0);
-static GUARD_FAULTS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide multiplexer counters (monotonic; the harness snapshots
-/// and diffs them per evaluation, like the input-cache stats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Simulated ranks that ran as fibers instead of OS threads.
-    pub ranks_multiplexed: u64,
-    /// Payload bytes forwarded or moved by reference in transport
-    /// (collective hops, moved sends) instead of being copied.
-    pub bytes_zero_copied: u64,
-    /// Worlds failed fast by the wait-for-graph deadlock detector.
-    pub deadlocks_detected: u64,
-    /// Fiber stack overflows converted into verdicts by the guard page.
-    pub stack_overflows_caught: u64,
-    /// SIGSEGV faults classified as guard-page hits (one per caught
-    /// overflow; counted separately so a divergence between the two —
-    /// a fault that never became a verdict — is visible).
-    pub guard_faults: u64,
-}
-
-/// Snapshot the counters.
-pub fn stats() -> SchedStats {
-    SchedStats {
-        ranks_multiplexed: RANKS_MULTIPLEXED.load(Ordering::Relaxed),
-        bytes_zero_copied: BYTES_ZERO_COPIED.load(Ordering::Relaxed),
-        deadlocks_detected: DEADLOCKS_DETECTED.load(Ordering::Relaxed),
-        stack_overflows_caught: STACK_OVERFLOWS_CAUGHT.load(Ordering::Relaxed),
-        guard_faults: GUARD_FAULTS.load(Ordering::Relaxed),
-    }
-}
-
-pub(crate) fn note_ranks_multiplexed(n: u64) {
-    RANKS_MULTIPLEXED.fetch_add(n, Ordering::Relaxed);
-}
-
-pub(crate) fn note_zero_copy(bytes: usize) {
-    BYTES_ZERO_COPIED.fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-// ---- deadlock detection policy ---------------------------------------
-
-static DEADLOCK_DETECT: AtomicBool = AtomicBool::new(true);
-
-/// Enable/disable the wait-for-graph deadlock detector (on by default).
-/// Only tests turn it off, to measure the timeout-only baseline the
-/// detector replaces.
-pub fn set_deadlock_detection(enabled: bool) {
-    DEADLOCK_DETECT.store(enabled, Ordering::Release);
-}
-
-fn deadlock_detection() -> bool {
-    DEADLOCK_DETECT.load(Ordering::Acquire)
 }
 
 // ---- yield reasons ---------------------------------------------------
@@ -145,6 +77,7 @@ pub(crate) enum Wait {
 #[cfg(all(target_arch = "x86_64", unix))]
 mod fiber {
     use super::Wait;
+    use pcg_core::usage::{self, Event};
     use std::cell::Cell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -494,14 +427,20 @@ pcg_mpisim_fiber_trampoline:
             /// Cell with no destructor, so reads from the signal
             /// handler are plain TLS loads (async-signal-safe).
             static GUARD_RANGE: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+            /// Guard-page hits on this thread since the fiber was
+            /// entered, handed to the scheduler by `leave_fiber`.
+            static GUARD_FAULTS: Cell<u64> = const { Cell::new(0) };
         }
 
         pub(super) fn enter_fiber(stack: &StackMem) {
             GUARD_RANGE.with(|c| c.set(stack.guard_range()));
         }
 
-        pub(super) fn leave_fiber() {
+        /// Unpublish the guard range; returns the guard faults taken
+        /// while the fiber ran.
+        pub(super) fn leave_fiber() -> u64 {
             GUARD_RANGE.with(|c| c.set((0, 0)));
+            GUARD_FAULTS.with(|c| c.replace(0))
         }
 
         /// The disposition SIGSEGV had before the classifier was
@@ -516,15 +455,15 @@ pcg_mpisim_fiber_trampoline:
             restorer: 0,
         }));
 
-        /// SIGSEGV classifier. Async-signal-safe by construction: a
-        /// const-initialized TLS read, one relaxed atomic add, and
-        /// direct register writes into the ucontext — no allocation,
-        /// locking, formatting, or unwinding.
+        /// SIGSEGV classifier. Async-signal-safe by construction:
+        /// const-initialized TLS reads and one TLS write, and direct
+        /// register writes into the ucontext — no allocation, locking,
+        /// formatting, or unwinding.
         extern "C" fn segv_handler(_sig: i32, info: *mut os::SigInfo, ctx: *mut os::UContext) {
             let addr = unsafe { (*info).si_addr as usize };
             let (lo, hi) = GUARD_RANGE.with(|c| c.get());
             if lo != 0 && (lo..hi).contains(&addr) {
-                super::super::GUARD_FAULTS.fetch_add(1, Ordering::Relaxed);
+                GUARD_FAULTS.with(|c| c.set(c.get() + 1));
                 let land: extern "C" fn() -> ! = super::overflow_landing;
                 unsafe {
                     // Resume the fiber at the landing pad on the rescue
@@ -696,7 +635,9 @@ pcg_mpisim_fiber_trampoline:
         }
 
         pub(super) fn enter_fiber(_stack: &StackMem) {}
-        pub(super) fn leave_fiber() {}
+        pub(super) fn leave_fiber() -> u64 {
+            0
+        }
         pub(super) fn ensure_signal_setup() {}
     }
 
@@ -773,7 +714,10 @@ pcg_mpisim_fiber_trampoline:
             unsafe {
                 pcg_mpisim_fiber_switch(&mut pair.worker_rsp, pair.fiber_rsp);
             }
-            stack::leave_fiber();
+            let guard_faults = stack::leave_fiber();
+            if guard_faults > 0 {
+                usage::note(Event::GuardFault, guard_faults);
+            }
             CURRENT.with(|c| c.set(std::ptr::null_mut()));
             if matches!(pair.reason, Wait::StackOverflow) {
                 // The fiber escaped through the rescue landing pad: its
@@ -1003,7 +947,7 @@ pub(crate) fn run_multiplexed(shared: &WorldShared, body: &(dyn Fn(usize) + Sync
                 // its rank can never produce a result. Record the
                 // verdict and abort the world so every other rank
                 // unwinds instead of waiting on the dead rank forever.
-                STACK_OVERFLOWS_CAUGHT.fetch_add(1, Ordering::Relaxed);
+                usage::note(Event::StackOverflowCaught, 1);
                 {
                     let mut st = sched.state.lock();
                     st.slots[rank] = RankSlot::Done;
@@ -1027,9 +971,9 @@ pub(crate) fn run_multiplexed(shared: &WorldShared, body: &(dyn Fn(usize) + Sync
 /// kill pending, wait for the launching candidate's cancel token and
 /// wake every fiber so each unwinds with the cancel marker.
 fn quiescent(shared: &WorldShared, sched: &Sched) {
-    if deadlock_detection() && !cancel_requested(shared) {
+    if usage::settings().deadlock_detection && !cancel_requested(shared) {
         let report = sched.state.lock().deadlock_report();
-        DEADLOCKS_DETECTED.fetch_add(1, Ordering::Relaxed);
+        usage::note(Event::DeadlockDetected, 1);
         let _ = shared.deadlock.set(report);
         shared.abort();
         return;

@@ -8,6 +8,7 @@ use crate::sched::{self, Sched};
 use crate::sync::Semaphore;
 use parking_lot::Mutex;
 use pcg_core::cancel::CancelToken;
+use pcg_core::usage::{self, Event};
 use pcg_core::PcgError;
 use std::collections::hash_map::{Entry, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -252,8 +253,8 @@ impl World {
         self
     }
 
-    /// Force this world onto the fiber scheduler even when the warm path
-    /// is off (no-op where fibers are unsupported). Containment relies on
+    /// Force this world onto the fiber scheduler even under a context that
+    /// is not warm (no-op where fibers are unsupported). Containment relies on
     /// this for hostile candidates: the deadlock detector and stack guard
     /// pages only exist on the multiplexed path, and a stack-hogging rank
     /// on a plain OS thread would take the whole process down instead of
@@ -270,8 +271,9 @@ impl World {
 
     /// Run `f` as an SPMD program: one invocation per rank, each with a
     /// private [`Comm`]. Ranks run as fibers on the calling thread alone,
-    /// starting no thread, when [`sched::should_multiplex`] (or
-    /// [`World::multiplexed`]) says so, else each on its own thread.
+    /// starting no thread, where [`sched::supported`] and the calling
+    /// thread's context is warm or the world [`World::multiplexed`]; else
+    /// each on its own thread.
     /// Returns per-rank results and the simulated elapsed time, or the
     /// first rank failure.
     pub fn run<R, F>(&self, f: F) -> Result<SimOutcome<R>, PcgError>
@@ -286,7 +288,7 @@ impl World {
     /// This world's shared state, built on the launching thread.
     fn shared(&self) -> WorldShared {
         let tokens = self.max_tokens.min(self.size);
-        let mux = sched::should_multiplex() || (self.force_mux && sched::supported());
+        let mux = sched::supported() && (self.force_mux || usage::settings().warm);
         WorldShared {
             mailboxes: (0..self.size).map(|_| Mailbox::new()).collect(),
             cost: self.cost.clone(),
@@ -311,7 +313,7 @@ impl World {
         F: Fn(&Comm<'_>) -> R + Sync,
     {
         if shared.is_multiplexed() {
-            sched::note_ranks_multiplexed(self.size as u64);
+            usage::note(Event::RankMultiplexed, self.size as u64);
         }
         let results: Mutex<Vec<Option<(R, f64)>>> =
             Mutex::new((0..self.size).map(|_| None).collect());
@@ -368,7 +370,7 @@ impl World {
             // runs concurrently, and inherit its cancel token so a
             // killed candidate's ranks (and any nested shmem pools
             // they spawn) observe the kill.
-            let usage_sink = pcg_core::usage::current_sink();
+            let usage_sink = usage::current_sink();
             let cancel_token = pcg_core::cancel::current_token();
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(self.size);
@@ -381,7 +383,7 @@ impl World {
                             .name(format!("mpisim-rank-{rank}"))
                             .stack_size(1 << 21)
                             .spawn_scoped(scope, move || {
-                                let _usage = pcg_core::usage::install_sink(usage_sink);
+                                let _usage = usage::install_sink(usage_sink);
                                 let _cancel = pcg_core::cancel::install_token(cancel_token);
                                 rank_body(rank)
                             })

@@ -1,12 +1,10 @@
 //! Containment conformance: the wait-for-graph deadlock detector and the
 //! guard-paged fiber stacks must convert hostile candidates into
 //! immediate, deterministic verdicts.
-//!
-//! One `#[test]` only: the sched counters and deadlock-detection toggle
-//! are process-global, so the sections must run sequentially.
 
 #![cfg(all(target_arch = "x86_64", unix))]
 
+use pcg_core::usage::{Context, Event, Settings, UsageScope};
 use pcg_core::PcgError;
 use pcg_mpisim::{sched, CostModel, World};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,10 +68,9 @@ fn containment_battery() {
     assert_eq!(msg, expect_deadlock(deadlock_world(4)));
 
     // The detector counted each world exactly once.
-    let base = sched::stats();
+    let scope = UsageScope::begin();
     expect_deadlock(deadlock_world(2));
-    let after = sched::stats();
-    assert_eq!(after.deadlocks_detected - base.deadlocks_detected, 1);
+    assert_eq!(scope.finish().events(Event::DeadlockDetected), 1);
 
     // --- waiting on a rank that already returned -----------------------
     // The verdict must not depend on the order in which the waiter parks
@@ -117,14 +114,14 @@ fn containment_battery() {
     // hanging it. (The containment gate in
     // `pcg-harness/tests/perf_gates.rs` times the same path under a
     // harness timeout.)
-    sched::set_deadlock_detection(false);
-    let base = sched::stats();
     let token = pcg_core::cancel::CancelToken::new();
     let (parked_tx, parked_rx) = mpsc::channel();
     let (done_tx, done_rx) = mpsc::channel();
     let world_token = token.clone();
     std::thread::spawn(move || {
         let _cancel = pcg_core::cancel::install_token(Some(world_token));
+        let undetected = Settings { deadlock_detection: false, ..Settings::default() };
+        let scope = UsageScope::begin_in(Context::new(undetected));
         let run = catch_unwind(AssertUnwindSafe(|| {
             World::new(4).multiplexed().run(|comm| {
                 if comm.rank() == comm.size() - 1 {
@@ -135,17 +132,16 @@ fn containment_battery() {
                 let _: Vec<f64> = comm.recv(Some((comm.rank() + 1) % comm.size()), NEVER_SENT);
             })
         }));
-        let _ = done_tx.send(run.map(|r| r.map(|_| ())));
+        let _ = done_tx.send((run.map(|r| r.map(|_| ())), scope.finish()));
     });
     parked_rx.recv().expect("the last rank reached its receive");
     // Give the scheduler time to find every rank parked, so the cancel
     // lands in its idle wait rather than in the last rank's own check.
     std::thread::sleep(Duration::from_millis(20));
     token.cancel();
-    let run = done_rx
+    let (run, usage) = done_rx
         .recv_timeout(Duration::from_secs(1))
         .expect("a cancel must unwind a quiescent world within 1 s");
-    sched::set_deadlock_detection(true);
     match run {
         Err(payload) => assert!(
             pcg_core::cancel::is_cancel_payload(&*payload),
@@ -155,8 +151,8 @@ fn containment_battery() {
         Ok(r) => panic!("a cancelled quiescent world must unwind, got {r:?}"),
     }
     assert_eq!(
-        sched::stats().deadlocks_detected,
-        base.deadlocks_detected,
+        usage.events(Event::DeadlockDetected),
+        0,
         "detection off must give no deadlock verdict"
     );
 
@@ -165,7 +161,7 @@ fn containment_battery() {
     // verdict emitted) and NEVER by the legacy canary word: a canary
     // detection would panic with a distinct message and surface here as
     // a Runtime error instead of StackOverflow.
-    let base = sched::stats();
+    let scope = UsageScope::begin();
     const N: u64 = 32;
     for i in 0..N {
         let run = World::new(1).multiplexed().run(|comm| {
@@ -181,14 +177,14 @@ fn containment_battery() {
             other => panic!("iteration {i}: expected stack-overflow verdict, got {other:?}"),
         }
     }
-    let after = sched::stats();
+    let usage = scope.finish();
     assert_eq!(
-        after.stack_overflows_caught - base.stack_overflows_caught,
+        usage.events(Event::StackOverflowCaught),
         N,
         "every overflow must be converted into a verdict"
     );
     assert_eq!(
-        after.guard_faults - base.guard_faults,
+        usage.events(Event::GuardFault),
         N,
         "every overflow must be classified via the guard page"
     );

@@ -8,14 +8,12 @@
 //! with `CostModel::deterministic()` the clock is a pure function of
 //! the message graph, which scheduling must not perturb.
 //!
-//! Cold mode (`warm` off) is the thread-per-rank path; warm mode runs
-//! every world as fibers. A last cold phase checks that cancelling a
-//! deadlocked thread-per-rank world unwinds it.
-//!
-//! One `#[test]` only: the warm-path flag is process-global.
+//! A context whose warm setting is off selects the thread-per-rank path;
+//! the default runs every world as fibers. A separate test checks that
+//! cancelling a deadlocked thread-per-rank world unwinds it.
 
 use pcg_core::cancel::{self, CancelToken};
-use pcg_core::warm;
+use pcg_core::usage::{Context, Event, Settings, UsageScope};
 use pcg_mpisim::sched;
 use pcg_mpisim::{block_range, CostModel, ReduceOp, World};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,6 +30,11 @@ struct Battery {
     allgather: Vec<u32>,
     scatter: Vec<f64>,
     alltoall: Vec<Vec<i64>>,
+}
+
+/// A scope whose context runs worlds thread per rank.
+fn thread_per_rank() -> UsageScope {
+    UsageScope::begin_in(Context::new(Settings { warm: false, ..Settings::default() }))
 }
 
 fn run_battery(size: usize) -> (Vec<Battery>, Vec<f64>) {
@@ -119,13 +122,13 @@ fn collectives_identical_across_execution_paths() {
     for size in [3usize, 5, 7, 48] {
         let seed: Vec<f64> = (0..size * 3 + 1).map(|i| i as f64 * 0.5).collect();
 
-        warm::set_enabled(false);
+        let reference = thread_per_rank();
         let (threads_results, threads_clocks) = run_battery(size);
+        drop(reference);
 
-        warm::set_enabled(true);
-        let stats_before = sched::stats();
+        let scope = UsageScope::begin();
         let (mux_results, mux_clocks) = run_battery(size);
-        let stats_after = sched::stats();
+        let usage = scope.finish();
 
         check_oracle(size, &threads_results, &seed);
         check_oracle(size, &mux_results, &seed);
@@ -140,37 +143,38 @@ fn collectives_identical_across_execution_paths() {
             "virtual clocks must be bit-identical across paths (size={size})"
         );
         assert_eq!(
-            stats_after.ranks_multiplexed - stats_before.ranks_multiplexed,
+            usage.events(Event::RankMultiplexed),
             size as u64,
             "warm run must actually multiplex"
         );
         assert!(
-            stats_after.bytes_zero_copied > stats_before.bytes_zero_copied,
+            usage.events(Event::ByteZeroCopied) > 0,
             "collective battery must forward at least some buffers by reference"
         );
     }
+}
 
-    // Thread-per-rank has no deadlock detector: a world whose ranks all
-    // block on receives the other never sends stays blocked until the
-    // cancel token fires, and cancelling it must unwind every rank
-    // thread and re-raise the Cancelled marker.
-    warm::set_enabled(false);
+/// Thread-per-rank has no deadlock detector: a world whose ranks all
+/// block on receives the other never sends stays blocked until the
+/// cancel token fires, and cancelling it must unwind every rank thread
+/// and re-raise the Cancelled marker.
+#[test]
+fn cancelling_a_deadlocked_thread_per_rank_world_unwinds_it() {
+    let reference = thread_per_rank();
     let token = CancelToken::new();
     let guard = cancel::install_token(Some(token.clone()));
     let timer = std::thread::spawn(move || {
         std::thread::sleep(std::time::Duration::from_millis(50));
         token.cancel();
     });
-    let stats_before = sched::stats();
     let result = catch_unwind(AssertUnwindSafe(|| {
         World::new(2).run(|comm| {
             let _ = comm.recv::<i64>(Some(1 - comm.rank()), 9);
         })
     }));
-    let stats_after = sched::stats();
+    let usage = reference.finish();
     timer.join().unwrap();
     drop(guard);
-    warm::set_enabled(true);
     match result {
         Err(payload) => assert!(
             cancel::is_cancel_payload(payload.as_ref()),
@@ -178,8 +182,5 @@ fn collectives_identical_across_execution_paths() {
         ),
         Ok(out) => panic!("deadlocked cold world returned {:?}", out.map(|_| ())),
     }
-    assert_eq!(
-        stats_after.ranks_multiplexed, stats_before.ranks_multiplexed,
-        "cold world must run thread-per-rank"
-    );
+    assert_eq!(usage.events(Event::RankMultiplexed), 0, "cold world must run thread-per-rank");
 }

@@ -7,14 +7,14 @@
 //! rank, so the assertion covers every thread the simulator creates,
 //! not just the ones it admits to.
 //!
-//! One `#[test]` only: the warm-path flag is process-global, and a
-//! sibling test's threads would show up in the count.
+//! One `#[test]` only: a sibling test's threads would show up in the
+//! count.
 #![cfg(target_os = "linux")]
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pcg_core::warm;
+use pcg_core::usage::{Context, Event, Settings, UsageScope};
 use pcg_mpisim::sched;
 use pcg_mpisim::{CostModel, ReduceOp, World};
 
@@ -54,9 +54,8 @@ fn mpi512_runs_on_bounded_os_threads_with_identical_records() {
     assert!(sched::supported(), "multiplexer must be available on linux/x86_64");
 
     // --- Multiplexed run under a thread-count monitor. ---------------------
-    warm::set_enabled(true);
     let baseline = os_thread_count();
-    let stats_before = sched::stats();
+    let scope = UsageScope::begin();
 
     let stop = Arc::new(AtomicBool::new(false));
     let peak = Arc::new(AtomicUsize::new(baseline));
@@ -75,7 +74,7 @@ fn mpi512_runs_on_bounded_os_threads_with_identical_records() {
 
     stop.store(true, Ordering::Relaxed);
     monitor.join().unwrap();
-    let stats_after = sched::stats();
+    let usage = scope.finish();
 
     // The monitor is the only extra thread allowed: the world runs its
     // fibers on the calling thread and starts none.
@@ -86,15 +85,16 @@ fn mpi512_runs_on_bounded_os_threads_with_identical_records() {
          a fiber world must start none"
     );
     assert_eq!(
-        stats_after.ranks_multiplexed - stats_before.ranks_multiplexed,
+        usage.events(Event::RankMultiplexed),
         RANKS as u64,
         "all 512 ranks must have run as fibers"
     );
 
     // --- Thread-per-rank reference: records must be byte-identical. --------
-    warm::set_enabled(false);
+    let thread_per_rank = Settings { warm: false, ..Settings::default() };
+    let reference = UsageScope::begin_in(Context::new(thread_per_rank));
     let (thr_results, thr_clocks) = run_world(RANKS, &AtomicUsize::new(0));
-    warm::set_enabled(true);
+    drop(reference);
 
     let expect_sum: i64 = (0..RANKS as i64).sum();
     for (rank, &v) in mux_results.iter().enumerate() {

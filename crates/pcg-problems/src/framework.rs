@@ -2,7 +2,7 @@
 
 use crate::{corrupt, fallback, input_cache};
 use pcg_core::prompt::PromptSpec;
-use pcg_core::{CandidateKind, ExecutionModel, Output, PcgError, ProblemId, Quality};
+use pcg_core::{usage, CandidateKind, ExecutionModel, Output, PcgError, ProblemId, Quality};
 use pcg_gpusim::Gpu;
 use pcg_hybrid::{HybridCtx, HybridWorld};
 use pcg_mpisim::{Comm, CostModel, World};
@@ -200,11 +200,11 @@ impl<S: Spec> Problem for S {
             CandidateKind::SequentialFallback => Ok(serial()),
             CandidateKind::Flaky => {
                 // A transient runtime fault: the first invocation at
-                // each execution coordinate panics mid-run; retries run
-                // the efficient parallel path. The panic (not an `Err`)
-                // is deliberate — it exercises the harness's
-                // hard-failure capture and retry machinery.
-                if flaky_state::first_invocation(self.id(), model, n, seed, size) {
+                // each coordinate in the execution's context panics
+                // mid-run; retries run the efficient parallel path. The
+                // panic (not an `Err`) is deliberate — it exercises the
+                // harness's hard-failure capture and retry machinery.
+                if usage::first_fault((self.id(), model, n, seed, size)) {
                     panic!("flaky candidate: transient fault on first invocation");
                 }
                 self.run_candidate_on(
@@ -346,34 +346,6 @@ mod containment {
     }
 }
 
-/// Process-wide memory of which flaky-candidate coordinates have fired
-/// their one transient fault. Keyed by the full execution coordinate so
-/// distinct cache keys fail independently, which keeps evaluation
-/// records deterministic at any worker count: the first *execution* per
-/// coordinate always faults, wherever it is scheduled.
-mod flaky_state {
-    use pcg_core::{ExecutionModel, ProblemId};
-    use std::collections::HashSet;
-    use std::sync::{Mutex, OnceLock};
-
-    type Coord = (ProblemId, ExecutionModel, u32, u64, usize);
-
-    static FIRED: OnceLock<Mutex<HashSet<Coord>>> = OnceLock::new();
-
-    /// `true` exactly once per coordinate per process.
-    pub fn first_invocation(
-        problem: ProblemId,
-        model: ExecutionModel,
-        n: u32,
-        seed: u64,
-        size: usize,
-    ) -> bool {
-        let set = FIRED.get_or_init(|| Mutex::new(HashSet::new()));
-        let mut set = set.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        set.insert((problem, model, n, seed, size))
-    }
-}
-
 /// Fetch (or generate and memoize) the input instance for a coordinate.
 /// Identical to calling `spec.generate` directly — generators are
 /// seeded and pure — but repeated coordinates share one allocation.
@@ -398,7 +370,7 @@ fn run_correct<S: Spec>(
     // Every substrate is built per run and owns no threads: pools, spaces
     // and GPU devices compute on this thread, and worlds run
     // their ranks as fibers here (see `pcg_mpisim::sched`; thread per
-    // rank when the warm path is off). The serial code (the Serial
+    // rank when the execution's context is not warm). The serial code (the Serial
     // model, and the inefficient wrappers of `fallback`) is never run
     // again: it is the measured serial run.
     match model {

@@ -12,13 +12,14 @@
 //! The cache is type-erased (`Arc<dyn Any>`): each problem's `Input`
 //! type is recovered by downcast, which is infallible because the key
 //! includes the [`ProblemId`] and each problem has exactly one input
-//! type. Bypassed entirely when the warm path is disabled.
+//! type. A hit counts into the calling execution's sink, and a context
+//! that is not warm bypasses the memo ([`pcg_core::usage`]).
 
 use parking_lot::Mutex;
-use pcg_core::{warm, ProblemId};
+use pcg_core::usage::{self, Event};
+use pcg_core::ProblemId;
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 type Key = (ProblemId, u64, usize);
@@ -70,33 +71,7 @@ impl State {
             }
             let e = self.map.remove(&victim).expect("victim present");
             self.total_bytes = self.total_bytes.saturating_sub(e.bytes);
-            EVICTED.fetch_add(1, Ordering::Relaxed);
         }
-    }
-}
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTED: AtomicU64 = AtomicU64::new(0);
-
-/// Point-in-time input-cache counters (process-global; the harness
-/// snapshots around an evaluation and reports the delta).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InputCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that ran the generator.
-    pub misses: u64,
-    /// Entries evicted by the byte cap.
-    pub evicted: u64,
-}
-
-/// Current counter values.
-pub fn stats() -> InputCacheStats {
-    InputCacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        evicted: EVICTED.load(Ordering::Relaxed),
     }
 }
 
@@ -115,7 +90,7 @@ where
     G: FnOnce() -> T,
     B: FnOnce(&T) -> usize,
 {
-    if !warm::enabled() {
+    if !usage::settings().warm {
         return Arc::new(generate());
     }
     let key = (problem, seed, size);
@@ -127,11 +102,10 @@ where
             e.last_used = tick;
             let value = Arc::clone(&e.value);
             drop(st);
-            HITS.fetch_add(1, Ordering::Relaxed);
+            usage::note(Event::InputCacheHit, 1);
             return value.downcast::<T>().expect("input type fixed per problem id");
         }
     }
-    MISSES.fetch_add(1, Ordering::Relaxed);
     let value = Arc::new(generate());
     let bytes = bytes_of(&value);
     if bytes <= DEFAULT_BYTE_CAP {
@@ -155,7 +129,7 @@ pub fn flush() {
 mod tests {
     use super::*;
     use pcg_core::ProblemType;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn pid(variant: usize) -> ProblemId {
         ProblemId::new(ProblemType::Sort, variant)
@@ -191,14 +165,10 @@ mod tests {
     fn byte_cap_evicts_least_recently_used() {
         let mut st = State::default();
         let (a, b) = ((pid(2), 3, 41), (pid(2), 4, 41));
-        // The global counter only grows, so concurrent tests cannot
-        // make this check pass or fail spuriously.
-        let before = stats().evicted;
         st.insert(a, Arc::new(vec![0u8; 60]), 60, 100);
         st.insert(b, Arc::new(vec![0u8; 60]), 60, 100);
         assert!(!st.map.contains_key(&a), "exceeding the cap must evict the LRU entry");
         assert!(st.map.contains_key(&b), "the newest entry must survive");
         assert_eq!(st.total_bytes, 60);
-        assert!(stats().evicted > before, "an eviction must be counted");
     }
 }
