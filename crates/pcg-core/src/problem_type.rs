@@ -107,18 +107,6 @@ impl ProblemType {
     pub fn parse(s: &str) -> Option<ProblemType> {
         ProblemType::ALL.into_iter().find(|t| t.label() == s)
     }
-
-    /// Whether the problem type is structured/dense (the paper observes
-    /// LLMs do best on these) as opposed to sparse/unstructured.
-    pub fn is_structured(self) -> bool {
-        !matches!(
-            self,
-            ProblemType::SparseLinearAlgebra
-                | ProblemType::Graph
-                | ProblemType::Geometry
-                | ProblemType::FourierTransform
-        )
-    }
 }
 
 impl std::fmt::Display for ProblemType {

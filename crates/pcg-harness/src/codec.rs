@@ -94,20 +94,6 @@ pub fn encode_entry(model: &str, record: &TaskRecord) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Encode a work-stealing claim payload for `thief`: the claimed cell
-/// rides in the frame's cell tag; the payload carries only the frame
-/// kind discriminator and the thief's shard index (diagnostics — the
-/// journal header already names its owner).
-pub fn encode_claim(thief_index: u32) -> Vec<u8> {
-    pcg_core::frame::encode_claim_payload(thief_index)
-}
-
-/// Decode a claim payload back to the thief's shard index; `None` for
-/// anything that is not a well-formed claim.
-pub fn decode_claim(payload: &[u8]) -> Option<u32> {
-    pcg_core::frame::decode_claim_payload(payload)
-}
-
 /// Decode a v3 frame payload back into `(model, record)`. Any
 /// malformation — truncation, junk bools, an out-of-range task index,
 /// out-of-order sweep keys, trailing bytes — is an error describing
@@ -151,6 +137,7 @@ fn err(e: CodecError) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcg_core::frame::{decode_claim_payload, encode_claim_payload};
     use pcg_core::{ExecutionModel, ProblemId, ProblemType};
 
     fn rec() -> TaskRecord {
@@ -172,12 +159,12 @@ mod tests {
 
     #[test]
     fn claim_payloads_never_decode_as_entries() {
-        let claim = encode_claim(1);
-        assert_eq!(decode_claim(&claim), Some(1));
+        let claim = encode_claim_payload(1);
+        assert_eq!(decode_claim_payload(&claim), Some(1));
         let err = decode_entry(&claim).unwrap_err();
         assert!(err.contains("claim"), "claim rejection must name the frame kind, got: {err}");
         // And entries never decode as claims.
-        assert_eq!(decode_claim(&encode_entry("GPT-4", &rec())), None);
+        assert_eq!(decode_claim_payload(&encode_entry("GPT-4", &rec())), None);
     }
 
     #[test]

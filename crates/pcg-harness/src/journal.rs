@@ -490,7 +490,7 @@ impl Journal {
         if cells.is_empty() {
             return Ok(());
         }
-        let payload = codec::encode_claim(thief_index);
+        let payload = frame::encode_claim_payload(thief_index);
         let mut bytes = Vec::with_capacity(cells.len() * (FRAME_OVERHEAD + payload.len()));
         for cell in cells {
             frame::encode_frame_into(&mut bytes, cell.0, &payload);
@@ -580,7 +580,7 @@ pub fn load_counting_sourced(
                 return loaded;
             }
         };
-        if codec::decode_claim(f.payload).is_some() {
+        if frame::decode_claim_payload(f.payload).is_some() {
             // A work-stealing claim: it marks intent, carries no
             // result, and must never replay. It counts as stale so a
             // resume compacts it away — a claim without a matching
@@ -695,7 +695,7 @@ pub fn peek_progress(
     }
     let mut progress = Progress::default();
     while let Some(Ok(f)) = frame::decode_frame(&bytes, offset) {
-        if codec::decode_claim(f.payload).is_some() {
+        if frame::decode_claim_payload(f.payload).is_some() {
             progress.claimed.insert(f.cell);
         } else {
             progress.done.insert(f.cell);

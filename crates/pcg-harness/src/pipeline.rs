@@ -1,4 +1,15 @@
-//! Disk-cached end-to-end evaluation used by the figure binaries.
+//! Disk-cached end-to-end evaluation used by the figure binaries: the
+//! command line, the run it resolves to, and the records cache.
+//!
+//! [`load_or_run_opts`] works out a process's run once (its candidate
+//! source, cache path, plan and cost priors) and hands it to one of
+//! three drivers in [`crate::shard`]: a `--shard k/N` worker evaluates
+//! its slice into its own journal and exits; `--merge-shards N`
+//! stitches the N shard journals into a records cache byte-identical
+//! to a single-process run; and a whole run, unless its cache already
+//! holds exactly the run's plan of cells ([`read_cache`]), is the
+//! one-shard case of the worker (`ShardSpec::WHOLE`), which commits
+//! the records instead of a shard sidecar.
 //!
 //! Crash safety: while a grid runs, every completed cell is appended to
 //! a cell-addressed write-ahead journal next to the cache file (keyed
@@ -9,24 +20,17 @@
 //! ([`crate::journal::commit_record`]), and it and the stats sidecar
 //! are committed atomically (temp file + rename), so readers never
 //! observe a torn record; the journal is deleted only after the cache
-//! commit succeeds. A cache serves a run only if it holds exactly that
-//! run's plan of cells ([`read_cache`]). A run killed at any point can be
-//! restarted with `--resume` and will re-evaluate only the cells the
-//! journal does not already hold — and, if the journal accumulated
-//! stale lines (torn tails, shadowed duplicate appends), resume first
-//! compacts it in place.
-//!
-//! Multi-process mode: `--shard k/N` runs one deterministic slice of
-//! the grid into its own journal and exits; `--merge-shards N` stitches
-//! the N shard journals into a records cache byte-identical to a
-//! single-process run (see [`crate::shard`]).
+//! commit succeeds. A run killed at any point can be restarted with
+//! `--resume` and will re-evaluate only the cells the journal does not
+//! already hold — and, if the journal accumulated stale lines (torn
+//! tails, shadowed duplicate appends), resume first compacts it in
+//! place.
 
 use crate::config::EvalConfig;
-use crate::eval::{self, evaluate_resumable_priors};
-use crate::journal::{self, Journal};
-use crate::record::{EvalRecord, EvalStats, TaskRecord};
-use crate::runner::SharedRunner;
-use pcg_core::plan::{CellId, ShardSpec, WorkPlan};
+use crate::eval;
+use crate::journal;
+use crate::record::{EvalRecord, EvalStats};
+use pcg_core::plan::{ShardSpec, WorkPlan};
 use pcg_core::{CandidateKind, CostPriors, TaskId};
 use pcg_models::{CandidateSource, ReplaySource, SampleSpec, SyntheticSource};
 use std::collections::HashMap;
@@ -373,25 +377,58 @@ pub fn resolve_source(cfg: &EvalConfig, opts: &RunOptions) -> ResolvedSource {
     }
 }
 
-/// The cache path a run commits to: the caller's explicit path, the
-/// config-tagged default, or — for a replay-pool run — a pool-hash
-/// qualified variant of the default, so a replayed scoring can never
-/// satisfy (or clobber) the synthetic cache for the same config.
-pub(crate) fn cache_path_for(
-    path: Option<&Path>,
-    cfg: &EvalConfig,
-    source: &ResolvedSource,
-) -> PathBuf {
-    if let Some(p) = path {
-        return p.to_path_buf();
-    }
-    match source {
-        ResolvedSource::Synthetic(_) => default_cache_path(cfg),
-        ResolvedSource::Replay(r) => {
-            let tag = if cfg.size_divisor == 1 { "full" } else { "quick" };
-            PathBuf::from("target")
-                .join("pcgbench")
-                .join(format!("records-{tag}-pool{:016x}.rec", r.content_hash()))
+/// A run as one process works it out, once, from its config and
+/// options, and hands to the whole-run, shard-worker and merge drivers
+/// ([`crate::shard`]).
+pub(crate) struct Run {
+    /// The candidate source ([`resolve_source`]).
+    pub source: ResolvedSource,
+    /// The source's config salt, stamped into every journal header.
+    pub salt: Vec<u8>,
+    /// The records cache the run commits to; its journals, shard
+    /// journals and sidecars are named after it.
+    pub cache: PathBuf,
+    /// The run's cells.
+    pub plan: WorkPlan,
+    /// The scheduling cost table ([`load_priors`]).
+    pub priors: Option<CostPriors>,
+    /// The table's hash stamp (0 without one), which every journal
+    /// header of the run carries.
+    pub priors_hash: u64,
+}
+
+impl Run {
+    /// Resolve the run of `cfg` and `opts` over `tasks` (`None`: all
+    /// 420). It commits to `path`, else to the config-tagged default,
+    /// or, for a replay-pool run, to a pool-hash qualified variant of
+    /// the default, so a replayed scoring can never satisfy (or
+    /// clobber) the synthetic cache for the same config.
+    pub(crate) fn resolve(
+        path: Option<&Path>,
+        cfg: &EvalConfig,
+        opts: &RunOptions,
+        tasks: Option<&[TaskId]>,
+    ) -> Run {
+        let source = resolve_source(cfg, opts);
+        let cache = match (path, &source) {
+            (Some(p), _) => p.to_path_buf(),
+            (None, ResolvedSource::Synthetic(_)) => default_cache_path(cfg),
+            (None, ResolvedSource::Replay(r)) => {
+                let tag = if cfg.size_divisor == 1 { "full" } else { "quick" };
+                PathBuf::from("target")
+                    .join("pcgbench")
+                    .join(format!("records-{tag}-pool{:016x}.rec", r.content_hash()))
+            }
+        };
+        let plan = eval::plan_for(cfg, &source, tasks);
+        let priors = load_priors(opts);
+        Run {
+            salt: source.config_salt(),
+            priors_hash: priors.as_ref().map_or(0, CostPriors::hash),
+            source,
+            cache,
+            plan,
+            priors,
         }
     }
 }
@@ -465,31 +502,26 @@ fn measured_priors(cache: &Path) -> Result<CostPriors, String> {
 /// worker mode the process runs its slice and exits; in merge mode the
 /// shard journals are stitched into the cache instead of evaluating.
 pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions) -> EvalRecord {
-    if let Some(spec) = opts.shard {
-        if !spec.is_whole() {
-            // Worker mode: the process exists to produce one shard
-            // journal, not a figure. Exit before touching the cache so
-            // concurrent workers cannot race on it.
-            crate::shard::run_shard(path, cfg, opts, spec, None);
-            std::process::exit(0);
-        }
+    if let Some(shard) = opts.shard.filter(|s| !s.is_whole()) {
+        // Worker mode: the process exists to produce one shard
+        // journal, not a figure. Exit before touching the cache so
+        // concurrent workers cannot race on it.
+        crate::shard::run_shard(path, cfg, opts, shard, None);
+        std::process::exit(0);
     }
-    let source = resolve_source(cfg, opts);
-    let salt = source.config_salt();
-    let path = cache_path_for(path, cfg, &source);
-    let plan = eval::plan_for(cfg, &source, None);
-    if let Some(rec) = read_cache(&path, cfg, &plan) {
-        eprintln!("[pcgbench] loaded cached records from {}", path.display());
+    let run = Run::resolve(path, cfg, opts, None);
+    if let Some(rec) = read_cache(&run.cache, cfg, &run.plan) {
+        eprintln!("[pcgbench] loaded cached records from {}", run.cache.display());
         return rec;
     }
-    if path.exists() {
+    if run.cache.exists() {
         eprintln!("[pcgbench] cache does not match this run; re-running evaluation");
         // The sidecar describes the cache's run; drop it now so a
         // crash mid-re-run cannot leave it lying about this one.
-        let _ = std::fs::remove_file(cache_stats_path(&path));
+        let _ = std::fs::remove_file(cache_stats_path(&run.cache));
     }
     if let Some(count) = opts.merge_shards {
-        return crate::shard::merge_shards(Some(&path), cfg, opts, count, None);
+        return crate::shard::merge(&run, cfg, opts, count);
     }
     eprintln!(
         "[pcgbench] running evaluation (7 models x 420 tasks, size/{}, {} low samples, {} worker{})...",
@@ -498,48 +530,7 @@ pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions
         opts.jobs,
         if opts.jobs == 1 { "" } else { "s" },
     );
-
-    let priors = load_priors(opts);
-    let priors_hash = priors.as_ref().map_or(0, |p| p.hash());
-    let jpath = journal::journal_path(&path);
-    let (resumed, wal) =
-        open_journal(&jpath, cfg, &salt, ShardSpec::WHOLE, priors_hash, opts.resume);
-    if !resumed.replay.is_empty() {
-        eprintln!(
-            "[pcgbench] resuming: {} cell{} replayed from {}",
-            resumed.replay.len(),
-            if resumed.replay.len() == 1 { "" } else { "s" },
-            jpath.display(),
-        );
-    }
-    // The journal is crash insurance here: without it the run still
-    // produces its records, it just cannot be resumed.
-    let wal = wal.map_err(|e| eprintln!("[pcgbench] warning: could not open journal: {e}")).ok();
-
-    let runner = SharedRunner::new(cfg.clone());
-    let (record, mut stats) = evaluate_resumable_priors(
-        cfg,
-        &source,
-        None,
-        opts.jobs,
-        priors.as_ref(),
-        &runner,
-        &resumed.replay,
-        append_to(wal.as_ref()),
-    );
-    if let Some(Err(e)) = wal.as_ref().map(Journal::sync) {
-        eprintln!("[pcgbench] warning: journal sync failed: {e}");
-    }
-    stats.journal_compactions = resumed.compacted;
-    stats.journal_frames_rejected = resumed.rejected;
-    eprintln!("[pcgbench] evaluation finished in {:.1}s", stats.wall_s);
-    eprint!("{}", crate::report::stats_summary(&stats));
-
-    if commit_run(&path, &plan, &record, &stats) {
-        // The cache now holds everything the journal was protecting.
-        journal::remove(&jpath);
-    }
-    record
+    crate::shard::run_whole(&run, cfg, opts)
 }
 
 /// The record committed at `path` for `plan`, or `None` unless the
@@ -576,83 +567,6 @@ pub(crate) fn commit_run(
         let _ = atomic_write(&cache_stats_path(cache), &bytes);
     }
     committed.is_ok()
-}
-
-/// The `on_cell` hook that journals each freshly evaluated cell into
-/// `wal`, warning when an append fails (that cell is then simply not
-/// replayable; the run goes on).
-pub(crate) fn append_to(wal: Option<&Journal>) -> impl Fn(CellId, &str, &TaskRecord) + '_ {
-    move |cell, model, rec| {
-        if let Some(Err(e)) = wal.map(|j| j.append(cell, model, rec)) {
-            eprintln!("[pcgbench] warning: journal append failed: {e}");
-        }
-    }
-}
-
-/// What [`open_journal`] replayed from a run's journal (the default:
-/// nothing).
-#[derive(Default)]
-pub(crate) struct ResumedJournal {
-    /// Replayable cells (empty without `--resume`).
-    pub replay: journal::Replay,
-    /// Stale frames folded away by compaction (the
-    /// `journal_compactions` stat).
-    pub compacted: u64,
-    /// Corrupt frames refused during replay (the
-    /// `journal_frames_rejected` stat).
-    pub rejected: u64,
-}
-
-/// Open the write-ahead journal of a run, or of one shard of it, at
-/// `path`. With `resume`, first replay it — reporting every rejected
-/// frame with its byte offset, frame index and cell id — and compact it
-/// when it carries stale frames. A journal that replays nothing
-/// (missing, not v3, or written for another config, shard or priors)
-/// is created afresh, and so is one whose compaction failed: frames
-/// appended after a stale tail would never replay. Otherwise it is
-/// reopened for appends. Each caller applies its own policy to an
-/// open error.
-pub(crate) fn open_journal(
-    path: &Path,
-    cfg: &EvalConfig,
-    salt: &[u8],
-    shard: ShardSpec,
-    priors_hash: u64,
-    resume: bool,
-) -> (ResumedJournal, std::io::Result<Journal>) {
-    let mut resumed = ResumedJournal::default();
-    let mut recreate = true;
-    if resume {
-        let loaded = journal::load_counting_sourced(path, cfg, salt, shard, priors_hash);
-        for r in &loaded.rejects {
-            eprintln!("[pcgbench] warning: journal {}: rejected {r}", path.display());
-        }
-        resumed.rejected = loaded.rejects.len() as u64;
-        recreate = loaded.replay.is_empty();
-        if loaded.needs_compaction() {
-            match journal::compact_sourced(path, cfg, salt, shard, priors_hash, &loaded.replay) {
-                Ok(_) => {
-                    eprintln!(
-                        "[pcgbench] compacted journal: {} stale frame{} folded away",
-                        loaded.stale_frames,
-                        if loaded.stale_frames == 1 { "" } else { "s" },
-                    );
-                    resumed.compacted = loaded.stale_frames as u64;
-                }
-                Err(e) => {
-                    eprintln!("[pcgbench] warning: journal compaction failed: {e}");
-                    recreate = true;
-                }
-            }
-        }
-        resumed.replay = loaded.replay;
-    }
-    let wal = if recreate {
-        Journal::create_sourced(path, cfg, salt, shard, priors_hash)
-    } else {
-        Journal::open_append(path)
-    };
-    (resumed, wal)
 }
 
 /// A process-unique temp-file suffix: `.{tag}.{pid}.{seq}`. The PID

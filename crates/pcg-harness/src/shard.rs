@@ -1,4 +1,5 @@
-//! Multi-process sharded evaluation: shard workers and the merge step.
+//! The evaluation drivers: shard workers, the merge step, and the
+//! whole run, which is the one-shard worker.
 //!
 //! The (model × task) grid is partitioned by cell address
 //! (`CellId % shard_count`, see `pcg_core::plan`), so any number of
@@ -6,12 +7,19 @@
 //! beyond the shared configuration**: every worker derives the
 //! identical [`WorkPlan`] and owns a disjoint, exhaustive slice of it.
 //!
-//! A worker's output is its cell-addressed write-ahead journal (plus an
-//! [`EvalStats`] sidecar) — the same journal format a single-process
-//! run keeps for crash safety, just scoped to the shard. That means
-//! every durability property composes for free: a killed worker
-//! resumes with `--resume`, stale journal generations are compacted,
-//! and torn lines truncate replay instead of corrupting it.
+//! One private driver evaluates a shard: it opens (with `--resume`,
+//! replays and compacts) the shard's cell-addressed write-ahead
+//! journal, evaluates the cells the shard owns, steals in a
+//! multi-shard run, and syncs. A single-process run is the
+//! [`ShardSpec::WHOLE`] case, whose journal is the plain
+//! `<cache>.journal`: it commits its cells as the records cache and
+//! then deletes the journal. A worker's output is instead the journal
+//! itself (plus an [`EvalStats`] sidecar). Every durability property
+//! therefore holds for both alike: a killed run resumes with
+//! `--resume`, stale journal generations are compacted, and torn lines
+//! truncate replay instead of corrupting it. The two differ only in
+//! what a journal that will not open means: a whole run warns and runs
+//! on without one, and a worker, which exists to write it, exits 1.
 //!
 //! [`merge_shards`] stitches N shard journals back into the records
 //! cache and stats sidecar. The merged records cache is **byte-identical
@@ -50,15 +58,14 @@
 //! gap-fill.
 
 use crate::config::EvalConfig;
-use crate::eval;
+use crate::eval::{self, SubsetRun};
 use crate::journal::{self, Journal};
-use crate::pipeline::{self, RunOptions};
+use crate::pipeline::{self, Run, RunOptions};
 use crate::record::{EvalRecord, EvalStats, TaskRecord};
 use crate::runner::SharedRunner;
 use pcg_core::plan::{CellId, PlanCell, ShardSpec, WorkPlan};
 use pcg_core::CostPriors;
 use pcg_core::TaskId;
-use pcg_models::CandidateSource;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
@@ -224,40 +231,114 @@ pub fn run_shard(
     shard: ShardSpec,
     tasks: Option<&[TaskId]>,
 ) -> EvalStats {
-    let t0 = std::time::Instant::now();
-    let source = pipeline::resolve_source(cfg, opts);
-    let salt = source.config_salt();
-    let cache = pipeline::cache_path_for(path, cfg, &source);
-    let plan = eval::plan_for(cfg, &source, tasks);
-    let jpath = journal::shard_journal_path(&cache, shard);
-    let priors = pipeline::load_priors(opts);
-    let priors_hash = priors.as_ref().map_or(0, |p| p.hash());
+    let run = Run::resolve(path, cfg, opts, tasks);
+    let stats = evaluate_shard(&run, cfg, opts, shard).stats;
+    if let Ok(bytes) = serde_json::to_vec(&stats) {
+        if let Err(e) = pipeline::atomic_write(&shard_stats_path(&run.cache, shard), &bytes) {
+            eprintln!("[pcgbench] warning: could not write shard stats: {e}");
+        }
+    }
+    stats
+}
 
-    let (resumed, wal) =
-        pipeline::open_journal(&jpath, cfg, &salt, shard, priors_hash, opts.resume);
-    let replay = resumed.replay;
-    let wal = wal.unwrap_or_else(|e| {
-        // Unlike the single-process pipeline (where the journal is
-        // crash insurance), a shard worker exists to produce its
-        // journal; running on without one would only burn CPU to
-        // produce nothing.
-        eprintln!("[pcgbench] error: could not open shard journal: {e}");
-        std::process::exit(1);
-    });
-    let append = pipeline::append_to(Some(&wal));
+/// A whole run: the one shard of a one-shard run, its cells assembled
+/// in plan order and committed as the records cache and stats sidecar
+/// ([`pipeline::commit_run`]). The journal goes once the cache lands.
+pub(crate) fn run_whole(run: &Run, cfg: &EvalConfig, opts: &RunOptions) -> EvalRecord {
+    let pass = evaluate_shard(run, cfg, opts, ShardSpec::WHOLE);
+    let mut records = pass.cells.into_iter().map(|(_, rec)| rec);
+    let record =
+        eval::assemble(cfg, &run.plan, |_| records.next().expect("the shard covers the plan"));
+    if pipeline::commit_run(&run.cache, &run.plan, &record, &pass.stats) {
+        // The cache now holds everything the journal was protecting.
+        journal::remove(&journal::journal_path(&run.cache));
+    }
+    record
+}
+
+/// The one evaluation driver, for a whole run ([`ShardSpec::WHOLE`])
+/// and a shard worker alike. It opens the shard's journal, evaluates
+/// the cells the shard owns (journaling each) and, in a multi-shard
+/// run, pre-scans siblings before and steals from them after. It then
+/// syncs the journal and returns every cell it replayed or evaluated,
+/// stolen ones last, with the pass's stats.
+fn evaluate_shard(run: &Run, cfg: &EvalConfig, opts: &RunOptions, shard: ShardSpec) -> SubsetRun {
+    let t0 = std::time::Instant::now();
+    let (salt, priors_hash) = (&run.salt, run.priors_hash);
+    let jpath = journal::shard_journal_path(&run.cache, shard);
+    // With `--resume`, replay the journal first (reporting every
+    // rejected frame with its byte offset, frame index and cell id),
+    // and compact it when it carries stale frames.
+    let mut replay = journal::Replay::new();
+    let (mut compacted, mut rejected, mut reopen) = (0, 0, false);
+    if opts.resume {
+        let loaded = journal::load_counting_sourced(&jpath, cfg, salt, shard, priors_hash);
+        for r in &loaded.rejects {
+            eprintln!("[pcgbench] warning: journal {}: rejected {r}", jpath.display());
+        }
+        rejected = loaded.rejects.len() as u64;
+        reopen = !loaded.replay.is_empty();
+        if loaded.needs_compaction() {
+            match journal::compact_sourced(&jpath, cfg, salt, shard, priors_hash, &loaded.replay) {
+                Ok(_) => {
+                    eprintln!(
+                        "[pcgbench] compacted journal: {} stale frame{} folded away",
+                        loaded.stale_frames,
+                        if loaded.stale_frames == 1 { "" } else { "s" },
+                    );
+                    compacted = loaded.stale_frames as u64;
+                }
+                Err(e) => {
+                    eprintln!("[pcgbench] warning: journal compaction failed: {e}");
+                    reopen = false;
+                }
+            }
+        }
+        replay = loaded.replay;
+    }
+    // A journal that replays nothing (missing, not v3, or written for
+    // another config, shard or priors) is created afresh, and so is one
+    // whose compaction failed: frames appended after a stale tail would
+    // never replay.
+    let wal = if reopen {
+        Journal::open_append(&jpath)
+    } else {
+        Journal::create_sourced(&jpath, cfg, salt, shard, priors_hash)
+    };
+    let wal = match wal {
+        Ok(wal) => Some(wal),
+        // A whole run's journal is crash insurance: without it the run
+        // still produces its records, it just cannot be resumed.
+        Err(e) if shard.is_whole() => {
+            eprintln!("[pcgbench] warning: could not open journal: {e}");
+            None
+        }
+        // A shard worker exists to produce its journal; running on
+        // without one would only burn CPU to produce nothing.
+        Err(e) => {
+            eprintln!("[pcgbench] error: could not open shard journal: {e}");
+            std::process::exit(1);
+        }
+    };
+    // A failed append only leaves that cell unreplayable; the run goes on.
+    let append = |cell: CellId, model: &str, rec: &TaskRecord| {
+        if let Some(Err(e)) = wal.as_ref().map(|j| j.append(cell, model, rec)) {
+            eprintln!("[pcgbench] warning: journal append failed: {e}");
+        }
+    };
 
     // A shard of a multi-shard run steals; the whole grid has no
     // siblings to steal from.
     let steal_on = shard.count > 1;
-    let mut owned = plan.shard_with(shard, priors.as_ref());
-    let mut scans_before = 0u64;
+    let mut owned = run.plan.shard_with(shard, run.priors.as_ref());
+    let mut steal = StealOutcome::default();
     if steal_on {
         // Victim pre-scan: anything a thief already finished or claimed
         // while this worker was slow to start is dropped here, so a
         // straggler waking up does not redo work the fleet took from
         // it. Cells already in our own replay stay — they cost nothing.
-        let sib = scan_siblings(&cache, cfg, &salt, shard, priors_hash);
-        scans_before = 1;
+        let sib = scan_siblings(&run.cache, cfg, salt, shard, priors_hash);
+        steal.scans = 1;
         let before = owned.len();
         owned.retain(|c| {
             replay.contains_key(&c.id)
@@ -271,60 +352,52 @@ pub fn run_shard(
             );
         }
     }
-    eprintln!(
-        "[pcgbench] shard {shard}: {} of {} cells ({} replayed from {})",
-        owned.len(),
-        plan.len(),
-        replay.len(),
-        jpath.display(),
-    );
+    if !shard.is_whole() {
+        eprintln!(
+            "[pcgbench] shard {shard}: {} of {} cells ({} replayed from {})",
+            owned.len(),
+            run.plan.len(),
+            replay.len(),
+            jpath.display(),
+        );
+    } else if !replay.is_empty() {
+        eprintln!(
+            "[pcgbench] resuming: {} cell{} replayed from {}",
+            replay.len(),
+            if replay.len() == 1 { "" } else { "s" },
+            jpath.display(),
+        );
+    }
 
     let runner = SharedRunner::new(cfg.clone());
-    let run = eval::evaluate_cells_priors(
-        cfg,
-        &source,
-        owned,
-        opts.jobs,
-        priors.as_ref(),
-        &runner,
-        &replay,
-        &append,
-    );
-    let resumed_cells = run.stats.resumed_cells;
-    let mut cells = run.cells.len();
-    let mut cell_walls = run.stats.cell_walls;
-
-    let mut steal = StealOutcome::default();
-    if steal_on {
-        let done: HashSet<u64> = run.cells.iter().map(|(c, _)| c.id.0).collect();
-        steal = steal_from_siblings(
-            &cache,
+    let evaluate = |cells: Vec<PlanCell>, replay: &journal::Replay| {
+        let (source, priors) = (&run.source, run.priors.as_ref());
+        eval::evaluate_cells_priors(cfg, source, cells, opts.jobs, priors, &runner, replay, &append)
+    };
+    let SubsetRun { mut cells, stats: own } = evaluate(owned, &replay);
+    let mut cell_walls = own.cell_walls;
+    if let (true, Some(wal)) = (steal_on, &wal) {
+        let done: HashSet<u64> = cells.iter().map(|(c, _)| c.id.0).collect();
+        let stolen = steal_from_siblings(
+            &run.cache,
             cfg,
-            &salt,
-            &plan,
+            salt,
+            &run.plan,
             shard,
-            priors.as_ref(),
+            run.priors.as_ref(),
             priors_hash,
-            &wal,
+            wal,
             opts.jobs.max(1),
             done,
             |batch| {
-                let fill = eval::evaluate_cells_priors(
-                    cfg,
-                    &source,
-                    batch,
-                    opts.jobs,
-                    priors.as_ref(),
-                    &runner,
-                    &journal::Replay::new(),
-                    &append,
-                );
-                cells += fill.cells.len();
+                let fill = evaluate(batch, &journal::Replay::new());
+                cells.extend(fill.cells);
                 cell_walls.extend(fill.stats.cell_walls);
             },
         );
+        steal = StealOutcome { scans: steal.scans + stolen.scans, ..stolen };
     }
-    if let Err(e) = wal.sync() {
+    if let Some(Err(e)) = wal.as_ref().map(Journal::sync) {
         eprintln!("[pcgbench] warning: journal sync failed: {e}");
     }
     cell_walls.sort_by_key(|w| w.cell);
@@ -332,25 +405,21 @@ pub fn run_shard(
     // served, so one snapshot after the last stolen batch covers them all.
     let stats = EvalStats {
         jobs: opts.jobs.max(1),
-        cells,
-        resumed_cells,
+        cells: cells.len(),
+        resumed_cells: own.resumed_cells,
         wall_s: t0.elapsed().as_secs_f64(),
-        journal_compactions: resumed.compacted,
-        journal_frames_rejected: resumed.rejected,
+        journal_compactions: compacted,
+        journal_frames_rejected: rejected,
         cells_stolen: steal.stolen,
         steal_conflicts: steal.conflicts,
-        steal_scans: steal.scans + scans_before,
+        steal_scans: steal.scans,
         cell_walls,
         ..runner.stats()
     };
-    eprintln!("[pcgbench] shard {shard} finished in {:.1}s", stats.wall_s);
+    let name = if shard.is_whole() { "evaluation".to_string() } else { format!("shard {shard}") };
+    eprintln!("[pcgbench] {name} finished in {:.1}s", stats.wall_s);
     eprint!("{}", crate::report::stats_summary(&stats));
-    if let Ok(bytes) = serde_json::to_vec(&stats) {
-        if let Err(e) = pipeline::atomic_write(&shard_stats_path(&cache, shard), &bytes) {
-            eprintln!("[pcgbench] warning: could not write shard stats: {e}");
-        }
-    }
-    stats
+    SubsetRun { cells, stats }
 }
 
 /// Merge `count` shard journals into the records cache and stats
@@ -369,20 +438,20 @@ pub fn merge_shards(
     count: u32,
     tasks: Option<&[TaskId]>,
 ) -> EvalRecord {
-    let source = pipeline::resolve_source(cfg, opts);
-    let salt = source.config_salt();
-    let cache = pipeline::cache_path_for(path, cfg, &source);
-    let plan = eval::plan_for(cfg, &source, tasks);
-    let priors = pipeline::load_priors(opts);
-    let priors_hash = priors.as_ref().map_or(0, |p| p.hash());
+    merge(&Run::resolve(path, cfg, opts, tasks), cfg, opts, count)
+}
 
+/// [`merge_shards`] on a resolved run.
+pub(crate) fn merge(run: &Run, cfg: &EvalConfig, opts: &RunOptions, count: u32) -> EvalRecord {
+    let Run { source, salt, cache, plan, priors, priors_hash } = run;
+    let priors_hash = *priors_hash;
     let mut map: HashMap<CellId, TaskRecord> = HashMap::with_capacity(plan.len());
     let mut parts: Vec<EvalStats> = Vec::new();
     let mut rejected = 0u64;
     for k in 0..count {
         let spec = ShardSpec::new(k, count);
-        let jpath = journal::shard_journal_path(&cache, spec);
-        let loaded = journal::load_counting_sourced(&jpath, cfg, &salt, spec, priors_hash);
+        let jpath = journal::shard_journal_path(cache, spec);
+        let loaded = journal::load_counting_sourced(&jpath, cfg, salt, spec, priors_hash);
         // A worker that partitioned the grid under different priors
         // journaled cells this merge assigns elsewhere — and is missing
         // cells it was supposed to own. Reject the whole journal
@@ -415,7 +484,7 @@ pub fn merge_shards(
         for (id, cell) in loaded.replay {
             map.insert(id, cell.record);
         }
-        if let Ok(bytes) = std::fs::read(shard_stats_path(&cache, spec)) {
+        if let Ok(bytes) = std::fs::read(shard_stats_path(cache, spec)) {
             if let Ok(stats) = serde_json::from_slice::<EvalStats>(&bytes) {
                 parts.push(stats);
             }
@@ -435,7 +504,7 @@ pub fn merge_shards(
         let runner = SharedRunner::new(cfg.clone());
         let fill = eval::evaluate_cells_priors(
             cfg,
-            &source,
+            source,
             missing,
             opts.jobs,
             priors.as_ref(),
@@ -449,7 +518,7 @@ pub fn merge_shards(
         parts.push(fill.stats);
     }
 
-    let record = eval::assemble(cfg, &plan, |c| {
+    let record = eval::assemble(cfg, plan, |c| {
         map.get(&c.id).cloned().expect("every cell journaled or gap-filled")
     });
     let mut stats = combine_stats(&parts, plan.len());
@@ -460,13 +529,13 @@ pub fn merge_shards(
 
     // A failed commit keeps every shard journal and sidecar, so the
     // merge can simply be rerun.
-    if pipeline::commit_run(&cache, &plan, &record, &stats) {
+    if pipeline::commit_run(cache, plan, &record, &stats) {
         // The cache now holds everything the shard journals were
         // protecting.
         for k in 0..count {
             let spec = ShardSpec::new(k, count);
-            journal::remove(&journal::shard_journal_path(&cache, spec));
-            let _ = std::fs::remove_file(shard_stats_path(&cache, spec));
+            journal::remove(&journal::shard_journal_path(cache, spec));
+            let _ = std::fs::remove_file(shard_stats_path(cache, spec));
         }
     }
     record

@@ -16,7 +16,8 @@
 //! Plus the legacy contract: a v2 JSONL journal (no `PCGJRNL3` magic)
 //! replays nothing, and a resumed run recreates it as v3 and commits
 //! the same records as a clean run; a JSON records cache of an older
-//! release is a miss and is replaced by a frame cache.
+//! release is a miss and is replaced by a frame cache. A whole run
+//! whose journal will not open runs on without one and still commits.
 //!
 //! The committed records cache is the same format, read strictly: any
 //! bit flip or frame-boundary truncation refuses the whole cache, and
@@ -31,7 +32,7 @@ use pcg_harness::journal::{self, Journal};
 use pcg_harness::pipeline::{self, RunOptions};
 use pcg_harness::record::{self, TaskRecord};
 use pcg_harness::shard::merge_shards;
-use pcg_harness::EvalConfig;
+use pcg_harness::{EvalConfig, EvalStats};
 use pcg_metrics::TaskSamples;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -367,6 +368,33 @@ fn pre_v3_journal_replays_nothing_and_resume_recreates_it() {
     assert_eq!(serde_json::to_string(&on_disk).unwrap(), serde_json::to_string(&committed).unwrap());
     assert_eq!(record::projection(&on_disk), record::projection(&clean));
     assert!(!jpath.exists(), "the journal is removed once the cache commits");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A whole run whose journal cannot be opened (a directory sits at the
+/// journal path) warns and runs on without one: it still commits a
+/// cache that reads back with a clean run's records, and its stats
+/// sidecar. Only a shard worker, which exists to write its journal,
+/// gives up.
+#[test]
+fn whole_run_without_a_journal_still_commits() {
+    let cfg = EvalConfig::smoke();
+    let dir = tmp_path("no-journal");
+    std::fs::create_dir_all(&dir).unwrap();
+    let opts = RunOptions::new(2);
+    let clean = pipeline::load_or_run_opts(Some(&dir.join("clean.rec")), &cfg, &opts);
+
+    let cache = dir.join("blocked.rec");
+    std::fs::create_dir_all(journal::journal_path(&cache)).unwrap();
+    let run = pipeline::load_or_run_opts(Some(&cache), &cfg, &opts);
+    assert_eq!(record::projection(&run), record::projection(&clean));
+    let plan = eval::plan_for(&cfg, &pipeline::resolve_source(&cfg, &opts), None);
+    let on_disk = pipeline::read_cache(&cache, &cfg, &plan).expect("the cache commits");
+    assert_eq!(record::projection(&on_disk), record::projection(&clean));
+    let sidecar = std::fs::read(pipeline::cache_stats_path(&cache)).expect("the sidecar commits");
+    let stats: EvalStats = serde_json::from_slice(&sidecar).unwrap();
+    assert_eq!((stats.cells, stats.resumed_cells), (plan.len(), 0));
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

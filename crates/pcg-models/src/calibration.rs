@@ -134,19 +134,6 @@ impl Calibration {
             }
         }
     }
-
-    /// Average `p_correct` over serial tasks.
-    pub fn mean_serial_rate(&self, small_model: bool) -> f64 {
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for task in pcg_core::task::all_tasks() {
-            if !task.model.is_parallel() {
-                total += self.p_correct(task, small_model);
-                count += 1;
-            }
-        }
-        total / count as f64
-    }
 }
 
 /// Build the exec-rate row from a serial rate and a parallel-average

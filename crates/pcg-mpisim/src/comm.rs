@@ -320,11 +320,6 @@ impl<'w> Comm<'w> {
         self.shared.mailboxes[self.rank].probe(src, tag)
     }
 
-    /// Number of undelivered messages queued at this rank (diagnostics).
-    pub fn pending_messages(&self) -> usize {
-        self.shared.mailboxes[self.rank].pending()
-    }
-
     /// Combined send-then-receive (deadlock-free thanks to eager sends).
     pub fn sendrecv<T: Elem>(
         &self,

@@ -130,8 +130,9 @@ impl Mailbox {
         self.cv.notify_all();
     }
 
-    /// Number of queued messages (diagnostics).
-    pub fn pending(&self) -> usize {
+    /// Number of queued messages.
+    #[cfg(test)]
+    fn pending(&self) -> usize {
         self.queue.lock().len()
     }
 }

@@ -212,12 +212,6 @@ impl<R> SimOutcome<R> {
     pub fn root(&self) -> &R {
         &self.per_rank[0]
     }
-
-    /// Consume the outcome, returning rank 0's value.
-    pub fn into_root(mut self) -> R {
-        self.per_rank.truncate(1);
-        self.per_rank.pop().expect("world has at least one rank")
-    }
 }
 
 /// A simulated MPI world: a rank count plus a cost model.
