@@ -31,7 +31,8 @@ fn fail(msg: &str) -> ! {
 /// The projection of a records cache: its cells in file (plan) order,
 /// grouped by model.
 fn records(path: &str) -> String {
-    let Some((_, cells)) = journal::read_cells(Path::new(path)) else {
+    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let Some((_, cells)) = journal::read_cells(Path::new(path), jobs) else {
         fail(&format!("{path} is not a readable records cache"));
     };
     let mut models: Vec<ModelRecord> = Vec::new();

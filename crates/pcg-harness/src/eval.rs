@@ -97,19 +97,23 @@ pub fn evaluate_with<S: CandidateSource + Sync + ?Sized>(
     evaluate_resumable_priors(cfg, source, tasks, jobs, None, runner, &Replay::new(), |_, _, _| {})
 }
 
-/// [`evaluate_with`] plus crash-safety hooks and a scheduling cost
-/// table, over the whole grid.
+/// [`evaluate_with`] plus a replay, a per-cell hook and a scheduling
+/// cost table, over the whole grid. No binary calls it: the pipeline's
+/// drivers ([`crate::shard`]) evaluate plan subsets through
+/// [`evaluate_cells_priors`]. It is the whole-grid entry point that
+/// tests and the end-to-end benchmark drive.
 ///
 /// Cells present in `replay` (keyed by [`CellId`], typically recovered
 /// from a write-ahead journal) are spliced into the record without
-/// being re-evaluated, and `on_cell` runs for every cell that *was*
-/// evaluated, as [`evaluate_cells_priors`] describes, so the pipeline
-/// can journal it. Because sample streams are keyed by grid
-/// coordinates (never by worker identity, time, or which cells ran
-/// before), the merged record is byte-identical to an uninterrupted
-/// run against the same runner: replayed cells contribute their
-/// journaled bytes verbatim and fresh cells recompute exactly what the
-/// interrupted run would have produced.
+/// being re-evaluated; the replay is borrowed, so their records are
+/// cloned. `on_cell` runs for every cell that *was* evaluated, as
+/// [`evaluate_cells_priors`] describes (a caller journals it there).
+/// Because sample streams are keyed by grid coordinates (never by
+/// worker identity, time, or which cells ran before), the merged
+/// record is byte-identical to an uninterrupted run against the same
+/// runner: replayed cells contribute their journaled bytes verbatim
+/// and fresh cells recompute exactly what the interrupted run would
+/// have produced.
 ///
 /// `priors` only reorders execution (longest expected first); the
 /// record is byte-identical with or without them, at any worker count.
@@ -132,7 +136,7 @@ pub fn evaluate_resumable_priors<S: CandidateSource + Sync + ?Sized>(
         jobs,
         priors,
         runner,
-        replay,
+        replay.clone(),
         on_cell,
     );
     let mut records = run.cells.into_iter().map(|(_, rec)| rec);
@@ -145,11 +149,11 @@ pub fn evaluate_resumable_priors<S: CandidateSource + Sync + ?Sized>(
 /// ([`WorkPlan::shard_with`]), or a gap-fill list.
 ///
 /// `source` must be the candidate source the plan was built from
-/// (cells index into its rows). Cells found in `replay` are spliced in
-/// without re-evaluation; the rest are fanned over the scheduler, and
-/// `on_cell` is invoked on the calling thread — in completion order,
-/// one cell at a time — for each of them. Results come back in `owned`
-/// order regardless of completion order.
+/// (cells index into its rows). Cells found in `replay` are moved into
+/// the result without re-evaluation; the rest are fanned over the
+/// scheduler, and `on_cell` is invoked on the calling thread — in
+/// completion order, one cell at a time — for each of them. Results
+/// come back in `owned` order regardless of completion order.
 ///
 /// Pending cells are handed to workers in [`plan::dispatch_order`]:
 /// model-major, and with a priors table each model row in descending
@@ -169,7 +173,7 @@ pub fn evaluate_cells_priors<S: CandidateSource + Sync + ?Sized>(
     jobs: usize,
     priors: Option<&CostPriors>,
     runner: &SharedRunner,
-    replay: &Replay,
+    mut replay: Replay,
     mut on_cell: impl FnMut(CellId, &str, &TaskRecord),
 ) -> SubsetRun {
     // Row labels are resolved once: they key LPT weights, journal
@@ -184,8 +188,8 @@ pub fn evaluate_cells_priors<S: CandidateSource + Sync + ?Sized>(
     let mut pending: Vec<PlanCell> = Vec::new();
     let mut pending_slots: Vec<usize> = Vec::new();
     for (i, cell) in owned.iter().enumerate() {
-        match replay.get(&cell.id) {
-            Some(r) => slots.push(Some(r.record.clone())),
+        match replay.remove(&cell.id) {
+            Some(r) => slots.push(Some(r.record)),
             None => {
                 pending.push(*cell);
                 pending_slots.push(i);
@@ -556,7 +560,7 @@ mod tests {
         for k in 0..3 {
             let spec = ShardSpec::new(k, 3);
             let run = evaluate_cells_priors(
-                &cfg, &models, plan.shard(spec), 1, None, &runner, &Replay::new(), |_, _, _| {},
+                &cfg, &models, plan.shard(spec), 1, None, &runner, Replay::new(), |_, _, _| {},
             );
             assert_eq!(run.stats.cells, plan.shard(spec).len());
             for (cell, rec) in run.cells {

@@ -34,19 +34,30 @@
 //! the last field is the [`pcg_core::CostPriors`] hash the run
 //! scheduled and sharded under, 0 for no priors; headers written before
 //! the field existed are read as hash 0); every further frame is one
-//! cell, its payload encoded by [`crate::codec`]. Replay reads the
-//! whole file in one buffered pass and never touches a JSON parser. A
-//! file without the magic (including the JSONL journals of older
-//! releases) replays nothing, like any header mismatch, and resume
-//! recreates it.
+//! cell, its payload encoded by [`crate::codec`]. A file without the
+//! magic (including the JSONL journals of older releases) replays
+//! nothing, like any header mismatch, and resume recreates it.
+//!
+//! **Reading** takes one `fs::read` of the file and never touches a
+//! JSON parser. The frame boundaries are walked structurally first
+//! (each frame's length prefix gives the next frame's offset), then
+//! the frames are CRC-checked and decoded on up to `jobs` scoped
+//! threads, each taking one contiguous run, and the results are folded
+//! in file order. The fold alone decides what replays, so the outcome
+//! is the same at any thread count.
 //!
 //! **Committed records cache:** a finished run commits its records in
 //! this same format ([`commit_record`]): a whole-grid header with
 //! priors hash 0 (records do not depend on priors), then one entry
-//! frame per cell in plan order. [`read_cells`] walks such a file
-//! strictly — any flaw refuses the whole file — and the loader serves
-//! it only when its cells are exactly the plan's, in order; that match
-//! is the seal. A JSON cache from an older release reads as a miss.
+//! frame per cell in plan order. A run that replayed cells from
+//! journals keeps the frames it validated ([`Loaded`]) and copies them
+//! into the cache instead of re-encoding their records: the codec is
+//! canonical (decoding accepts exactly the bytes encoding writes), so
+//! a validated frame is byte for byte the frame encoding would write.
+//! [`read_cells`] walks a cache strictly — any flaw refuses the whole
+//! file — and the loader serves it only when its cells are exactly
+//! the plan's, in order; that match is the seal. A JSON cache from an
+//! older release reads as a miss.
 //!
 //! A torn final frame (the crash happened mid-append), a CRC mismatch,
 //! a payload that does not decode, or a failed cell self-check
@@ -80,6 +91,7 @@ use pcg_core::plan::{fnv1a, CellId, ShardSpec, WorkPlan};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -272,6 +284,9 @@ pub struct Loaded {
     /// the file is missing, lacks the v3 magic, or has an unreadable
     /// header.
     pub header: Option<Header>,
+    /// The file's bytes and each replayed cell's validated frame, for a
+    /// commit to copy.
+    pub(crate) frames: Frames,
 }
 
 impl Loaded {
@@ -280,6 +295,32 @@ impl Loaded {
     /// replayable frames *must not* be truncated instead.
     pub fn needs_compaction(&self) -> bool {
         self.stale_frames > 0
+    }
+}
+
+/// Validated entry frames kept from loaded journals: the files' bytes
+/// and, for each cell, the file and byte range of the frame whose
+/// record replays. Committing copies these frames instead of encoding
+/// the records again ([`commit_frames`]).
+#[derive(Default)]
+pub(crate) struct Frames {
+    files: Vec<Vec<u8>>,
+    at: HashMap<CellId, (usize, Range<usize>)>,
+}
+
+impl Frames {
+    /// The frame kept for `cell`, if any.
+    fn get(&self, cell: CellId) -> Option<&[u8]> {
+        let (file, range) = self.at.get(&cell)?;
+        Some(&self.files[*file][range.clone()])
+    }
+
+    /// Fold in the frames of a journal read after these: for a cell in
+    /// both, `later`'s frame wins, as its record does in a merge.
+    pub(crate) fn extend(&mut self, later: Frames) {
+        let base = self.files.len();
+        self.files.extend(later.files);
+        self.at.extend(later.at.into_iter().map(|(id, (file, range))| (id, (base + file, range))));
     }
 }
 
@@ -550,74 +591,142 @@ pub fn load_counting_sourced(
     shard: ShardSpec,
     priors_hash: u64,
 ) -> Loaded {
+    load_parallel(path, cfg, salt, shard, priors_hash, 1)
+}
+
+/// [`load_counting_sourced`] decoding on up to `jobs` threads. The
+/// result is the same at any `jobs`.
+pub(crate) fn load_parallel(
+    path: &Path,
+    cfg: &EvalConfig,
+    salt: &[u8],
+    shard: ShardSpec,
+    priors_hash: u64,
+    jobs: usize,
+) -> Loaded {
     let mut loaded = Loaded::default();
     let Ok(bytes) = std::fs::read(path) else { return loaded };
-    let Some((header, mut offset)) = Header::read(&bytes) else { return loaded };
+    let Some((header, first)) = Header::read(&bytes) else { return loaded };
     loaded.header = Some(header);
     if header != Header::new(cfg, salt, shard, priors_hash) {
         return loaded;
     }
-    let mut frame_idx = 1usize;
-    loop {
-        let f = match frame::decode_frame(&bytes, offset) {
-            None => break,
-            Some(Ok(f)) => f,
-            Some(Err(e)) => {
-                // Torn or corrupt frame: truncate replay here. The bad
-                // frame and every (structurally countable) frame after
-                // it are stale and untrusted.
-                let cell = match e {
-                    FrameError::BadCrc { cell, .. } => Some(cell),
-                    FrameError::TornTail { .. } => None,
-                };
-                loaded.stale_frames += count_tail_frames(&bytes, offset);
-                loaded.rejects.push(Reject {
-                    offset: offset as u64,
-                    frame: frame_idx,
-                    cell,
-                    reason: e.to_string(),
-                });
-                return loaded;
-            }
-        };
-        if frame::decode_claim_payload(f.payload).is_some() {
+    let frames = scan(&bytes, first, header.config_hash, jobs);
+    let total = frames.len();
+    let mut at = HashMap::with_capacity(total);
+    for (i, (range, frame)) in frames.into_iter().enumerate() {
+        match frame {
             // A work-stealing claim: it marks intent, carries no
             // result, and must never replay. It counts as stale so a
             // resume compacts it away — a claim without a matching
             // result frame means the thief died mid-steal, and
             // dropping the claim is exactly what makes the cell
             // stealable (or merge-gap-fillable) again.
-            loaded.stale_frames += 1;
-            offset = f.end;
-            frame_idx += 1;
-            continue;
-        }
-        let (id, cell) = match decode_cell(header.config_hash, &f) {
-            Ok(c) => c,
-            Err(reason) => {
-                // CRC-valid, yet undecodable (only an incompatible codec
-                // change does that) or not the cell it claims to be.
-                // Same corruption policy.
-                loaded.stale_frames += count_tail_frames(&bytes, offset);
-                loaded.rejects.push(Reject {
-                    offset: offset as u64,
-                    frame: frame_idx,
-                    cell: Some(f.cell),
-                    reason,
-                });
-                return loaded;
+            Scanned::Claim => loaded.stale_frames += 1,
+            Scanned::Cell(id, cell) => {
+                // A duplicate append (an earlier resume re-evaluated
+                // this cell after a truncated replay). Last write wins;
+                // the shadowed frame is stale.
+                if loaded.replay.insert(id, cell).is_some() {
+                    loaded.stale_frames += 1;
+                }
+                at.insert(id, (0, range));
             }
-        };
-        if loaded.replay.insert(id, cell).is_some() {
-            // A duplicate append (an earlier resume re-evaluated this
-            // cell after a truncated replay). Last write wins; the
-            // shadowed frame is stale.
-            loaded.stale_frames += 1;
+            // Torn, CRC-bad, undecodable (only an incompatible codec
+            // change does that) or not the cell it claims to be:
+            // truncate replay here. The bad frame and every
+            // (structurally countable) frame after it are stale and
+            // untrusted.
+            Scanned::Bad { cell, reason } => {
+                loaded.stale_frames += total - i;
+                let offset = range.start as u64;
+                loaded.rejects.push(Reject { offset, frame: i + 1, cell, reason });
+                break;
+            }
         }
-        offset = f.end;
-        frame_idx += 1;
     }
+    loaded.frames = Frames { files: vec![bytes], at };
     loaded
+}
+
+/// One body frame of a journal or cache, checked and decoded.
+enum Scanned {
+    /// A work-stealing claim frame.
+    Claim,
+    /// An entry frame that decoded and passed its cell self-check.
+    Cell(CellId, ReplayCell),
+    /// A frame that failed: torn, CRC-bad, undecodable, or forged.
+    Bad {
+        /// The cell tag as stored, when the frame header was readable.
+        cell: Option<u64>,
+        /// Why it failed.
+        reason: String,
+    },
+}
+
+/// Fewest frames worth a decode thread of their own: below this, the
+/// thread would cost more to start than its share of the work.
+const MIN_FRAMES_PER_THREAD: usize = 128;
+
+/// Every frame of `bytes` from `first` on, in file order, with its byte
+/// range. The boundaries are walked structurally; trailing bytes that
+/// form no whole frame come last, as one torn frame. The frames are
+/// then CRC-checked and decoded under `config_hash` on up to `jobs`
+/// threads.
+fn scan(bytes: &[u8], first: usize, config_hash: u64, jobs: usize) -> Vec<(Range<usize>, Scanned)> {
+    let mut ranges = Vec::new();
+    let mut start = first;
+    for end in frame_ends(bytes, first) {
+        ranges.push(start..end);
+        start = end;
+    }
+    if start < bytes.len() {
+        ranges.push(start..bytes.len());
+    }
+    let threads = jobs.min(ranges.len() / MIN_FRAMES_PER_THREAD).max(1);
+    let scanned = par_map(&ranges, threads, |range| scan_frame(bytes, range.start, config_hash));
+    ranges.into_iter().zip(scanned).collect()
+}
+
+/// Check and decode the frame at `offset`, which starts a frame or the
+/// torn tail.
+fn scan_frame(bytes: &[u8], offset: usize, config_hash: u64) -> Scanned {
+    match frame::decode_frame(bytes, offset).expect("a scanned range is never empty") {
+        Ok(f) if frame::decode_claim_payload(f.payload).is_some() => Scanned::Claim,
+        Ok(f) => match decode_cell(config_hash, &f) {
+            Ok((id, cell)) => Scanned::Cell(id, cell),
+            Err(reason) => Scanned::Bad { cell: Some(f.cell), reason },
+        },
+        Err(e) => {
+            let cell = match e {
+                FrameError::BadCrc { cell, .. } => Some(cell),
+                FrameError::TornTail { .. } => None,
+            };
+            Scanned::Bad { cell, reason: e.to_string() }
+        }
+    }
+}
+
+/// `f` of every item, in item order, computed on up to `threads` scoped
+/// threads that each take one contiguous run of the items; the calling
+/// thread takes the first run. A panic in `f` propagates.
+pub(crate) fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let mut runs = items.chunks(items.len().div_ceil(threads.max(1)).max(1));
+    let Some(head) = runs.next() else { return Vec::new() };
+    let f = &f;
+    std::thread::scope(|s| {
+        let rest: Vec<_> =
+            runs.map(|run| s.spawn(move || run.iter().map(f).collect::<Vec<R>>())).collect();
+        let mut out: Vec<R> = head.iter().map(f).collect();
+        for handle in rest {
+            out.extend(handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        out
+    })
 }
 
 /// Decode one entry frame and self-check it: the cell id recomputed
@@ -641,16 +750,18 @@ fn decode_cell(config_hash: u64, f: &frame::Frame<'_>) -> Result<(CellId, Replay
 /// CRC-bad frame, a claim, an undecodable payload or a failed cell
 /// self-check. Unlike replay, which keeps a clean prefix, this walk
 /// trusts all of a file or none of it. It takes no config: the caller
-/// gates on the header and on which cells came back.
-pub fn read_cells(path: &Path) -> Option<(Header, Vec<(CellId, ReplayCell)>)> {
+/// gates on the header and on which cells came back. Frames decode on
+/// up to `jobs` threads.
+pub fn read_cells(path: &Path, jobs: usize) -> Option<(Header, Vec<(CellId, ReplayCell)>)> {
     let bytes = std::fs::read(path).ok()?;
-    let (header, mut offset) = Header::read(&bytes)?;
-    let mut cells = Vec::new();
-    while let Some(f) = frame::decode_frame(&bytes, offset) {
-        let f = f.ok()?;
-        cells.push(decode_cell(header.config_hash, &f).ok()?);
-        offset = f.end;
-    }
+    let (header, first) = Header::read(&bytes)?;
+    let cells = scan(&bytes, first, header.config_hash, jobs)
+        .into_iter()
+        .map(|(_, frame)| match frame {
+            Scanned::Cell(id, cell) => Some((id, cell)),
+            Scanned::Claim | Scanned::Bad { .. } => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
     Some((header, cells))
 }
 
@@ -715,15 +826,6 @@ fn frame_ends(bytes: &[u8], mut offset: usize) -> impl Iterator<Item = usize> + 
     })
 }
 
-/// Best-effort structural count of the untrusted frames from the
-/// rejected one at `offset` on (for stale-frame accounting only — none
-/// of them is replayed). Trailing bytes that do not form a whole frame
-/// count as one.
-fn count_tail_frames(bytes: &[u8], offset: usize) -> usize {
-    let (n, end) = frame_ends(bytes, offset).fold((0, offset), |(n, _), end| (n + 1, end));
-    n + usize::from(end < bytes.len())
-}
-
 /// Rewrite the journal at `path` atomically with exactly `replay`
 /// folded in — one frame per completed cell, in deterministic (cell
 /// id) order, no torn bytes, no shadowed duplicates — under a header
@@ -753,7 +855,7 @@ pub fn compact_sourced(
     let mut cells: Vec<(&CellId, &ReplayCell)> = replay.iter().collect();
     cells.sort_by_key(|(id, _)| **id);
     let cells = cells.into_iter().map(|(id, c)| (*id, (c.model.as_str(), &c.record)));
-    write_frames(path, Header::new(cfg, salt, shard, priors_hash), cells)?;
+    write_frames(path, Header::new(cfg, salt, shard, priors_hash), cells, &Frames::default())?;
     Ok(replay.len())
 }
 
@@ -762,22 +864,40 @@ pub fn compact_sourced(
 /// not depend on priors), then one entry frame per cell in plan order,
 /// replacing the file atomically like [`compact_sourced`].
 pub fn commit_record(path: &Path, plan: &WorkPlan, record: &EvalRecord) -> std::io::Result<()> {
+    commit_frames(path, plan, record, &Frames::default())
+}
+
+/// [`commit_record`] that copies each cell's frame from `kept` where it
+/// holds one and encodes only the other cells. The caller guarantees
+/// that a kept frame is the one the cell's record was decoded from, so
+/// the bytes are those [`commit_record`] would write.
+pub(crate) fn commit_frames(
+    path: &Path,
+    plan: &WorkPlan,
+    record: &EvalRecord,
+    kept: &Frames,
+) -> std::io::Result<()> {
     let cells =
         record.models.iter().flat_map(|m| m.tasks.iter().map(move |t| (m.model.as_str(), t)));
-    write_frames(path, Header::cache(plan), plan.cells().map(|c| c.id).zip(cells))
+    write_frames(path, Header::cache(plan), plan.cells().map(|c| c.id).zip(cells), kept)
 }
 
 /// Replace the file at `path` with `header` and one entry frame per
-/// cell, in the order given. Readers (and crashes) observe the old
+/// cell, in the order given: the cell's frame in `kept` where there is
+/// one, else a fresh encoding. Readers (and crashes) observe the old
 /// file or the new one, never a hybrid.
 fn write_frames<'a>(
     path: &Path,
     header: Header,
     cells: impl Iterator<Item = (CellId, (&'a str, &'a TaskRecord))>,
+    kept: &Frames,
 ) -> std::io::Result<()> {
     let mut bytes = header.file_prefix();
     for (id, (model, record)) in cells {
-        put_entry_frame(&mut bytes, id, model, record);
+        match kept.get(id) {
+            Some(frame) => bytes.extend_from_slice(frame),
+            None => put_entry_frame(&mut bytes, id, model, record),
+        }
     }
     crate::pipeline::atomic_write(path, &bytes)
 }
@@ -1260,6 +1380,158 @@ mod tests {
             "but never into a run with priors"
         );
         remove(&path);
+    }
+
+    /// The loader as it stood before frames decoded in parallel: one
+    /// serial pass that checks, decodes and folds each frame in turn.
+    /// The parallel loader must agree with it on every input.
+    fn serial_reference(bytes: &[u8], config_hash: u64) -> Loaded {
+        let tail_frames = |offset: usize| {
+            let (n, end) = frame_ends(bytes, offset).fold((0, offset), |(n, _), e| (n + 1, e));
+            n + usize::from(end < bytes.len())
+        };
+        let mut loaded = Loaded::default();
+        let Some((header, mut offset)) = Header::read(bytes) else { return loaded };
+        loaded.header = Some(header);
+        if header.config_hash != config_hash {
+            return loaded;
+        }
+        let mut frame_idx = 1usize;
+        loop {
+            let f = match frame::decode_frame(bytes, offset) {
+                None => break,
+                Some(Ok(f)) => f,
+                Some(Err(e)) => {
+                    let cell = match e {
+                        FrameError::BadCrc { cell, .. } => Some(cell),
+                        FrameError::TornTail { .. } => None,
+                    };
+                    loaded.stale_frames += tail_frames(offset);
+                    let (offset, reason) = (offset as u64, e.to_string());
+                    loaded.rejects.push(Reject { offset, frame: frame_idx, cell, reason });
+                    return loaded;
+                }
+            };
+            if frame::decode_claim_payload(f.payload).is_some() {
+                loaded.stale_frames += 1;
+            } else {
+                match decode_cell(header.config_hash, &f) {
+                    Ok((id, cell)) => {
+                        if loaded.replay.insert(id, cell).is_some() {
+                            loaded.stale_frames += 1;
+                        }
+                    }
+                    Err(reason) => {
+                        loaded.stale_frames += tail_frames(offset);
+                        let (offset, cell) = (offset as u64, Some(f.cell));
+                        loaded.rejects.push(Reject { offset, frame: frame_idx, cell, reason });
+                        return loaded;
+                    }
+                }
+            }
+            offset = f.end;
+            frame_idx += 1;
+        }
+        loaded
+    }
+
+    /// Everything a load reports, in a comparable form.
+    type Summary = (Option<Header>, usize, Vec<(u64, usize, Option<u64>, String)>, Vec<String>);
+
+    fn summary(l: &Loaded) -> Summary {
+        let mut replay: Vec<_> = l.replay.iter().collect();
+        replay.sort_by_key(|(id, _)| **id);
+        let replay = replay
+            .into_iter()
+            .map(|(id, c)| {
+                format!("{id} {} {}", c.model, serde_json::to_string(&c.record).unwrap())
+            })
+            .collect();
+        let rejects =
+            l.rejects.iter().map(|r| (r.offset, r.frame, r.cell, r.reason.clone())).collect();
+        (l.header, l.stale_frames, rejects, replay)
+    }
+
+    /// A whole-grid journal of `cells` distinct entries, with claim
+    /// frames and re-appends (different ratios) of earlier cells
+    /// spliced in at the given positions.
+    fn mutable_journal(
+        cfg: &EvalConfig,
+        cells: usize,
+        claims: &[usize],
+        dups: &[usize],
+    ) -> Vec<u8> {
+        let entry = |k: usize, salt: f64| {
+            let mut r = rec(k % 5);
+            r.low.ratio[0] += salt;
+            (format!("m{k}"), r)
+        };
+        let mut bytes = Header::new(cfg, &[], ShardSpec::WHOLE, 0).file_prefix();
+        for k in 0..cells {
+            let (model, r) = entry(k, 0.0);
+            put_entry_frame(&mut bytes, cell_of(cfg, &model, &r), &model, &r);
+            for &c in claims.iter().filter(|&&c| c % cells == k) {
+                let (model, r) = entry(c / cells % cells, 0.0);
+                let payload = frame::encode_claim_payload(1);
+                frame::encode_frame_into(&mut bytes, cell_of(cfg, &model, &r).0, &payload);
+            }
+            for &d in dups.iter().filter(|&&d| d % cells == k) {
+                let (model, r) = entry(d / cells % (k + 1), 1.0 + d as f64);
+                put_entry_frame(&mut bytes, cell_of(cfg, &model, &r), &model, &r);
+            }
+        }
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// On mutated journals (a bit flip, a truncation, claim frames,
+        /// duplicate appends), the loader at jobs 2 and 4 reports
+        /// exactly what it reports at jobs 1, which is what the serial
+        /// reference reports; the frame it keeps for each replayed cell
+        /// is the frame encoding that cell's record writes; and the
+        /// strict cache reader agrees at every jobs count.
+        #[test]
+        fn parallel_loads_equal_the_serial_fold(
+            claims in proptest::collection::vec(0usize..1_000_000, 0..4),
+            dups in proptest::collection::vec(0usize..1_000_000, 0..4),
+            flip in proptest::collection::vec(0usize..1_000_000_000, 0..2),
+            cut in proptest::collection::vec(0usize..1_000_000_000, 0..2),
+        ) {
+            let cfg = EvalConfig::smoke();
+            let cells = 4 * MIN_FRAMES_PER_THREAD + 3;
+            let mut bytes = mutable_journal(&cfg, cells, &claims, &dups);
+            for bit in flip {
+                let bit = bit % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            for cut in cut {
+                bytes.truncate(cut % (bytes.len() + 1));
+            }
+            let path = tmp("parallel-fold");
+            std::fs::write(&path, &bytes).unwrap();
+
+            let want = summary(&serial_reference(&bytes, config_hash(&cfg)));
+            let serial = load_parallel(&path, &cfg, &[], ShardSpec::WHOLE, 0, 1);
+            proptest::prop_assert_eq!(&summary(&serial), &want);
+            for (id, cell) in &serial.replay {
+                let mut encoded = Vec::new();
+                put_entry_frame(&mut encoded, *id, &cell.model, &cell.record);
+                proptest::prop_assert_eq!(serial.frames.get(*id), Some(&encoded[..]));
+            }
+            proptest::prop_assert_eq!(serial.frames.at.len(), serial.replay.len());
+            let strict = |jobs| read_cells(&path, jobs).map(|(h, c)| {
+                (h, c.iter().map(|(id, c)| format!("{id} {}", c.model)).collect::<Vec<_>>())
+            });
+            for jobs in [2, 4] {
+                let parallel = load_parallel(&path, &cfg, &[], ShardSpec::WHOLE, 0, jobs);
+                proptest::prop_assert_eq!(&summary(&parallel), &want, "jobs {}", jobs);
+                proptest::prop_assert_eq!(&parallel.frames.at, &serial.frames.at, "jobs {}", jobs);
+                proptest::prop_assert_eq!(strict(jobs), strict(1), "jobs {}", jobs);
+            }
+            remove(&path);
+        }
     }
 
     #[test]

@@ -17,14 +17,15 @@
 //! group-committed: see [`crate::journal::Journal`]). The run waits on
 //! [`crate::journal::Journal::sync`] before it commits. The records
 //! cache is committed in the journal's own frame format
-//! ([`crate::journal::commit_record`]), and it and the stats sidecar
-//! are committed atomically (temp file + rename), so readers never
-//! observe a torn record; the journal is deleted only after the cache
-//! commit succeeds. A run killed at any point can be restarted with
-//! `--resume` and will re-evaluate only the cells the journal does not
-//! already hold — and, if the journal accumulated stale lines (torn
-//! tails, shadowed duplicate appends), resume first compacts it in
-//! place.
+//! ([`crate::journal::commit_record`]; a resume or merge copies the
+//! frames it replayed instead of encoding them again), and it and the
+//! stats sidecar are committed atomically (temp file + rename), so
+//! readers never observe a torn record; the journal is deleted only
+//! after the cache commit succeeds. A run killed at any point can be
+//! restarted with `--resume` and will re-evaluate only the cells the
+//! journal does not already hold — and, if the journal accumulated
+//! stale lines (torn tails, shadowed duplicate appends), resume first
+//! compacts it in place.
 
 use crate::config::EvalConfig;
 use crate::eval;
@@ -447,7 +448,7 @@ pub fn load_priors(opts: &RunOptions) -> Option<CostPriors> {
         return Some(CostPriors::default_profile());
     }
     let cache = Path::new(src);
-    match measured_priors(cache) {
+    match measured_priors(cache, opts.jobs) {
         Ok(p) => {
             eprintln!(
                 "[pcgbench] priors: {} measured cell walls from {} (hash {:016x})",
@@ -468,20 +469,17 @@ pub fn load_priors(opts: &RunOptions) -> Option<CostPriors> {
 
 /// The cost table of the run committed at `cache`: each measured cell
 /// wall of its stats sidecar ([`EvalStats::cell_walls`]), joined by
-/// cell id with the model and task of the cache's own cell. An error
-/// for a `.cols` path, a missing or damaged cache or sidecar, and a
-/// sidecar with no positive wall (a run that only replayed its journal
-/// measured nothing): a table that knows nothing is worse than the
-/// honest default profile.
-fn measured_priors(cache: &Path) -> Result<CostPriors, String> {
-    if cache.extension().is_some_and(|e| e == "cols") {
-        return Err("a .cols sidecar carries no walls; name its records cache".into());
-    }
+/// cell id with the model and task of the cache's own cell, read on up
+/// to `jobs` threads. An error for a missing or damaged cache or
+/// sidecar, and a sidecar with no positive wall (a run that only
+/// replayed its journal measured nothing): a table that knows nothing
+/// is worse than the honest default profile.
+fn measured_priors(cache: &Path, jobs: usize) -> Result<CostPriors, String> {
     let sidecar = cache_stats_path(cache);
     let bytes = std::fs::read(&sidecar).map_err(|e| format!("{}: {e}", sidecar.display()))?;
     let stats: EvalStats =
         serde_json::from_slice(&bytes).map_err(|e| format!("{}: {e}", sidecar.display()))?;
-    let (_, cells) = journal::read_cells(cache)
+    let (_, cells) = journal::read_cells(cache, jobs)
         .ok_or_else(|| format!("{} is not a readable records cache", cache.display()))?;
     let walls: HashMap<u64, f64> = stats.cell_walls.iter().map(|w| (w.cell, w.secs)).collect();
     let entries = cells.into_iter().filter_map(|(id, c)| {
@@ -510,7 +508,7 @@ pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions
         std::process::exit(0);
     }
     let run = Run::resolve(path, cfg, opts, None);
-    if let Some(rec) = read_cache(&run.cache, cfg, &run.plan) {
+    if let Some(rec) = read_cache_parallel(&run.cache, cfg, &run.plan, opts.jobs) {
         eprintln!("[pcgbench] loaded cached records from {}", run.cache.display());
         return rec;
     }
@@ -539,7 +537,17 @@ pub fn load_or_run_opts(path: Option<&Path>, cfg: &EvalConfig, opts: &RunOptions
 /// cache of another config, source or task subset, a damaged one, or
 /// one from an older release is a miss.
 pub fn read_cache(path: &Path, cfg: &EvalConfig, plan: &WorkPlan) -> Option<EvalRecord> {
-    let (header, cells) = journal::read_cells(path)?;
+    read_cache_parallel(path, cfg, plan, 1)
+}
+
+/// [`read_cache`] decoding on up to `jobs` threads.
+pub(crate) fn read_cache_parallel(
+    path: &Path,
+    cfg: &EvalConfig,
+    plan: &WorkPlan,
+    jobs: usize,
+) -> Option<EvalRecord> {
+    let (header, cells) = journal::read_cells(path, jobs)?;
     let fits = header == journal::Header::cache(plan)
         && cells.len() == plan.len()
         && plan.cells().zip(&cells).all(|(c, (id, _))| c.id == *id);
@@ -548,17 +556,19 @@ pub fn read_cache(path: &Path, cfg: &EvalConfig, plan: &WorkPlan) -> Option<Eval
 }
 
 /// Commit a finished run's records next to `cache`: the records cache
-/// in frame format ([`journal::commit_record`]) and the stats sidecar,
-/// whose measured cell walls are the next run's `--priors` source.
-/// Returns whether the cache landed; the journals the record was
-/// assembled from may be deleted only then.
+/// in frame format, copying the `replayed` cells' journal frames and
+/// encoding the rest ([`journal::commit_frames`]), and the stats
+/// sidecar, whose measured cell walls are the next run's `--priors`
+/// source. Returns whether the cache landed; the journals the record
+/// was assembled from may be deleted only then.
 pub(crate) fn commit_run(
     cache: &Path,
     plan: &WorkPlan,
     record: &EvalRecord,
+    replayed: &journal::Frames,
     stats: &EvalStats,
 ) -> bool {
-    let committed = journal::commit_record(cache, plan, record);
+    let committed = journal::commit_frames(cache, plan, record, replayed);
     match &committed {
         Ok(()) => eprintln!("[pcgbench] cached records at {}", cache.display()),
         Err(e) => eprintln!("[pcgbench] warning: could not cache records: {e}"),

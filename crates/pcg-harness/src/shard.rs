@@ -24,7 +24,8 @@
 //! [`merge_shards`] stitches N shard journals back into the records
 //! cache and stats sidecar. The merged records cache is **byte-identical
 //! to a single-process run's** for the same config: journaled records
-//! round-trip losslessly, fresh evaluations are keyed by grid
+//! round-trip losslessly (their validated frames are copied into the
+//! cache as they stand), fresh evaluations are keyed by grid
 //! coordinates only, and assembly order is the plan order both code
 //! paths share. Cells missing from the shard journals (a worker died
 //! mid-shard and was never resumed, or a journal lost its tail to a
@@ -232,7 +233,7 @@ pub fn run_shard(
     tasks: Option<&[TaskId]>,
 ) -> EvalStats {
     let run = Run::resolve(path, cfg, opts, tasks);
-    let stats = evaluate_shard(&run, cfg, opts, shard).stats;
+    let stats = evaluate_shard(&run, cfg, opts, shard).0.stats;
     if let Ok(bytes) = serde_json::to_vec(&stats) {
         if let Err(e) = pipeline::atomic_write(&shard_stats_path(&run.cache, shard), &bytes) {
             eprintln!("[pcgbench] warning: could not write shard stats: {e}");
@@ -245,11 +246,11 @@ pub fn run_shard(
 /// in plan order and committed as the records cache and stats sidecar
 /// ([`pipeline::commit_run`]). The journal goes once the cache lands.
 pub(crate) fn run_whole(run: &Run, cfg: &EvalConfig, opts: &RunOptions) -> EvalRecord {
-    let pass = evaluate_shard(run, cfg, opts, ShardSpec::WHOLE);
+    let (pass, replayed) = evaluate_shard(run, cfg, opts, ShardSpec::WHOLE);
     let mut records = pass.cells.into_iter().map(|(_, rec)| rec);
     let record =
         eval::assemble(cfg, &run.plan, |_| records.next().expect("the shard covers the plan"));
-    if pipeline::commit_run(&run.cache, &run.plan, &record, &pass.stats) {
+    if pipeline::commit_run(&run.cache, &run.plan, &record, &replayed, &pass.stats) {
         // The cache now holds everything the journal was protecting.
         journal::remove(&journal::journal_path(&run.cache));
     }
@@ -261,8 +262,14 @@ pub(crate) fn run_whole(run: &Run, cfg: &EvalConfig, opts: &RunOptions) -> EvalR
 /// the cells the shard owns (journaling each) and, in a multi-shard
 /// run, pre-scans siblings before and steals from them after. It then
 /// syncs the journal and returns every cell it replayed or evaluated,
-/// stolen ones last, with the pass's stats.
-fn evaluate_shard(run: &Run, cfg: &EvalConfig, opts: &RunOptions, shard: ShardSpec) -> SubsetRun {
+/// stolen ones last, with the pass's stats, and the journal frames the
+/// replayed cells were decoded from.
+fn evaluate_shard(
+    run: &Run,
+    cfg: &EvalConfig,
+    opts: &RunOptions,
+    shard: ShardSpec,
+) -> (SubsetRun, journal::Frames) {
     let t0 = std::time::Instant::now();
     let (salt, priors_hash) = (&run.salt, run.priors_hash);
     let jpath = journal::shard_journal_path(&run.cache, shard);
@@ -270,9 +277,10 @@ fn evaluate_shard(run: &Run, cfg: &EvalConfig, opts: &RunOptions, shard: ShardSp
     // rejected frame with its byte offset, frame index and cell id),
     // and compact it when it carries stale frames.
     let mut replay = journal::Replay::new();
+    let mut replayed = journal::Frames::default();
     let (mut compacted, mut rejected, mut reopen) = (0, 0, false);
     if opts.resume {
-        let loaded = journal::load_counting_sourced(&jpath, cfg, salt, shard, priors_hash);
+        let loaded = journal::load_parallel(&jpath, cfg, salt, shard, priors_hash, opts.jobs);
         for r in &loaded.rejects {
             eprintln!("[pcgbench] warning: journal {}: rejected {r}", jpath.display());
         }
@@ -295,6 +303,7 @@ fn evaluate_shard(run: &Run, cfg: &EvalConfig, opts: &RunOptions, shard: ShardSp
             }
         }
         replay = loaded.replay;
+        replayed = loaded.frames;
     }
     // A journal that replays nothing (missing, not v3, or written for
     // another config, shard or priors) is created afresh, and so is one
@@ -370,11 +379,11 @@ fn evaluate_shard(run: &Run, cfg: &EvalConfig, opts: &RunOptions, shard: ShardSp
     }
 
     let runner = SharedRunner::new(cfg.clone());
-    let evaluate = |cells: Vec<PlanCell>, replay: &journal::Replay| {
+    let evaluate = |cells: Vec<PlanCell>, replay: journal::Replay| {
         let (source, priors) = (&run.source, run.priors.as_ref());
         eval::evaluate_cells_priors(cfg, source, cells, opts.jobs, priors, &runner, replay, &append)
     };
-    let SubsetRun { mut cells, stats: own } = evaluate(owned, &replay);
+    let SubsetRun { mut cells, stats: own } = evaluate(owned, replay);
     let mut cell_walls = own.cell_walls;
     if let (true, Some(wal)) = (steal_on, &wal) {
         let done: HashSet<u64> = cells.iter().map(|(c, _)| c.id.0).collect();
@@ -390,7 +399,7 @@ fn evaluate_shard(run: &Run, cfg: &EvalConfig, opts: &RunOptions, shard: ShardSp
             opts.jobs.max(1),
             done,
             |batch| {
-                let fill = evaluate(batch, &journal::Replay::new());
+                let fill = evaluate(batch, journal::Replay::new());
                 cells.extend(fill.cells);
                 cell_walls.extend(fill.stats.cell_walls);
             },
@@ -419,12 +428,13 @@ fn evaluate_shard(run: &Run, cfg: &EvalConfig, opts: &RunOptions, shard: ShardSp
     let name = if shard.is_whole() { "evaluation".to_string() } else { format!("shard {shard}") };
     eprintln!("[pcgbench] {name} finished in {:.1}s", stats.wall_s);
     eprint!("{}", crate::report::stats_summary(&stats));
-    SubsetRun { cells, stats }
+    (SubsetRun { cells, stats }, replayed)
 }
 
 /// Merge `count` shard journals into the records cache and stats
 /// sidecar, returning the merged record.
 ///
+/// The shard journals load concurrently on `opts.jobs` threads.
 /// Missing cells (never journaled, or lost to a torn journal line) are
 /// evaluated locally at `opts.jobs` workers, so the merge is tolerant
 /// of partial and torn shard journals and its output is always the
@@ -446,12 +456,19 @@ pub(crate) fn merge(run: &Run, cfg: &EvalConfig, opts: &RunOptions, count: u32) 
     let Run { source, salt, cache, plan, priors, priors_hash } = run;
     let priors_hash = *priors_hash;
     let mut map: HashMap<CellId, TaskRecord> = HashMap::with_capacity(plan.len());
+    let mut replayed = journal::Frames::default();
     let mut parts: Vec<EvalStats> = Vec::new();
     let mut rejected = 0u64;
-    for k in 0..count {
-        let spec = ShardSpec::new(k, count);
+    // The shard journals load concurrently, the `--jobs` threads split
+    // between them, and fold below in shard order.
+    let specs: Vec<ShardSpec> = (0..count).map(|k| ShardSpec::new(k, count)).collect();
+    let per_load = (opts.jobs / specs.len().max(1)).max(1);
+    let loads = journal::par_map(&specs, opts.jobs, |&spec| {
         let jpath = journal::shard_journal_path(cache, spec);
-        let loaded = journal::load_counting_sourced(&jpath, cfg, salt, spec, priors_hash);
+        let loaded = journal::load_parallel(&jpath, cfg, salt, spec, priors_hash, per_load);
+        (jpath, loaded)
+    });
+    for (&spec, (jpath, loaded)) in specs.iter().zip(loads) {
         // A worker that partitioned the grid under different priors
         // journaled cells this merge assigns elsewhere — and is missing
         // cells it was supposed to own. Reject the whole journal
@@ -481,9 +498,12 @@ pub(crate) fn merge(run: &Run, cfg: &EvalConfig, opts: &RunOptions, count: u32) 
                 String::new()
             },
         );
+        // A cell in more than one journal (a lost steal race) takes
+        // its record and its frame from the last one.
         for (id, cell) in loaded.replay {
             map.insert(id, cell.record);
         }
+        replayed.extend(loaded.frames);
         if let Ok(bytes) = std::fs::read(shard_stats_path(cache, spec)) {
             if let Ok(stats) = serde_json::from_slice::<EvalStats>(&bytes) {
                 parts.push(stats);
@@ -509,7 +529,7 @@ pub(crate) fn merge(run: &Run, cfg: &EvalConfig, opts: &RunOptions, count: u32) 
             opts.jobs,
             priors.as_ref(),
             &runner,
-            &journal::Replay::new(),
+            journal::Replay::new(),
             |_, _, _| {},
         );
         for (cell, rec) in fill.cells {
@@ -519,7 +539,7 @@ pub(crate) fn merge(run: &Run, cfg: &EvalConfig, opts: &RunOptions, count: u32) 
     }
 
     let record = eval::assemble(cfg, plan, |c| {
-        map.get(&c.id).cloned().expect("every cell journaled or gap-filled")
+        map.remove(&c.id).expect("every cell journaled or gap-filled")
     });
     let mut stats = combine_stats(&parts, plan.len());
     // Frames this merge itself refused, on top of whatever the workers
@@ -529,7 +549,7 @@ pub(crate) fn merge(run: &Run, cfg: &EvalConfig, opts: &RunOptions, count: u32) 
 
     // A failed commit keeps every shard journal and sidecar, so the
     // merge can simply be rerun.
-    if pipeline::commit_run(cache, plan, &record, &stats) {
+    if pipeline::commit_run(cache, plan, &record, &replayed, &stats) {
         // The cache now holds everything the shard journals were
         // protecting.
         for k in 0..count {
@@ -604,6 +624,68 @@ pub fn combine_stats(parts: &[EvalStats], cells: usize) -> EvalStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `committed_cache_refuses_any_flip_or_truncation` (in
+    /// `tests/journal_v3.rs`) on a cache a resume committed by copying
+    /// frames: every cell but the first replays from the journal, so
+    /// the cache mixes copied frames with one encoded frame. It must
+    /// be the encoding of its record, and every single-bit flip and
+    /// every truncation at a frame boundary must be refused.
+    #[test]
+    fn copying_resume_cache_refuses_any_flip_or_truncation() {
+        use pcg_metrics::TaskSamples;
+        let cfg = EvalConfig::smoke();
+        let dir = std::env::temp_dir().join(format!("pcgbench-copy-resume-{}", std::process::id()));
+        let cache = dir.join("resumed.rec");
+        let tasks: Vec<TaskId> = eval::smoke_tasks().into_iter().take(2).collect();
+        let opts = RunOptions { resume: true, ..RunOptions::new(2) };
+        let run = Run::resolve(Some(&cache), &cfg, &opts, Some(&tasks));
+        let replay: journal::Replay = run
+            .plan
+            .cells()
+            .skip(1)
+            .map(|c| {
+                let record = TaskRecord {
+                    task: c.task,
+                    low: TaskSamples {
+                        built: vec![true, c.model % 2 == 0],
+                        correct: vec![c.task_idx == 0, false],
+                        ratio: vec![1.5 + c.model as f64, 0.0],
+                    },
+                    high: None,
+                    sweep: std::collections::BTreeMap::from([(4, vec![0.25])]),
+                };
+                (c.id, journal::ReplayCell { model: run.plan.models()[c.model].clone(), record })
+            })
+            .collect();
+        std::fs::create_dir_all(&dir).unwrap();
+        journal::compact(&journal::journal_path(&cache), &cfg, ShardSpec::WHOLE, &replay).unwrap();
+        let record = run_whole(&run, &cfg, &opts);
+        let pristine = std::fs::read(&cache).unwrap();
+        let encoded = dir.join("encoded.rec");
+        journal::commit_record(&encoded, &run.plan, &record).unwrap();
+        assert!(std::fs::read(&encoded).unwrap() == pristine, "the copy is the encoding");
+
+        let read = || pipeline::read_cache_parallel(&cache, &cfg, &run.plan, 2);
+        let back = read().expect("a clean cache reads back");
+        assert_eq!(serde_json::to_string(&back).unwrap(), serde_json::to_string(&record).unwrap());
+        for bit in 0..pristine.len() * 8 {
+            let mut corrupt = pristine.clone();
+            corrupt[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&cache, &corrupt).unwrap();
+            assert!(read().is_none(), "flip at bit {bit} was served");
+        }
+        std::fs::write(&cache, &pristine).unwrap();
+        let offsets = journal::entry_offsets(&cache);
+        assert_eq!(offsets.len(), run.plan.len() + 1, "one entry frame per cell, plus the end");
+        let entry_starts = offsets[..run.plan.len()].iter().map(|&o| o as usize);
+        let boundaries = [0, pcg_core::frame::JOURNAL_MAGIC.len()].into_iter().chain(entry_starts);
+        for cut in boundaries {
+            std::fs::write(&cache, &pristine[..cut]).unwrap();
+            assert!(read().is_none(), "cut at byte {cut} was served");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn shard_stats_paths_are_distinct_per_shard() {

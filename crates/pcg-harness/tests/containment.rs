@@ -127,7 +127,7 @@ fn chaos_battery_fails_fast_and_stays_deterministic() {
     for k in 0..3 {
         let spec = ShardSpec::new(k, 3);
         let run = evaluate_cells_priors(
-            &cfg, &models, plan.shard(spec), 1, None, &shared, &Replay::new(), |_, _, _| {},
+            &cfg, &models, plan.shard(spec), 1, None, &shared, Replay::new(), |_, _, _| {},
         );
         assert_eq!(run.stats.timeouts, 0, "shard {k} must fail fast too");
         for (cell, rec) in run.cells {

@@ -53,7 +53,7 @@ fn write_shard_journals(
             2,
             priors,
             runner,
-            &Replay::new(),
+            Replay::new(),
             |cell, model, rec| wal.append(cell, model, rec).unwrap(),
         );
         assert!(run.stats.cells > 0, "shard {spec} must own some cells");

@@ -44,7 +44,7 @@ fn write_shard_journals(
         let spec = ShardSpec::new(k, 3);
         let jpath = journal::shard_journal_path(cache, spec);
         let wal = Journal::create_sourced(&jpath, cfg, &[], spec, 0).unwrap();
-        let run = eval::evaluate_cells_priors(cfg, models, plan.shard(spec), 2, None, runner, &Replay::new(), |cell, model, rec| {
+        let run = eval::evaluate_cells_priors(cfg, models, plan.shard(spec), 2, None, runner, Replay::new(), |cell, model, rec| {
             wal.append(cell, model, rec).unwrap();
         });
         assert!(run.stats.cells > 0, "shard {spec} must own some cells");

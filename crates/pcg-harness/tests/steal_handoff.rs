@@ -51,7 +51,7 @@ fn write_one_shard(
     let plan = eval::plan_for(cfg, models, Some(tasks));
     let jpath = journal::shard_journal_path(cache, spec);
     let wal = Journal::create_sourced(&jpath, cfg, &[], spec, 0).unwrap();
-    let run = eval::evaluate_cells_priors(cfg, models, plan.shard(spec), 2, None, runner, &Replay::new(), |cell, model, rec| {
+    let run = eval::evaluate_cells_priors(cfg, models, plan.shard(spec), 2, None, runner, Replay::new(), |cell, model, rec| {
         wal.append(cell, model, rec).unwrap();
     });
     assert!(run.stats.cells > 0, "shard {spec} must own some cells");
@@ -99,7 +99,7 @@ fn stolen_cells_merge_byte_identically() {
         plan.shard_with(spec1, None).iter().map(|c| c.id.0).collect();
     let outcome =
         steal_from_siblings(&cache, &cfg, &[], &plan, spec1, None, 0, &wal1, 4, done, |batch| {
-        eval::evaluate_cells_priors(&cfg, &models, batch, 2, None, &runner, &Replay::new(), |cell, model, rec| {
+        eval::evaluate_cells_priors(&cfg, &models, batch, 2, None, &runner, Replay::new(), |cell, model, rec| {
             wal1.append(cell, model, rec).unwrap();
         });
     });
@@ -185,7 +185,7 @@ fn stolen_cells_merge_byte_identically() {
     let wal1 = Journal::open_append(&journal::shard_journal_path(&cache, spec1)).unwrap();
     let ids: Vec<_> = victim_cells.iter().map(|c| c.id).collect();
     wal1.append_claims(&ids, 1).unwrap();
-    eval::evaluate_cells_priors(&cfg, &models, victim_cells.clone(), 2, None, &runner, &Replay::new(), |cell, model, rec| {
+    eval::evaluate_cells_priors(&cfg, &models, victim_cells.clone(), 2, None, &runner, Replay::new(), |cell, model, rec| {
         wal1.append(cell, model, rec).unwrap();
     });
     drop(wal1);
@@ -275,7 +275,7 @@ fn thieves_take_the_exact_reverse_of_the_victims_dispatch() {
             // At one worker the cells complete, and so reach `on_cell`,
             // in exactly the order they are dispatched.
             let mut dispatched: Vec<CellId> = Vec::new();
-            eval::evaluate_cells_priors(&cfg, &source, owned, 1, withp, &runner, &Replay::new(), |cell, _, _| {
+            eval::evaluate_cells_priors(&cfg, &source, owned, 1, withp, &runner, Replay::new(), |cell, _, _| {
                 dispatched.push(cell);
             });
             let steal = plan.steal_order(spec, withp);
